@@ -365,17 +365,18 @@ int main(int argc, char** argv) {
   // --- Part 9: allocation-free functional hot path ------------------------
   // 9a: in-process arena-vs-legacy. The legacy side is the allocating nn::
   // reference chain (fresh tensors, per-head dense slices) driven through
-  // SoftmaxEngineView — exactly what run_encoder_one used to execute; the
-  // arena side is run_encoder_one_into with one caller-owned workspace and
-  // a reused output tensor. Same seeds, so both sides also cross-check
-  // bit-identity against Part 1's reference outputs.
+  // the engine's row adapter over a fresh run state — exactly what
+  // run_encoder_one used to execute; the arena side is run_encoder_one_into
+  // with one caller-owned workspace and a reused output tensor. Same seeds,
+  // so both sides also cross-check bit-identity against Part 1's reference
+  // outputs.
   const auto legacy_chain = [&](std::size_t i) {
-    core::SoftmaxEngineView view(model.softmax_engine(),
-                                 workload::sequence_seed(0x5EED, i));
+    core::SoftmaxRunState run(workload::sequence_seed(0x5EED, i));
+    core::SoftmaxEngineRowRef softmax(model.softmax_engine(), run);
     nn::Tensor x =
-        nn::encoder_layer_forward(inputs[i], model.layer_weights(0), view);
+        nn::encoder_layer_forward(inputs[i], model.layer_weights(0), softmax);
     for (std::int64_t l = 1; l < num_layers; ++l) {
-      x = nn::encoder_layer_forward(x, model.layer_weights(l), view);
+      x = nn::encoder_layer_forward(x, model.layer_weights(l), softmax);
     }
     return x;
   };

@@ -21,8 +21,10 @@ struct Metrics {
   double rmse = 0.0;
 };
 
-Metrics measure(core::SoftmaxEngine& engine, const workload::DatasetProfile& profile,
-                int rows, std::uint64_t seed) {
+/// `run` carries one fault stream across every row measured on an engine.
+Metrics measure(const core::SoftmaxEngine& engine, core::SoftmaxRunState& run,
+                const workload::DatasetProfile& profile, int rows, std::uint64_t seed) {
+  core::SoftmaxEngineRowRef star(engine, run);
   Rng rng(seed);
   Metrics m;
   int agree = 0;
@@ -31,7 +33,7 @@ Metrics measure(core::SoftmaxEngine& engine, const workload::DatasetProfile& pro
   for (int r = 0; r < rows; ++r) {
     const auto row = profile.sample_row(64, rng);
     const auto exact = nn::softmax(row);
-    const auto got = engine(row);
+    const auto got = nn::softmax_row(star, row);
     agree += (argmax(exact) == argmax(got)) ? 1 : 0;
     for (std::size_t i = 0; i < exact.size(); ++i) {
       se += (exact[i] - got[i]) * (exact[i] - got[i]);
@@ -59,10 +61,11 @@ int main() {
     core::StarConfig cfg;
     cfg.softmax_format = fxp::kMrpcFormat;
     cfg.cam_miss_prob = miss;
-    core::SoftmaxEngine engine(cfg);
+    const core::SoftmaxEngine engine(cfg);
+    core::SoftmaxRunState run;
     Metrics m[3];
     for (int i = 0; i < 3; ++i) {
-      m[i] = measure(engine, profiles[static_cast<std::size_t>(i)], kRows, 77 + i);
+      m[i] = measure(engine, run, profiles[static_cast<std::size_t>(i)], kRows, 77 + i);
     }
     miss_table.add_row({TablePrinter::num(miss, 3), TablePrinter::num(m[0].top1, 3),
                         TablePrinter::num(m[1].top1, 3), TablePrinter::num(m[2].top1, 3),
@@ -76,10 +79,11 @@ int main() {
     core::StarConfig cfg;
     cfg.softmax_format = fxp::kMrpcFormat;
     cfg.device = xbar::RramDevice::noisy(2, sigma, 0.01);
-    core::SoftmaxEngine engine(cfg);
+    const core::SoftmaxEngine engine(cfg);
+    core::SoftmaxRunState run;
     Metrics m[3];
     for (int i = 0; i < 3; ++i) {
-      m[i] = measure(engine, profiles[static_cast<std::size_t>(i)], kRows, 177 + i);
+      m[i] = measure(engine, run, profiles[static_cast<std::size_t>(i)], kRows, 177 + i);
     }
     dev_table.add_row({TablePrinter::num(sigma, 2), TablePrinter::num(m[0].top1, 3),
                        TablePrinter::num(m[1].top1, 3),

@@ -32,13 +32,21 @@ void BM_ExactSoftmax(benchmark::State& state) {
 }
 BENCHMARK(BM_ExactSoftmax)->Arg(128)->Arg(512);
 
+// The engine's hot path: softmax_row_into on a warm run state (the
+// counters and scratch are sized by the first row, so the timed rows
+// allocate nothing).
 void BM_StarSoftmaxEngine(benchmark::State& state) {
   core::StarConfig cfg;
   cfg.softmax_format = fxp::kMrpcFormat;
-  core::SoftmaxEngine eng(cfg);
+  const core::SoftmaxEngine eng(cfg);
+  core::SoftmaxRunState run;
   const auto row = sample_row(static_cast<std::size_t>(state.range(0)), 2);
+  std::vector<double> out(row.size());
+  eng.softmax_row_into(row, run, out);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(eng(row));
+    eng.softmax_row_into(row, run, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -47,8 +55,11 @@ BENCHMARK(BM_StarSoftmaxEngine)->Arg(128)->Arg(512);
 void BM_Softermax(benchmark::State& state) {
   baseline::SoftermaxUnit unit(hw::TechNode::n32());
   const auto row = sample_row(static_cast<std::size_t>(state.range(0)), 3);
+  std::vector<double> out(row.size());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(unit(row));
+    unit(row, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -57,22 +68,27 @@ BENCHMARK(BM_Softermax)->Arg(128)->Arg(512);
 void BM_CmosSoftmax(benchmark::State& state) {
   baseline::CmosSoftmaxUnit unit(hw::TechNode::n32());
   const auto row = sample_row(static_cast<std::size_t>(state.range(0)), 4);
+  std::vector<double> out(row.size());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(unit(row));
+    unit(row, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_CmosSoftmax)->Arg(128);
 
 void BM_CamSubMaxFind(benchmark::State& state) {
-  xbar::CamSubCrossbar cs(hw::TechNode::n32(), xbar::RramDevice::ideal(2), 9);
+  const xbar::CamSubCrossbar cs(hw::TechNode::n32(), xbar::RramDevice::ideal(2), 9);
   Rng rng(5);
   std::vector<std::int64_t> codes(static_cast<std::size_t>(state.range(0)));
   for (auto& c : codes) {
     c = rng.uniform_int(0, 511);
   }
+  xbar::MaxFindResult res;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cs.find_max(codes));
+    cs.find_max_into(codes, 0.0, rng, res);
+    benchmark::DoNotOptimize(res.max_code);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -108,13 +124,15 @@ BENCHMARK(BM_BitSlicedVmm);
 void BM_AttentionWithStarSoftmax(benchmark::State& state) {
   core::StarConfig cfg;
   cfg.softmax_format = fxp::kMrpcFormat;
-  core::SoftmaxEngine eng(cfg);
+  const core::SoftmaxEngine eng(cfg);
+  core::SoftmaxRunState run;
+  core::SoftmaxEngineRowRef star(eng, run);
   Rng rng(7);
   const auto q = nn::Tensor::randn(32, 64, rng);
   const auto k = nn::Tensor::randn(32, 64, rng);
   const auto v = nn::Tensor::randn(32, 64, rng);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(nn::scaled_dot_attention(q, k, v, eng));
+    benchmark::DoNotOptimize(nn::scaled_dot_attention(q, k, v, star));
   }
 }
 BENCHMARK(BM_AttentionWithStarSoftmax);

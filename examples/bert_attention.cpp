@@ -30,10 +30,12 @@ int main() {
 
   core::StarConfig cfg;
   cfg.softmax_format = fxp::kMrpcFormat;
-  core::SoftmaxEngine star_engine(cfg);
+  const core::SoftmaxEngine star_engine(cfg);
+  core::SoftmaxRunState star_run;
+  core::SoftmaxEngineRowRef star(star_engine, star_run);
   baseline::SoftermaxUnit softermax(hw::TechNode::n32());
   baseline::CmosSoftmaxUnit cmos(hw::TechNode::n32());
-  nn::ExactSoftmax exact;
+  nn::ExactSoftmaxInto exact;
 
   std::printf("Attention output fidelity vs exact softmax "
               "(one head, L=%zu, d_k=%zu)\n\n", kSeqLen, kDHead);
@@ -43,8 +45,8 @@ int main() {
   const auto qkv = workload::random_qkv(kSeqLen, kDHead, 2.0, rng);
   const auto ref = nn::scaled_dot_attention(qkv.q, qkv.k, qkv.v, exact);
 
-  for (nn::RowSoftmax* impl : std::initializer_list<nn::RowSoftmax*>{
-           &star_engine, &softermax, &cmos}) {
+  for (nn::RowSoftmaxInto* impl : std::initializer_list<nn::RowSoftmaxInto*>{
+           &star, &softermax, &cmos}) {
     const auto out = nn::scaled_dot_attention(qkv.q, qkv.k, qkv.v, *impl);
     table.add_row({impl->name(),
                    TablePrinter::num(nn::Tensor::max_abs_diff(ref, out), 5),
@@ -62,7 +64,9 @@ int main() {
         fxp::make_unsigned(profile.expected_int_bits, profile.expected_frac_bits);
     core::StarConfig ds_cfg;
     ds_cfg.softmax_format = fmt;
-    core::SoftmaxEngine engine(ds_cfg);
+    const core::SoftmaxEngine engine(ds_cfg);
+    core::SoftmaxRunState run;
+    core::SoftmaxEngineRowRef ds_star(engine, run);
 
     const int rows = 200;
     int agree = 0;
@@ -70,7 +74,7 @@ int main() {
     for (int r = 0; r < rows; ++r) {
       const auto row = profile.sample_row(64, rng);
       const auto p_exact = nn::softmax(row);
-      const auto p_star = engine(row);
+      const auto p_star = nn::softmax_row(ds_star, row);
       agree += (argmax(p_exact) == argmax(p_star)) ? 1 : 0;
       err_acc += max_abs_diff(p_exact, p_star);
     }

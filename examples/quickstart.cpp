@@ -16,7 +16,7 @@ int main() {
   //    at 512x18 and the CAM/LUT/VMM crossbars at 256 rows.
   core::StarConfig cfg;
   cfg.softmax_format = fxp::kMrpcFormat;
-  core::SoftmaxEngine engine(cfg);
+  const core::SoftmaxEngine engine(cfg);
 
   std::printf("STAR softmax engine (%s operands)\n", cfg.softmax_format.name().c_str());
   std::printf("  CAM/SUB rows: %d   exp CAM/LUT rows: %d   LUT word: %d bits\n",
@@ -28,8 +28,12 @@ int main() {
   // 2. A row of attention scores (anything in the +/-32 window of Q6.3).
   const std::vector<double> scores{2.1, -0.4, 1.9, -3.0, 0.0, -7.5, 2.2, -1.1};
 
-  // 3. Run it through the crossbar datapath and the exact reference.
-  const auto p_star = engine(scores);
+  // 3. Run it through the crossbar datapath and the exact reference. The
+  //    engine is shared read-only hardware; the run state carries this
+  //    stream's fault RNG, counters and scratch.
+  core::SoftmaxRunState run;
+  std::vector<double> p_star(scores.size());
+  engine.softmax_row_into(scores, run, p_star);
   const auto p_exact = nn::softmax(scores);
 
   std::printf("%8s %12s %12s %12s\n", "score", "exact", "STAR", "abs err");
@@ -38,8 +42,9 @@ int main() {
                 std::abs(p_exact[i] - p_star[i]));
   }
 
-  // 4. What did that row cost on the engine?
-  const auto& stats = engine.row_stats();
+  // 4. What does a row of this length cost on the engine?
+  const core::SoftmaxRowStats stats =
+      engine.compute_row_stats(static_cast<int>(scores.size()));
   std::printf("\nper-row hardware cost (%d elements):\n", stats.elements);
   std::printf("  latency: %s   energy: %s\n", to_string(stats.latency).c_str(),
               to_string(stats.energy).c_str());

@@ -9,6 +9,7 @@
 
 #include "core/softmax_engine.hpp"
 #include "hw/tech.hpp"
+#include "util/rng.hpp"
 #include "xbar/cam_sub.hpp"
 
 namespace {
@@ -39,7 +40,9 @@ int main() {
               static_cast<long long>(cam_sub.code_at(cam_sub.rows() - 1)));
 
   // (2)-(3): per-input CAM searches, OR-merged.
-  const auto mf = cam_sub.find_max(xs);
+  // Fault-free here: miss_prob 0 draws nothing from the stream.
+  Rng fault_stream(1);
+  const auto mf = cam_sub.find_max(xs, 0.0, fault_stream);
   std::printf("step 2-3: merged matchline vector ");
   print_matchlines(mf.merged_matchlines, cam_sub.rows());
   std::printf("\nstep 3: first '1' at row %d -> x_max = %lld\n", mf.max_row,
@@ -58,7 +61,7 @@ int main() {
   core::StarConfig cfg;
   cfg.softmax_format = fxp::make_unsigned(3, 1);  // tiny: 4-bit codes, res 0.5
   cfg.max_seq_len = 16;
-  core::SoftmaxEngine engine(cfg);
+  const core::SoftmaxEngine engine(cfg);
   const double res = cfg.softmax_format.resolution();
 
   std::printf("LUT rows hold round(e^(-r*res) * 2^m) "
@@ -69,7 +72,9 @@ int main() {
 
   const std::vector<std::int64_t> codes{6, 2, 0, 2};
   std::printf("\ninputs (codes) = [6, 2, 0, 2]\n");
-  const auto probs = engine.forward_codes(codes);
+  core::SoftmaxRunState run;
+  std::vector<std::int64_t> probs(codes.size());
+  engine.forward_codes_into(codes, run, probs);
   std::printf("engine outputs (probability codes / 2^%d):\n", engine.prob_frac_bits());
   double sum = 0.0;
   for (std::size_t i = 0; i < probs.size(); ++i) {

@@ -25,8 +25,9 @@ CmosSoftmaxUnit::CmosSoftmaxUnit(const hw::TechNode& tech, CmosSoftmaxConfig cfg
   regs_ = lib.reg(cfg.operand_bits);
 }
 
-std::vector<double> CmosSoftmaxUnit::operator()(std::span<const double> x) {
+void CmosSoftmaxUnit::operator()(std::span<const double> x, std::span<double> out) {
   require(!x.empty(), "CmosSoftmaxUnit: empty row");
+  STAR_ASSERT(out.size() == x.size(), "CmosSoftmaxUnit: output span length mismatch");
   // Fixed-point input grid: operand_bits with half the bits fraction.
   const int frac = cfg_.operand_bits / 2;
   const double in_step = std::ldexp(1.0, -frac);
@@ -44,11 +45,9 @@ std::vector<double> CmosSoftmaxUnit::operator()(std::span<const double> x) {
     e[i] = std::exp(q[i] - x_max);
     denom += e[i];
   }
-  std::vector<double> p(x.size());
   for (std::size_t i = 0; i < x.size(); ++i) {
-    p[i] = round_half_even(e[i] / denom / out_step) * out_step;
+    out[i] = round_half_even(e[i] / denom / out_step) * out_step;
   }
-  return p;
 }
 
 Area CmosSoftmaxUnit::area() const {

@@ -31,7 +31,7 @@ struct CmosSoftmaxConfig {
 /// wide softmax array next to every head's crossbars).
 constexpr CmosSoftmaxConfig compact_cmos_softmax() { return {1, 24, 16}; }
 
-class CmosSoftmaxUnit final : public nn::RowSoftmax {
+class CmosSoftmaxUnit final : public nn::RowSoftmaxInto {
  public:
   CmosSoftmaxUnit(const hw::TechNode& tech, CmosSoftmaxConfig cfg = {});
 
@@ -39,7 +39,7 @@ class CmosSoftmaxUnit final : public nn::RowSoftmax {
   /// Bit-faithful at the IO boundaries: inputs quantised to operand_bits
   /// fixed point, exponentials exact (the wide datapath's error is below
   /// the output quantisation), outputs quantised to output_bits.
-  [[nodiscard]] std::vector<double> operator()(std::span<const double> x) override;
+  void operator()(std::span<const double> x, std::span<double> out) override;
   [[nodiscard]] const char* name() const override { return "cmos-baseline"; }
 
   // --- cost ---

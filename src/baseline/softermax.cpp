@@ -39,16 +39,22 @@ SoftermaxUnit::SoftermaxUnit(const hw::TechNode& tech, SoftermaxConfig cfg)
   regs_ = lib.reg(3 * cfg.operand_bits);
 }
 
-double SoftermaxUnit::pow2_quant(double frac_exponent) const {
-  // frac_exponent in (-1, 0]: the LUT holds round(2^f * 2^frac_bits).
-  STAR_ASSERT(frac_exponent <= 0.0 && frac_exponent > -1.0,
-              "pow2_quant: fractional exponent out of (-1, 0]");
+double SoftermaxUnit::pow2_word(double d) const {
+  // 2^d for d <= 0 as the hardware forms it: the integer part is a shift,
+  // the fraction f in (-1, 0) reads round(2^f * 2^frac_bits) from the LUT.
+  const double d_int = std::floor(d);
+  const double d_frac = d - d_int;  // [0, 1)
+  if (d_frac == 0.0) {
+    return std::ldexp(1.0, static_cast<int>(d_int));
+  }
   const double scale = std::ldexp(1.0, cfg_.frac_bits);
-  return round_half_even(std::pow(2.0, frac_exponent) * scale) / scale;
+  const double lut = round_half_even(std::pow(2.0, d_frac - 1.0) * scale) / scale;
+  return std::ldexp(lut, static_cast<int>(d_int) + 1);
 }
 
-std::vector<double> SoftermaxUnit::operator()(std::span<const double> x) {
+void SoftermaxUnit::operator()(std::span<const double> x, std::span<double> out) {
   require(!x.empty(), "SoftermaxUnit: empty row");
+  STAR_ASSERT(out.size() == x.size(), "SoftermaxUnit: output span length mismatch");
   // Inputs scaled to base 2 and quantised to a 2-fraction-bit grid
   // (Softermax's low-precision input path).
   const double in_step = 0.25;
@@ -60,40 +66,21 @@ std::vector<double> SoftermaxUnit::operator()(std::span<const double> x) {
   // Online pass: integer running max, rescaled running sum.
   double m = std::ceil(xp[0]);
   double s = 0.0;
-  std::vector<double> e(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const double m_new = std::max(m, std::ceil(xp[i]));
+  for (const double v : xp) {
+    const double m_new = std::max(m, std::ceil(v));
     if (m_new != m) {
       s *= std::ldexp(1.0, static_cast<int>(m - m_new));  // exact shift
       m = m_new;
     }
-    const double d = xp[i] - m;  // in (-inf, 0]
-    const double d_int = std::floor(d);
-    const double d_frac = d - d_int;  // [0, 1)
-    const double word =
-        (d_frac == 0.0)
-            ? std::ldexp(1.0, static_cast<int>(d_int))
-            : std::ldexp(pow2_quant(d_frac - 1.0), static_cast<int>(d_int) + 1);
-    e[i] = word;
-    s += word;
+    s += pow2_word(v - m);
   }
 
-  // Final rescale pass: every stored exponent is already relative to the
-  // final max (hardware re-reads the e_i registers).
+  // Final rescale pass: the hardware re-reads each exponent against the
+  // final max.
   const double out_step = std::ldexp(1.0, -cfg_.output_bits);
-  std::vector<double> p(x.size());
   for (std::size_t i = 0; i < x.size(); ++i) {
-    // e[i] was computed against the max at visit time; rebase to the final max.
-    const double d = xp[i] - m;
-    const double d_int = std::floor(d);
-    const double d_frac = d - d_int;
-    const double word =
-        (d_frac == 0.0)
-            ? std::ldexp(1.0, static_cast<int>(d_int))
-            : std::ldexp(pow2_quant(d_frac - 1.0), static_cast<int>(d_int) + 1);
-    p[i] = round_half_even(word / s / out_step) * out_step;
+    out[i] = round_half_even(pow2_word(xp[i] - m) / s / out_step) * out_step;
   }
-  return p;
 }
 
 std::vector<double> SoftermaxUnit::offline(std::span<const double> x) const {
@@ -108,13 +95,7 @@ std::vector<double> SoftermaxUnit::offline(std::span<const double> x) const {
   double s = 0.0;
   std::vector<double> e(x.size());
   for (std::size_t i = 0; i < x.size(); ++i) {
-    const double d = xp[i] - m;
-    const double d_int = std::floor(d);
-    const double d_frac = d - d_int;
-    e[i] =
-        (d_frac == 0.0)
-            ? std::ldexp(1.0, static_cast<int>(d_int))
-            : std::ldexp(pow2_quant(d_frac - 1.0), static_cast<int>(d_int) + 1);
+    e[i] = pow2_word(xp[i] - m);
     s += e[i];
   }
   const double out_step = std::ldexp(1.0, -cfg_.output_bits);

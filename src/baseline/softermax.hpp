@@ -26,7 +26,7 @@ struct SoftermaxConfig {
   int output_bits = 8;    ///< normalised output width
 };
 
-class SoftermaxUnit final : public nn::RowSoftmax {
+class SoftermaxUnit final : public nn::RowSoftmaxInto {
  public:
   SoftermaxUnit(const hw::TechNode& tech, SoftermaxConfig cfg = {});
 
@@ -34,7 +34,7 @@ class SoftermaxUnit final : public nn::RowSoftmax {
   /// Online base-2 softmax: p_i = 2^(x_i' - m) / sum_j 2^(x_j' - m) with
   /// x' = x * log2(e) quantised, computed in one streaming pass exactly as
   /// the hardware would (running max + rescaled running sum).
-  [[nodiscard]] std::vector<double> operator()(std::span<const double> x) override;
+  void operator()(std::span<const double> x, std::span<double> out) override;
   [[nodiscard]] const char* name() const override { return "softermax"; }
 
   /// Offline (two-pass) reference of the same arithmetic; the online pass
@@ -51,7 +51,8 @@ class SoftermaxUnit final : public nn::RowSoftmax {
   [[nodiscard]] const SoftermaxConfig& config() const { return cfg_; }
 
  private:
-  [[nodiscard]] double pow2_quant(double frac_exponent) const;
+  /// 2^d (d <= 0) through the shifter and the 2^frac LUT.
+  [[nodiscard]] double pow2_word(double d) const;
 
   hw::TechNode tech_;
   SoftermaxConfig cfg_;

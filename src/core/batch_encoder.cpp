@@ -163,6 +163,8 @@ void BatchEncoderSim::run_encoder_one_into(const nn::Tensor& input,
           "run_encoder_one: num_layers must be in [1, stack_depth]");
   require(num_shards >= 1 && num_shards <= config().num_shards,
           "run_encoder_one: num_shards must be in [1, config().num_shards]");
+  require(input.rows() <= static_cast<std::size_t>(config().max_seq_len),
+          "run_encoder_one: sequence longer than config().max_seq_len");
   // num_shards only gates admission and dataset only selects the resident
   // LUT image: the digital partial-sum reduce is exact and the datapath
   // always runs in the configured format, so the payload below is

@@ -4,7 +4,8 @@
 // functional SoftmaxEngine and MatmulEngine, the analytic StarAccelerator —
 // serves B independent sequences concurrently (the cuBERT serving shape:
 // one model, many request streams). Everything mutable lives per sequence:
-// a SoftmaxRunState (fault RNG + row stats) and the sequence's result slot.
+// a SoftmaxRunState (fault RNG, counters, scratch) and the sequence's
+// result slot.
 //
 // Determinism contract: outputs are bit-identical to running the same
 // sequences one-by-one, for every thread count. Sequence i's work depends

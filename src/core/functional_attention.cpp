@@ -6,15 +6,11 @@
 
 namespace star::core {
 
-namespace {
-
-/// Shared body; the two public overloads differ only in where the row
-/// softmax's mutable state lives.
-template <typename RowSoftmaxFn>
-FunctionalAttentionResult attention_impl(const nn::Tensor& q, const nn::Tensor& k,
-                                         const nn::Tensor& v,
-                                         const MatmulEngine& matmul,
-                                         RowSoftmaxFn&& softmax_row) {
+FunctionalAttentionResult attention_on_star(const nn::Tensor& q, const nn::Tensor& k,
+                                            const nn::Tensor& v,
+                                            const MatmulEngine& matmul,
+                                            const SoftmaxEngine& softmax_engine,
+                                            SoftmaxRunState& run) {
   require(q.cols() == k.cols(), "attention_on_star: d_k mismatch between Q and K");
   require(k.rows() == v.rows(), "attention_on_star: K/V length mismatch");
 
@@ -22,12 +18,11 @@ FunctionalAttentionResult attention_impl(const nn::Tensor& q, const nn::Tensor& 
   nn::Tensor scores = matmul.multiply(q, k.transposed());
   scores.scale(1.0 / std::sqrt(static_cast<double>(q.cols())));
 
-  // Row softmax on the crossbar engine.
+  // Row softmax on the crossbar engine, straight into the result.
   FunctionalAttentionResult res{nn::Tensor(q.rows(), k.rows()),
                                 nn::Tensor(q.rows(), k.rows())};
   for (std::size_t r = 0; r < scores.rows(); ++r) {
-    const auto p = softmax_row(scores.row(r));
-    std::copy(p.begin(), p.end(), res.probabilities.row(r).begin());
+    softmax_engine.softmax_row_into(scores.row(r), run, res.probabilities.row(r));
   }
 
   // Context matmul on the crossbar engine (V resident).
@@ -35,34 +30,13 @@ FunctionalAttentionResult attention_impl(const nn::Tensor& q, const nn::Tensor& 
   return res;
 }
 
-}  // namespace
-
-FunctionalAttentionResult attention_on_star(const nn::Tensor& q, const nn::Tensor& k,
-                                            const nn::Tensor& v,
-                                            const MatmulEngine& matmul,
-                                            const SoftmaxEngine& softmax_engine,
-                                            SoftmaxRunState& run) {
-  return attention_impl(q, k, v, matmul, [&](std::span<const double> row) {
-    return softmax_engine.softmax_row(row, run);
-  });
-}
-
-FunctionalAttentionResult attention_on_star(const nn::Tensor& q, const nn::Tensor& k,
-                                            const nn::Tensor& v, MatmulEngine& matmul,
-                                            SoftmaxEngine& softmax_engine) {
-  // Legacy single-stream entry: routes through the engine's member run
-  // state so row_stats() keeps reporting the last processed row.
-  return attention_impl(q, k, v, matmul, [&](std::span<const double> row) {
-    return softmax_engine(row);
-  });
-}
-
 FunctionalAttentionResult attention_on_star(const nn::Tensor& q, const nn::Tensor& k,
                                             const nn::Tensor& v,
                                             const StarConfig& cfg) {
-  MatmulEngine matmul(cfg);
-  SoftmaxEngine softmax_engine(cfg);
-  return attention_on_star(q, k, v, matmul, softmax_engine);
+  const MatmulEngine matmul(cfg);
+  const SoftmaxEngine softmax_engine(cfg);
+  SoftmaxRunState run;
+  return attention_on_star(q, k, v, matmul, softmax_engine, run);
 }
 
 }  // namespace star::core

@@ -18,6 +18,14 @@ namespace {
 /// The engine's probability output precision (divider fraction bits).
 constexpr int kProbFracBits = 15;
 
+/// Validates before any member sizes a crossbar from the config: an
+/// out-of-range format must fail with StarConfig's message, not build a
+/// 2^b-row CAM first.
+const StarConfig& validated(const StarConfig& cfg) {
+  cfg.validate();
+  return cfg;
+}
+
 int exp_rows_for(const fxp::QFormat& fmt) {
   // Half the code space suffices: exponentials of larger magnitudes
   // underflow the LUT word (see file header). Matches the paper's
@@ -28,7 +36,7 @@ int exp_rows_for(const fxp::QFormat& fmt) {
 }  // namespace
 
 SoftmaxEngine::SoftmaxEngine(const StarConfig& cfg)
-    : cfg_(cfg),
+    : cfg_(validated(cfg)),
       fmt_(cfg.softmax_format),
       lut_frac_bits_(workload::default_lut_frac_bits(cfg.softmax_format)),
       prob_frac_bits_(kProbFracBits),
@@ -47,7 +55,6 @@ SoftmaxEngine::SoftmaxEngine(const StarConfig& cfg)
               static_cast<double>(cfg.max_seq_len) * cfg.softmax_format.total_bits() /
                   8.0),
       out_buf_(cfg.tech, static_cast<double>(cfg.max_seq_len) * 2.0) {
-  cfg_.validate();
   // Phase sequencer + address generation for the four crossbar phases.
   control_ = hw::GateLibrary(cfg_.tech).block(3000.0);
 
@@ -92,23 +99,13 @@ SoftmaxEngine::SoftmaxEngine(const StarConfig& cfg)
   sum_op_cost_.leakage = sum_leakage_;
 }
 
-std::vector<std::int64_t> SoftmaxEngine::forward_codes(
-    std::span<const std::int64_t> codes) {
-  return forward_codes(codes, run_);
-}
-
-std::vector<std::int64_t> SoftmaxEngine::forward_codes(
-    std::span<const std::int64_t> codes, SoftmaxRunState& run) const {
-  std::vector<std::int64_t> probs(codes.size());
-  forward_codes_into(codes, run, probs);
-  return probs;
-}
-
 // STAR_HOT
 void SoftmaxEngine::forward_codes_into(std::span<const std::int64_t> codes,
                                        SoftmaxRunState& run,
                                        std::span<std::int64_t> probs_out) const {
   require(!codes.empty(), "SoftmaxEngine::forward_codes: empty row");
+  require(codes.size() <= static_cast<std::size_t>(cfg_.max_seq_len),
+          "SoftmaxEngine::forward_codes: row longer than max_seq_len");
   STAR_ASSERT(probs_out.size() == codes.size(),
               "SoftmaxEngine::forward_codes_into: output span length mismatch");
   const std::int64_t code_max_allowed = (std::int64_t{1} << fmt_.total_bits()) - 1;
@@ -120,8 +117,7 @@ void SoftmaxEngine::forward_codes_into(std::span<const std::int64_t> codes,
 
   // Stage 1: CAM/SUB — max find, then subtraction (Fig. 1). Both phases
   // run against reused scratch (warm rows: zero allocations).
-  cam_sub_.find_max_into(codes, cfg_.cam_miss_prob, run.rng, scratch.match,
-                         scratch.maxfind);
+  cam_sub_.find_max_into(codes, cfg_.cam_miss_prob, run.rng, scratch.maxfind);
   scratch.diffs.resize(codes.size());
   cam_sub_.subtract_into(scratch.maxfind, codes, scratch.diffs);
 
@@ -134,34 +130,20 @@ void SoftmaxEngine::forward_codes_into(std::span<const std::int64_t> codes,
   }
   hw::CounterArray& counters = *run.counters;
   counters.reset();
+  // The exp CAM's identity preload (row r stores code r) is bijective, so
+  // search_row resolves the one matchline — and its one fault draw — in
+  // O(1) per element.
   scratch.e_words.assign(codes.size(), 0);
-  if (exp_cam_.unique_codes()) {
-    // O(1) per element: the exp CAM's identity preload (row r stores code
-    // r) is bijective, so search_row resolves the one matchline — and its
-    // fault draw — without materializing/scanning the dense match vector.
-    // e_words, counters and the RNG stream match the dense branch bit for
-    // bit.
-    for (std::size_t i = 0; i < codes.size(); ++i) {
-      const std::int64_t mag = -scratch.diffs[i];
-      if (mag < exp_cam_.rows()) {
-        const int row = exp_cam_.search_row(mag, cfg_.cam_miss_prob, run.rng);
-        if (row >= 0) {
-          scratch.e_words[i] = exp_lut_.word_at(row);
-          counters.accumulate_row(row);
-        }
+  for (std::size_t i = 0; i < codes.size(); ++i) {
+    const std::int64_t mag = -scratch.diffs[i];
+    if (mag < exp_cam_.rows()) {
+      const int row = exp_cam_.search_row(mag, cfg_.cam_miss_prob, run.rng);
+      if (row >= 0) {
+        scratch.e_words[i] = exp_lut_.word_at(row);
+        counters.accumulate_row(row);
       }
-      // else: no matchline rises; e_word stays 0 and the counters hold.
     }
-  } else {
-    for (std::size_t i = 0; i < codes.size(); ++i) {
-      const std::int64_t mag = -scratch.diffs[i];
-      if (mag < exp_cam_.rows()) {
-        exp_cam_.search_into(mag, cfg_.cam_miss_prob, run.rng, scratch.match);
-        scratch.e_words[i] = exp_lut_.read(scratch.match);
-        counters.accumulate(scratch.match);
-      }
-      // else: no matchline rises; e_word stays 0 and the counters hold.
-    }
+    // else: no matchline rises; e_word stays 0 and the counters hold.
   }
 
   // Stage 3: summation VMM (counter histogram . stored table).
@@ -171,19 +153,6 @@ void SoftmaxEngine::forward_codes_into(std::span<const std::int64_t> codes,
   for (std::size_t i = 0; i < codes.size(); ++i) {
     probs_out[i] = divider_.divide(scratch.e_words[i], denom, prob_frac_bits_);
   }
-
-  run.last_stats = compute_row_stats(static_cast<int>(codes.size()));
-}
-
-std::vector<double> SoftmaxEngine::operator()(std::span<const double> x) {
-  return softmax_row(x, run_);
-}
-
-std::vector<double> SoftmaxEngine::softmax_row(std::span<const double> x,
-                                               SoftmaxRunState& run) const {
-  std::vector<double> p(x.size());
-  softmax_row_into(x, run, p);
-  return p;
 }
 
 // STAR_HOT
@@ -207,9 +176,7 @@ void SoftmaxEngine::softmax_row_into(std::span<const double> x,
     scratch.codes[i] = std::clamp<std::int64_t>(c, 0, top);
   }
 
-  // Probability codes land in the output span, then scale in place: the
-  // per-element operations (and the fault-RNG draws inside) are exactly
-  // the legacy softmax_row sequence, so both paths are bit-identical.
+  // Probability codes land in scratch, then scale into the output span.
   scratch.prob_codes.resize(x.size());
   forward_codes_into(scratch.codes, run, scratch.prob_codes);
   const double inv = std::ldexp(1.0, -prob_frac_bits_);

@@ -19,15 +19,14 @@
 // workload::quantized_softmax; tests enforce the equivalence.
 //
 // Determinism: the engine is shared read-only geometry; every per-run
-// mutable fact (the fault-injection stream, the last-row cost record)
-// lives in a caller-owned SoftmaxRunState whose Rng is explicitly seeded.
-// The const softmax_row()/forward_codes() datapath therefore makes
-// (seed, code-path) reproduce every probability code bit-for-bit no matter
-// how many threads share the engine.
+// mutable fact (the fault-injection stream, the counters, the datapath
+// scratch) lives in a caller-owned SoftmaxRunState whose Rng is explicitly
+// seeded. The const softmax_row_into()/forward_codes_into() datapath
+// therefore makes (seed, code-path) reproduce every probability code
+// bit-for-bit no matter how many threads share the engine.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -45,7 +44,7 @@
 
 namespace star::core {
 
-/// Per-row execution record (costs of the last processed row).
+/// Cost record of one row (compute_row_stats).
 struct SoftmaxRowStats {
   int elements = 0;
   Time latency{};
@@ -63,15 +62,14 @@ struct SoftmaxScratch {
   std::vector<std::int64_t> codes;    ///< quantised operand row
   std::vector<std::int64_t> diffs;    ///< x_i - x_max from the CAM/SUB
   std::vector<std::int64_t> e_words;  ///< LUT readouts per element
-  std::vector<bool> match;            ///< one search's matchline vector
   xbar::MaxFindResult maxfind;        ///< phase-A result (vectors reused)
   std::vector<std::int64_t> prob_codes;  ///< probability codes (codes stays live)
 };
 
 /// Per-run mutable state of one stream through a (shared, read-only)
-/// SoftmaxEngine: the fault-injection RNG stream and the last-row cost
-/// record. Each concurrent sequence owns one; the engine itself is never
-/// mutated on the const datapath.
+/// SoftmaxEngine: the fault-injection RNG stream, the counter array and the
+/// datapath scratch. Each concurrent sequence owns one; the engine itself
+/// is never mutated.
 struct SoftmaxRunState {
   explicit SoftmaxRunState(std::uint64_t seed = 0xCA3) : rng(seed) {}
 
@@ -83,7 +81,6 @@ struct SoftmaxRunState {
   void reseed(std::uint64_t seed) { rng = Rng(seed); }
 
   Rng rng;
-  SoftmaxRowStats last_stats;
   /// Per-run counter array, cloned from the engine's prototype on first
   /// use and reset per row (so the hot loop never allocates).
   std::optional<hw::CounterArray> counters;
@@ -91,39 +88,22 @@ struct SoftmaxRunState {
   SoftmaxScratch scratch;
 };
 
-class SoftmaxEngine final : public nn::RowSoftmax {
+class SoftmaxEngine final {
  public:
   explicit SoftmaxEngine(const StarConfig& cfg);
 
-  // --- functional interface (nn::RowSoftmax) ---
-  /// Softmax of a real-valued row, computed through the full quantised
-  /// crossbar datapath. Also updates row_stats().
-  [[nodiscard]] std::vector<double> operator()(std::span<const double> x) override;
-  [[nodiscard]] const char* name() const override { return "star-crossbar"; }
-
-  /// Datapath on pre-quantised magnitudes is exposed for white-box tests:
-  /// given operand codes (unsigned, < 2^b), returns probability codes with
-  /// `prob_frac_bits()` fraction bits.
-  [[nodiscard]] std::vector<std::int64_t> forward_codes(
-      std::span<const std::int64_t> codes);
-
-  // --- thread-safe const datapath (shared engine, per-run state) ---
-  /// Same as operator(), but against `*this` as shared read-only hardware:
-  /// all mutation (fault RNG draws, row stats) lands in `run`. Safe to call
-  /// concurrently from many threads, one SoftmaxRunState per thread.
-  [[nodiscard]] std::vector<double> softmax_row(std::span<const double> x,
-                                                SoftmaxRunState& run) const;
-  [[nodiscard]] std::vector<std::int64_t> forward_codes(
-      std::span<const std::int64_t> codes, SoftmaxRunState& run) const;
-
-  // --- allocation-free datapath (the arena-backed hot path) ---
-  /// softmax_row writing into a caller span of x.size(); every
-  /// intermediate lives in run.scratch (warm rows allocate nothing).
-  /// Identical operation and fault-draw order to softmax_row(), which
-  /// delegates here.
+  // --- functional datapath (shared read-only engine, per-run state) ---
+  /// Softmax of a real-valued row through the full quantised crossbar
+  /// datapath, written into a caller span of x.size(). All mutation (fault
+  /// RNG draws, counters, scratch) lands in `run`, so many threads may
+  /// share one engine with one SoftmaxRunState each; warm rows allocate
+  /// nothing. Rows longer than max_seq_len are rejected: the counters are
+  /// sized for it.
   void softmax_row_into(std::span<const double> x, SoftmaxRunState& run,
                         std::span<double> out) const;
-  /// forward_codes writing probability codes into a caller span.
+  /// The datapath after input quantisation (white-box tests call it
+  /// directly): operand codes (unsigned, < 2^b) in, probability codes with
+  /// prob_frac_bits() fraction bits out.
   void forward_codes_into(std::span<const std::int64_t> codes,
                           SoftmaxRunState& run,
                           std::span<std::int64_t> probs_out) const;
@@ -141,7 +121,6 @@ class SoftmaxEngine final : public nn::RowSoftmax {
   [[nodiscard]] Power active_power(int d) const;
   [[nodiscard]] Time row_latency(int d) const;
   [[nodiscard]] Energy row_energy(int d) const;
-  [[nodiscard]] const SoftmaxRowStats& row_stats() const { return run_.last_stats; }
   /// Full cost record of one row of length d (pure; thread-safe).
   [[nodiscard]] SoftmaxRowStats compute_row_stats(int d) const;
   /// One-time table preload cost (CAM/SUB codes, exp table, sum table).
@@ -182,37 +161,12 @@ class SoftmaxEngine final : public nn::RowSoftmax {
   hw::Sram in_buf_;
   hw::Sram out_buf_;
   hw::Cost control_;
-
-  // Legacy single-stream state backing the non-const entry points; the
-  // const datapath never touches it.
-  SoftmaxRunState run_;
 };
 
-/// RowSoftmax adapter binding a shared const SoftmaxEngine to a private
-/// SoftmaxRunState. Each concurrent sequence constructs one (with its own
-/// seed) and hands it to the functional attention/encoder code.
-class SoftmaxEngineView final : public nn::RowSoftmax {
- public:
-  SoftmaxEngineView(const SoftmaxEngine& engine, std::uint64_t seed)
-      : engine_(&engine), run_(seed) {}
-
-  [[nodiscard]] std::vector<double> operator()(std::span<const double> x) override {
-    return engine_->softmax_row(x, run_);
-  }
-  [[nodiscard]] const char* name() const override { return "star-crossbar-view"; }
-  [[nodiscard]] const SoftmaxRunState& run_state() const { return run_; }
-  [[nodiscard]] SoftmaxRunState& run_state() { return run_; }
-
- private:
-  const SoftmaxEngine* engine_;
-  SoftmaxRunState run_;
-};
-
-/// Span-writing adapter binding a shared const SoftmaxEngine to a
-/// BORROWED per-run state (unlike SoftmaxEngineView, which owns its state
-/// by value and therefore clones the counter array per construction).
-/// The arena-backed encoder path constructs one of these per request over
-/// a pooled, reseeded SoftmaxRunState — construction is free.
+/// The engine as an nn::RowSoftmaxInto: binds a shared const
+/// SoftmaxEngine to a BORROWED per-run state. Construction is free, so the
+/// encoder path builds one per request over a pooled, reseeded
+/// SoftmaxRunState; a fault stream continues across every row it serves.
 class SoftmaxEngineRowRef final : public nn::RowSoftmaxInto {
  public:
   SoftmaxEngineRowRef(const SoftmaxEngine& engine, SoftmaxRunState& run)
@@ -221,7 +175,7 @@ class SoftmaxEngineRowRef final : public nn::RowSoftmaxInto {
   void operator()(std::span<const double> x, std::span<double> out) override {
     engine_->softmax_row_into(x, *run_, out);
   }
-  [[nodiscard]] const char* name() const override { return "star-crossbar-ref"; }
+  [[nodiscard]] const char* name() const override { return "star-crossbar"; }
 
  private:
   const SoftmaxEngine* engine_;

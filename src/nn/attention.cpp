@@ -14,14 +14,12 @@ Tensor attention_scores(const Tensor& q, const Tensor& k) {
 }
 
 Tensor scaled_dot_attention(const Tensor& q, const Tensor& k, const Tensor& v,
-                            RowSoftmax& softmax_impl) {
+                            RowSoftmaxInto& softmax_impl) {
   require(k.rows() == v.rows(), "scaled_dot_attention: K/V length mismatch");
   const Tensor s = attention_scores(q, k);
   Tensor p(s.rows(), s.cols());
   for (std::size_t r = 0; r < s.rows(); ++r) {
-    const auto probs = softmax_impl(s.row(r));
-    STAR_ASSERT(probs.size() == s.cols(), "RowSoftmax returned wrong length");
-    std::copy(probs.begin(), probs.end(), p.row(r).begin());
+    softmax_impl(s.row(r), p.row(r));
   }
   return p.matmul(v);
 }
@@ -80,7 +78,7 @@ Tensor MhaWeights::head_wk(std::size_t h) const { return head_slice(wk, h, d_k);
 Tensor MhaWeights::head_wv(std::size_t h) const { return head_slice(wv, h, d_k); }
 
 Tensor multi_head_attention(const Tensor& x, const MhaWeights& w,
-                            RowSoftmax& softmax_impl) {
+                            RowSoftmaxInto& softmax_impl) {
   require(w.heads >= 1, "multi_head_attention: no heads");
   const std::size_t heads = w.heads;
   const std::size_t d_k = w.d_k;

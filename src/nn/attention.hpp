@@ -1,6 +1,6 @@
 // Scaled dot-product and multi-head attention with a pluggable softmax.
 //
-// The softmax is injected as a RowSoftmax so the same attention code runs
+// The softmax is injected as a RowSoftmaxInto so the same attention code runs
 // bit-exactly on the reference, the STAR crossbar engine, Softermax and the
 // CMOS baseline — which is how the accuracy side of the paper's trade-off
 // is evaluated.
@@ -16,7 +16,7 @@ namespace star::nn {
 /// softmax(Q K^T / sqrt(d_k)) V for one head.
 /// q: (L_q x d_k), k: (L_k x d_k), v: (L_k x d_v).
 Tensor scaled_dot_attention(const Tensor& q, const Tensor& k, const Tensor& v,
-                            RowSoftmax& softmax_impl);
+                            RowSoftmaxInto& softmax_impl);
 
 /// The raw score matrix Q K^T / sqrt(d_k) (exposed for the bitwidth study,
 /// which analyses score distributions before softmax).
@@ -52,6 +52,6 @@ struct MhaWeights {
 
 /// Full multi-head attention: x (L x d_model) -> (L x d_model).
 Tensor multi_head_attention(const Tensor& x, const MhaWeights& w,
-                            RowSoftmax& softmax_impl);
+                            RowSoftmaxInto& softmax_impl);
 
 }  // namespace star::nn

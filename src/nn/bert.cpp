@@ -35,22 +35,11 @@ EncoderLayerWeights EncoderLayerWeights::random(const BertConfig& cfg, Rng& rng)
 }
 
 Tensor encoder_layer_forward(const Tensor& x, const EncoderLayerWeights& w,
-                             RowSoftmax& softmax_impl) {
+                             RowSoftmaxInto& softmax_impl) {
   const Tensor attn = multi_head_attention(x, w.mha, softmax_impl);
   const Tensor y = layer_norm(x + attn);
   const Tensor ff = gelu(y.matmul(w.w_ff1)).matmul(w.w_ff2);
   return layer_norm(y + ff);
-}
-
-std::vector<Tensor> encoder_layer_forward_batch(std::span<const Tensor> xs,
-                                                const EncoderLayerWeights& w,
-                                                RowSoftmax& softmax_impl) {
-  std::vector<Tensor> out;
-  out.reserve(xs.size());
-  for (const Tensor& x : xs) {
-    out.push_back(encoder_layer_forward(x, w, softmax_impl));
-  }
-  return out;
 }
 
 }  // namespace star::nn

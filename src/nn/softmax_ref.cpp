@@ -37,6 +37,12 @@ Tensor softmax_rows(const Tensor& x) {
   return out;
 }
 
+std::vector<double> softmax_row(RowSoftmaxInto& impl, std::span<const double> x) {
+  std::vector<double> out(x.size());
+  impl(x, out);
+  return out;
+}
+
 double logsumexp(std::span<const double> x) {
   require(!x.empty(), "logsumexp: empty input");
   const double m = *std::max_element(x.begin(), x.end());

@@ -24,29 +24,13 @@ Tensor softmax_rows(const Tensor& x);
 /// softmax(x)_i == exp(x_i - logsumexp(x))).
 double logsumexp(std::span<const double> x);
 
-/// Abstract row-softmax interface so attention can run on the reference,
-/// the STAR engine, Softermax or the CMOS baseline interchangeably.
-class RowSoftmax {
- public:
-  virtual ~RowSoftmax() = default;
-  [[nodiscard]] virtual std::vector<double> operator()(std::span<const double> x) = 0;
-  [[nodiscard]] virtual const char* name() const = 0;
-};
-
-/// The exact implementation of RowSoftmax.
-class ExactSoftmax final : public RowSoftmax {
- public:
-  [[nodiscard]] std::vector<double> operator()(std::span<const double> x) override {
-    return softmax(x);
-  }
-  [[nodiscard]] const char* name() const override { return "exact"; }
-};
-
-/// Span-writing row-softmax interface — the allocation-free counterpart of
-/// RowSoftmax used by the arena-backed attention kernels (nn/workspace.hpp).
-/// Implementations must write exactly x.size() probabilities into `out` and
-/// must not allocate on the warm path (per-run scratch lives behind the
-/// implementation, e.g. core::SoftmaxScratch).
+/// The one row-softmax interface, the shape of cuBERT's
+/// Softmax::compute_(batch, inout): the reference, the STAR engine,
+/// Softermax and the CMOS baseline all write the x.size() probabilities of
+/// `x` into the caller's `out`, so attention runs on any of them
+/// interchangeably. The engine's implementation (core::SoftmaxEngineRowRef)
+/// does not allocate on the warm path — its per-run scratch lives in a
+/// core::SoftmaxRunState.
 class RowSoftmaxInto {
  public:
   virtual ~RowSoftmaxInto() = default;
@@ -62,5 +46,10 @@ class ExactSoftmaxInto final : public RowSoftmaxInto {
   }
   [[nodiscard]] const char* name() const override { return "exact"; }
 };
+
+/// Allocating convenience over any RowSoftmaxInto: the probabilities of
+/// one row as a fresh vector.
+[[nodiscard]] std::vector<double> softmax_row(RowSoftmaxInto& impl,
+                                              std::span<const double> x);
 
 }  // namespace star::nn

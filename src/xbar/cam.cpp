@@ -5,13 +5,11 @@
 
 namespace star::xbar {
 
-CamCrossbar::CamCrossbar(const hw::TechNode& tech, RramDevice device, int rows, int bits,
-                         Rng rng)
+CamCrossbar::CamCrossbar(const hw::TechNode& tech, RramDevice device, int rows, int bits)
     : tech_(tech),
       device_(device),
       rows_(rows),
       bits_(bits),
-      rng_(rng),
       stored_(static_cast<std::size_t>(rows), -1) {
   require(rows >= 1, "CamCrossbar: rows must be >= 1");
   require(bits >= 1 && bits <= 32, "CamCrossbar: bits must be in [1, 32]");
@@ -93,10 +91,6 @@ void CamCrossbar::fill(const std::vector<std::int64_t>& codes) {
   }
 }
 
-std::vector<bool> CamCrossbar::search(std::int64_t code, double miss_prob) {
-  return static_cast<const CamCrossbar&>(*this).search(code, miss_prob, rng_);
-}
-
 std::vector<bool> CamCrossbar::search(std::int64_t code, double miss_prob,
                                       Rng& rng) const {
   std::vector<bool> match;
@@ -104,7 +98,6 @@ std::vector<bool> CamCrossbar::search(std::int64_t code, double miss_prob,
   return match;
 }
 
-// STAR_HOT
 void CamCrossbar::search_into(std::int64_t code, double miss_prob, Rng& rng,
                               std::vector<bool>& match) const {
   require(code >= 0 && code < (std::int64_t{1} << bits_),
@@ -134,11 +127,12 @@ int CamCrossbar::search_row(std::int64_t code, double miss_prob, Rng& rng) const
   return sensed ? static_cast<int>(r) : -1;
 }
 
-std::optional<int> CamCrossbar::search_index(std::int64_t code) {
-  const auto m = search(code);
-  for (std::size_t r = 0; r < m.size(); ++r) {
-    if (m[r]) {
-      return static_cast<int>(r);
+std::optional<int> CamCrossbar::search_index(std::int64_t code) const {
+  require(code >= 0 && code < (std::int64_t{1} << bits_),
+          "CamCrossbar::search: code out of range");
+  for (int r = 0; r < rows_; ++r) {
+    if (stored_[static_cast<std::size_t>(r)] == code) {
+      return r;
     }
   }
   return std::nullopt;

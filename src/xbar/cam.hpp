@@ -23,8 +23,7 @@ namespace star::xbar {
 class CamCrossbar {
  public:
   /// `rows` stored patterns of `bits` bits (2 cells/bit on the die).
-  CamCrossbar(const hw::TechNode& tech, RramDevice device, int rows, int bits,
-              Rng rng = Rng(0xCA3));
+  CamCrossbar(const hw::TechNode& tech, RramDevice device, int rows, int bits);
 
   [[nodiscard]] int rows() const { return rows_; }
   [[nodiscard]] int bits() const { return bits_; }
@@ -37,20 +36,15 @@ class CamCrossbar {
   void fill(const std::vector<std::int64_t>& codes);
 
   /// One search cycle: matchline vector for `code` (search-error rate
-  /// `miss_prob` flips a matching line low with that probability). Draws
-  /// fault samples from the member stream; use the const overload when the
-  /// crossbar is shared across threads.
-  [[nodiscard]] std::vector<bool> search(std::int64_t code, double miss_prob = 0.0);
-
-  /// Thread-safe search against shared read-only contents: fault samples
-  /// come from the caller's per-run stream, the crossbar is not mutated.
+  /// `miss_prob` flips a matching line low with that probability). Fault
+  /// samples come from the caller's per-run stream; the crossbar is shared
+  /// read-only contents and never mutated by a search.
   [[nodiscard]] std::vector<bool> search(std::int64_t code, double miss_prob,
                                          Rng& rng) const;
 
-  /// Allocation-free search: writes the matchline vector into caller-owned
-  /// scratch (resized to rows(); no allocation once its capacity covers
-  /// that). Same row scan and fault-draw order as search(), so the two are
-  /// bit- and RNG-stream-identical — search() delegates here.
+  /// The dense row scan behind search(), into caller-owned scratch
+  /// (resized to rows()). It is the reference the O(1) search_row() is
+  /// tested against.
   void search_into(std::int64_t code, double miss_prob, Rng& rng,
                    std::vector<bool>& match) const;
 
@@ -64,14 +58,11 @@ class CamCrossbar {
   /// the fault samples the dense scan would (one bernoulli iff a row
   /// matches and miss_prob > 0), so the matchline contents implied by the
   /// result are bit- and RNG-stream-identical to search_into(). Only
-  /// valid when unique_codes() — callers must branch on it.
+  /// valid when unique_codes().
   [[nodiscard]] int search_row(std::int64_t code, double miss_prob, Rng& rng) const;
 
-  /// The member fault stream (legacy single-stream call sites).
-  [[nodiscard]] Rng& fault_rng() { return rng_; }
-
-  /// Convenience: the index of the (unique) matching row, if any.
-  [[nodiscard]] std::optional<int> search_index(std::int64_t code);
+  /// Fault-free lookup: the first row storing `code`, if any.
+  [[nodiscard]] std::optional<int> search_index(std::int64_t code) const;
 
   /// Per-search dynamic energy, latency; total area incl. sense amps.
   [[nodiscard]] hw::Cost search_cost() const { return search_cost_; }
@@ -87,7 +78,6 @@ class CamCrossbar {
   RramDevice device_;
   int rows_;
   int bits_;
-  Rng rng_;
   std::vector<std::int64_t> stored_;  // -1 = unprogrammed (never matches)
   // Inverted index over stored_: code -> row, -1 = absent. Rebuilt after
   // every mutation (programming is cold; searching is the hot path), valid

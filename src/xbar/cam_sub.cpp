@@ -8,13 +8,20 @@
 
 namespace star::xbar {
 
-CamSubCrossbar::CamSubCrossbar(const hw::TechNode& tech, RramDevice device, int bits,
-                               Rng rng)
+namespace {
+
+/// Checked before the CAM is sized from it.
+int rows_for(int bits) {
+  require(bits >= 2 && bits <= 12, "CamSubCrossbar: bits must be in [2, 12]");
+  return 1 << bits;
+}
+
+}  // namespace
+
+CamSubCrossbar::CamSubCrossbar(const hw::TechNode& tech, RramDevice device, int bits)
     : tech_(tech),
       bits_(bits),
-      cam_(tech, device, 1 << bits, bits, rng) {
-  require(bits >= 2 && bits <= 12, "CamSubCrossbar: bits must be in [2, 12]");
-
+      cam_(tech, device, rows_for(bits), bits) {
   // Preload every representable code in descending order.
   std::vector<std::int64_t> codes(static_cast<std::size_t>(1) << bits);
   for (std::size_t r = 0; r < codes.size(); ++r) {
@@ -57,22 +64,15 @@ int CamSubCrossbar::row_of(std::int64_t code) const {
 }
 
 MaxFindResult CamSubCrossbar::find_max(std::span<const std::int64_t> codes,
-                                       double miss_prob) {
-  return find_max(codes, miss_prob, cam_.fault_rng());
-}
-
-MaxFindResult CamSubCrossbar::find_max(std::span<const std::int64_t> codes,
                                        double miss_prob, Rng& rng) const {
   MaxFindResult res;
-  std::vector<bool> match_scratch;
-  find_max_into(codes, miss_prob, rng, match_scratch, res);
+  find_max_into(codes, miss_prob, rng, res);
   return res;
 }
 
 // STAR_HOT
 void CamSubCrossbar::find_max_into(std::span<const std::int64_t> codes,
                                    double miss_prob, Rng& rng,
-                                   std::vector<bool>& match_scratch,
                                    MaxFindResult& res) const {
   require(!codes.empty(), "CamSubCrossbar::find_max: empty input");
   require(miss_prob >= 0.0 && miss_prob <= 1.0,
@@ -84,36 +84,18 @@ void CamSubCrossbar::find_max_into(std::span<const std::int64_t> codes,
   res.input_rows.clear();
   res.input_rows.reserve(codes.size());
 
-  if (cam_.unique_codes()) {
-    // O(1) per input: the descending preload is bijective, so each search
-    // raises at most one matchline — search_row resolves it (and draws the
-    // one fault sample) without the dense row scan. Results and RNG stream
-    // are bit-identical to the scan branch below.
-    for (const std::int64_t code : codes) {
-      const int matched_row = cam_.search_row(code, miss_prob, rng);
-      if (matched_row >= 0) {
-        res.merged_matchlines[static_cast<std::size_t>(matched_row)] = true;
-      }
-      STAR_ASSERT(matched_row >= 0 || miss_prob > 0.0,
-                  "CamSubCrossbar::find_max: every preloaded code must match");
-      res.misses += (matched_row < 0) ? 1 : 0;
-      res.input_rows.push_back(matched_row);
+  // The descending preload is bijective, so each search raises at most
+  // one matchline: search_row resolves it (and draws its one fault sample)
+  // in O(1), and setting that line is the OR-gate cascade (Fig. 1, step 3).
+  for (const std::int64_t code : codes) {
+    const int matched_row = cam_.search_row(code, miss_prob, rng);
+    if (matched_row >= 0) {
+      res.merged_matchlines[static_cast<std::size_t>(matched_row)] = true;
     }
-  } else {
-    for (const std::int64_t code : codes) {
-      cam_.search_into(code, miss_prob, rng, match_scratch);
-      int matched_row = -1;
-      for (std::size_t r = 0; r < match_scratch.size(); ++r) {
-        if (match_scratch[r]) {
-          res.merged_matchlines[r] = true;  // the OR-gate cascade (Fig. 1, step 3)
-          matched_row = static_cast<int>(r);
-        }
-      }
-      STAR_ASSERT(matched_row >= 0 || miss_prob > 0.0,
-                  "CamSubCrossbar::find_max: every preloaded code must match");
-      res.misses += (matched_row < 0) ? 1 : 0;
-      res.input_rows.push_back(matched_row);
-    }
+    STAR_ASSERT(matched_row >= 0 || miss_prob > 0.0,
+                "CamSubCrossbar::find_max: every preloaded code must match");
+    res.misses += (matched_row < 0) ? 1 : 0;
+    res.input_rows.push_back(matched_row);
   }
 
   // Priority encode: first set bit == largest code (descending preload).

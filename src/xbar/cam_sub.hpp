@@ -39,8 +39,7 @@ struct MaxFindResult {
 class CamSubCrossbar {
  public:
   /// `bits`-wide operands; rows = 2^bits, preloaded descending.
-  CamSubCrossbar(const hw::TechNode& tech, RramDevice device, int bits,
-                 Rng rng = Rng(0xCA5B));
+  CamSubCrossbar(const hw::TechNode& tech, RramDevice device, int bits);
 
   [[nodiscard]] int bits() const { return bits_; }
   [[nodiscard]] int rows() const { return cam_.rows(); }
@@ -54,23 +53,17 @@ class CamSubCrossbar {
   /// Phase A over all inputs: d search cycles + OR merge + priority encode.
   /// `miss_prob` injects matchline sensing failures: a missed input raises
   /// no matchline, is excluded from the max vote and later reads as a deep
-  /// (underflowed) magnitude. Throws SimulationError if *every* search
-  /// misses (no matchline to encode).
-  [[nodiscard]] MaxFindResult find_max(std::span<const std::int64_t> codes,
-                                       double miss_prob = 0.0);
-
-  /// Thread-safe variant against shared read-only contents: fault samples
-  /// come from the caller's per-run stream.
+  /// (underflowed) magnitude. Fault samples come from the caller's per-run
+  /// stream; the crossbar is never mutated. Throws SimulationError if
+  /// *every* search misses (no matchline to encode).
   [[nodiscard]] MaxFindResult find_max(std::span<const std::int64_t> codes,
                                        double miss_prob, Rng& rng) const;
 
-  /// Allocation-free find_max: the result's vectors and the per-search
-  /// matchline scratch are caller-owned and reused across rows (assign/
-  /// clear keep capacity, so a warm row allocates nothing). Identical scan
-  /// and fault-draw order to find_max(), which delegates here.
+  /// Allocation-free find_max: the result's vectors are caller-owned and
+  /// reused across rows (assign/clear keep capacity, so a warm row
+  /// allocates nothing). find_max() delegates here.
   void find_max_into(std::span<const std::int64_t> codes, double miss_prob,
-                     Rng& rng, std::vector<bool>& match_scratch,
-                     MaxFindResult& res) const;
+                     Rng& rng, MaxFindResult& res) const;
 
   /// Phase B: per-element x_i - x_max (non-positive), given a find_max
   /// result. Missed inputs return -(2^bits) (below every representable

@@ -46,10 +46,7 @@ void LutCrossbar::fill(const std::vector<std::int64_t>& words) {
   }
 }
 
-// STAR_HOT
 std::int64_t LutCrossbar::read(const std::vector<bool>& one_hot) const {
-  // Literal message only: read() runs once per softmax element on the
-  // zero-allocation serve path (an eager expected_got would heap-allocate).
   require(static_cast<int>(one_hot.size()) == rows_,
           "LutCrossbar::read: wordline count must equal rows");
   int selected = -1;

@@ -33,7 +33,8 @@ class LutCrossbar {
   /// (0 if no line is raised — matches the discharged-bitline behaviour).
   [[nodiscard]] std::int64_t read(const std::vector<bool>& one_hot) const;
 
-  /// Direct indexed read (test convenience; same cost as read()).
+  /// Direct indexed read of the row a resolved search selects (same cost
+  /// as read(); the engine's hot path).
   [[nodiscard]] std::int64_t word_at(int r) const;
 
   [[nodiscard]] hw::Cost read_cost() const { return read_cost_; }

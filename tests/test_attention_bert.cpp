@@ -33,7 +33,7 @@ TEST(Attention, MatchesManualComposition) {
   const auto q = Tensor::randn(5, 8, rng);
   const auto k = Tensor::randn(7, 8, rng);
   const auto v = Tensor::randn(7, 3, rng);
-  ExactSoftmax sm;
+  ExactSoftmaxInto sm;
   const auto out = scaled_dot_attention(q, k, v, sm);
   const auto p = softmax_rows(attention_scores(q, k));
   const auto expected = p.matmul(v);
@@ -45,7 +45,7 @@ TEST(Attention, RowsAreConvexCombinationsOfV) {
   const auto q = Tensor::randn(4, 8, rng);
   const auto k = Tensor::randn(6, 8, rng);
   Tensor v(6, 2, 1.0);  // all-ones values -> every output must be exactly 1
-  ExactSoftmax sm;
+  ExactSoftmaxInto sm;
   const auto out = scaled_dot_attention(q, k, v, sm);
   for (std::size_t r = 0; r < out.rows(); ++r) {
     for (std::size_t c = 0; c < out.cols(); ++c) {
@@ -59,7 +59,7 @@ TEST(Attention, KvLengthMismatchRejected) {
   const auto q = Tensor::randn(4, 8, rng);
   const auto k = Tensor::randn(6, 8, rng);
   const auto v = Tensor::randn(5, 2, rng);
-  ExactSoftmax sm;
+  ExactSoftmaxInto sm;
   EXPECT_THROW(scaled_dot_attention(q, k, v, sm), InvalidArgument);
 }
 
@@ -68,7 +68,7 @@ TEST(MultiHeadAttention, ShapesAndDeterminism) {
   const auto w = MhaWeights::random(4, 32, 8, rng);
   Rng xrng(6);
   const auto x = Tensor::randn(10, 32, xrng);
-  ExactSoftmax sm;
+  ExactSoftmaxInto sm;
   const auto y1 = multi_head_attention(x, w, sm);
   const auto y2 = multi_head_attention(x, w, sm);
   ASSERT_EQ(y1.rows(), 10u);
@@ -91,7 +91,7 @@ TEST(Bert, EncoderLayerForwardRuns) {
   Rng rng(7);
   const auto w = EncoderLayerWeights::random(cfg, rng);
   const auto x = Tensor::randn(6, static_cast<std::size_t>(cfg.d_model), rng);
-  ExactSoftmax sm;
+  ExactSoftmaxInto sm;
   const auto y = encoder_layer_forward(x, w, sm);
   ASSERT_EQ(y.rows(), 6u);
   ASSERT_EQ(y.cols(), static_cast<std::size_t>(cfg.d_model));

@@ -36,7 +36,7 @@ TEST(CmosSoftmax, CloseToExact) {
   for (int trial = 0; trial < 20; ++trial) {
     const auto row = random_row(rng, 64);
     const auto exact = nn::softmax(row);
-    const auto got = unit(row);
+    const auto got = nn::softmax_row(unit, row);
     EXPECT_LT(max_abs_diff(exact, got), 2e-4);  // 16-bit output grid
     EXPECT_EQ(argmax(exact), argmax(got));
   }
@@ -46,7 +46,7 @@ TEST(CmosSoftmax, OutputsNearNormalised) {
   CmosSoftmaxUnit unit(kTech);
   Rng rng(2);
   const auto row = random_row(rng, 128);
-  const auto p = unit(row);
+  const auto p = nn::softmax_row(unit, row);
   const double sum = std::accumulate(p.begin(), p.end(), 0.0);
   EXPECT_NEAR(sum, 1.0, 128.0 * std::ldexp(1.0, -16));
 }
@@ -77,7 +77,7 @@ TEST(CmosSoftmax, RejectsBadConfig) {
   bad.lanes = 0;
   EXPECT_THROW(CmosSoftmaxUnit(kTech, bad), InvalidArgument);
   CmosSoftmaxUnit unit(kTech);
-  EXPECT_THROW(unit(std::vector<double>{}), InvalidArgument);
+  EXPECT_THROW(nn::softmax_row(unit, std::vector<double>{}), InvalidArgument);
 }
 
 // ---------- Softermax ----------
@@ -87,7 +87,7 @@ TEST(Softermax, OnlineEqualsOffline) {
   Rng rng(3);
   for (int trial = 0; trial < 50; ++trial) {
     const auto row = random_row(rng, 48, -25.0, 10.0);
-    const auto online = unit(row);
+    const auto online = nn::softmax_row(unit, row);
     const auto offline = unit.offline(row);
     ASSERT_EQ(online.size(), offline.size());
     for (std::size_t i = 0; i < online.size(); ++i) {
@@ -106,7 +106,7 @@ TEST(Softermax, ApproximatesExactSoftmax) {
     const std::size_t peak = static_cast<std::size_t>(rng.uniform_int(0, 63));
     row[peak] = 6.0;
     const auto exact = nn::softmax(row);
-    const auto got = unit(row);
+    const auto got = nn::softmax_row(unit, row);
     // Base-2 with low-precision LUT: coarser than the baseline but usable.
     EXPECT_LT(max_abs_diff(exact, got), 0.06);
     EXPECT_EQ(argmax(exact), argmax(got));
@@ -117,7 +117,7 @@ TEST(Softermax, NearNormalised) {
   SoftermaxUnit unit(kTech);
   Rng rng(5);
   const auto row = random_row(rng, 100, -10.0, 5.0);
-  const auto p = unit(row);
+  const auto p = nn::softmax_row(unit, row);
   const double sum = std::accumulate(p.begin(), p.end(), 0.0);
   EXPECT_NEAR(sum, 1.0, 0.03);
 }

@@ -158,13 +158,14 @@ TEST(BatchEncoder, BatchedEqualsSequentialBitExact) {
   const auto inputs = workload::embedding_batch(
       6, 12, static_cast<std::size_t>(bert.d_model), 1.0, 99);
 
-  // Reference: B fully sequential runs through the legacy single-stream
-  // engine path, one fresh view per sequence (same per-sequence seeds).
+  // Reference: B fully sequential runs through the allocating reference
+  // chain, one fresh run state per sequence (same per-sequence seeds).
   const auto seeds = workload::sequence_seeds(inputs.size(), 0x5EED);
   std::vector<nn::Tensor> reference;
   for (std::size_t i = 0; i < inputs.size(); ++i) {
-    core::SoftmaxEngineView view(model.softmax_engine(), seeds[i]);
-    reference.push_back(nn::encoder_layer_forward(inputs[i], model.weights(), view));
+    core::SoftmaxRunState run(seeds[i]);
+    core::SoftmaxEngineRowRef softmax(model.softmax_engine(), run);
+    reference.push_back(nn::encoder_layer_forward(inputs[i], model.weights(), softmax));
   }
 
   sim::BatchScheduler sched(4);

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 
 #include "hw/tech.hpp"
 #include "util/rng.hpp"
@@ -15,6 +16,12 @@ const hw::TechNode kTech = hw::TechNode::n32();
 
 CamSubCrossbar make_camsub(int bits = 6) {
   return CamSubCrossbar(kTech, RramDevice::ideal(2), bits);
+}
+
+/// Fault-free max find (no fault sample is drawn at miss_prob 0).
+MaxFindResult find_max(const CamSubCrossbar& cs, std::span<const std::int64_t> xs) {
+  Rng rng(0xCA5B);
+  return cs.find_max(xs, 0.0, rng);
 }
 
 TEST(CamSub, GeometryMatchesPaper) {
@@ -39,9 +46,9 @@ TEST(CamSub, DescendingPreloadInvariant) {
 TEST(CamSub, FindMaxWalkthroughFromFigure1) {
   // The paper's 4-input example: searches merge onto matchlines and the
   // first set line (descending order) is the maximum.
-  auto cs = make_camsub(4);
+  const auto cs = make_camsub(4);
   const std::vector<std::int64_t> xs{3, 9, 7, 9};
-  const auto mf = cs.find_max(xs);
+  const auto mf = find_max(cs, xs);
   EXPECT_EQ(mf.max_code, 9);
   EXPECT_EQ(mf.max_row, cs.row_of(9));
   // Merged matchlines contain exactly the distinct input values.
@@ -57,7 +64,7 @@ TEST(CamSub, FindMaxWalkthroughFromFigure1) {
 }
 
 TEST(CamSub, FindMaxMatchesStdMaxElement) {
-  auto cs = make_camsub(8);
+  const auto cs = make_camsub(8);
   Rng rng(31);
   for (int trial = 0; trial < 100; ++trial) {
     const std::size_t n = static_cast<std::size_t>(rng.uniform_int(1, 64));
@@ -65,20 +72,20 @@ TEST(CamSub, FindMaxMatchesStdMaxElement) {
     for (auto& x : xs) {
       x = rng.uniform_int(0, 255);
     }
-    const auto mf = cs.find_max(xs);
+    const auto mf = find_max(cs, xs);
     EXPECT_EQ(mf.max_code, *std::max_element(xs.begin(), xs.end()));
   }
 }
 
 TEST(CamSub, SubtractAllProducesNonPositiveDiffs) {
-  auto cs = make_camsub(8);
+  const auto cs = make_camsub(8);
   Rng rng(37);
   for (int trial = 0; trial < 50; ++trial) {
     std::vector<std::int64_t> xs(32);
     for (auto& x : xs) {
       x = rng.uniform_int(0, 255);
     }
-    const auto mf = cs.find_max(xs);
+    const auto mf = find_max(cs, xs);
     const auto diffs = cs.subtract_all(mf, xs);
     const auto mx = *std::max_element(xs.begin(), xs.end());
     for (std::size_t i = 0; i < xs.size(); ++i) {
@@ -89,9 +96,9 @@ TEST(CamSub, SubtractAllProducesNonPositiveDiffs) {
 }
 
 TEST(CamSub, InputRowsTrackMatchedRows) {
-  auto cs = make_camsub(5);
+  const auto cs = make_camsub(5);
   const std::vector<std::int64_t> xs{0, 31, 15};
-  const auto mf = cs.find_max(xs);
+  const auto mf = find_max(cs, xs);
   ASSERT_EQ(mf.input_rows.size(), 3u);
   EXPECT_EQ(cs.code_at(mf.input_rows[0]), 0);
   EXPECT_EQ(cs.code_at(mf.input_rows[1]), 31);
@@ -109,9 +116,9 @@ TEST(CamSub, CostsGrowWithInputCount) {
 }
 
 TEST(CamSub, SubtractRequiresMatchingFindMax) {
-  auto cs = make_camsub(4);
+  const auto cs = make_camsub(4);
   const std::vector<std::int64_t> xs{1, 2, 3};
-  const auto mf = cs.find_max(xs);
+  const auto mf = find_max(cs, xs);
   const std::vector<std::int64_t> other{1, 2};
   EXPECT_THROW(cs.subtract_all(mf, other), InvalidArgument);
 }
@@ -119,9 +126,9 @@ TEST(CamSub, SubtractRequiresMatchingFindMax) {
 TEST(CamSub, RejectsBadArguments) {
   EXPECT_THROW(make_camsub(1), InvalidArgument);
   EXPECT_THROW(make_camsub(13), InvalidArgument);
-  auto cs = make_camsub(4);
-  EXPECT_THROW((void)cs.find_max(std::vector<std::int64_t>{}), InvalidArgument);
-  EXPECT_THROW((void)cs.find_max(std::vector<std::int64_t>{16}), InvalidArgument);
+  const auto cs = make_camsub(4);
+  EXPECT_THROW((void)find_max(cs, std::vector<std::int64_t>{}), InvalidArgument);
+  EXPECT_THROW((void)find_max(cs, std::vector<std::int64_t>{16}), InvalidArgument);
   EXPECT_THROW((void)cs.maxfind_energy(0), InvalidArgument);
 }
 
@@ -130,7 +137,7 @@ class CamSubWidthSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(CamSubWidthSweep, MaxFindCorrectAcrossWidths) {
   const int bits = GetParam();
-  auto cs = make_camsub(bits);
+  const auto cs = make_camsub(bits);
   Rng rng(100 + bits);
   const std::int64_t top = (1 << bits) - 1;
   for (int trial = 0; trial < 20; ++trial) {
@@ -138,7 +145,7 @@ TEST_P(CamSubWidthSweep, MaxFindCorrectAcrossWidths) {
     for (auto& x : xs) {
       x = rng.uniform_int(0, top);
     }
-    const auto mf = cs.find_max(xs);
+    const auto mf = find_max(cs, xs);
     EXPECT_EQ(mf.max_code, *std::max_element(xs.begin(), xs.end()));
     const auto diffs = cs.subtract_all(mf, xs);
     for (std::size_t i = 0; i < xs.size(); ++i) {

@@ -88,7 +88,8 @@ TEST(EncoderModel, RejectsBadSeqLen) {
 TEST(FaultInjection, MissProbZeroIsFaultFree) {
   xbar::CamSubCrossbar cs(hw::TechNode::n32(), xbar::RramDevice::ideal(2), 8);
   const std::vector<std::int64_t> xs{10, 250, 100};
-  const auto mf = cs.find_max(xs, 0.0);
+  Rng rng(1);
+  const auto mf = cs.find_max(xs, 0.0, rng);
   EXPECT_EQ(mf.misses, 0);
   EXPECT_EQ(mf.max_code, 250);
 }
@@ -97,7 +98,8 @@ TEST(FaultInjection, MissedInputsReadAsUnderflow) {
   xbar::CamSubCrossbar cs(hw::TechNode::n32(), xbar::RramDevice::ideal(2), 6);
   // miss_prob = 1 would miss everything (throws); use a crafted result.
   const std::vector<std::int64_t> xs{5, 60, 20};
-  auto mf = cs.find_max(xs, 0.0);
+  Rng rng(1);
+  auto mf = cs.find_max(xs, 0.0, rng);
   mf.input_rows[0] = -1;  // inject: first search missed
   mf.misses = 1;
   const auto diffs = cs.subtract_all(mf, xs);
@@ -109,13 +111,15 @@ TEST(FaultInjection, MissedInputsReadAsUnderflow) {
 TEST(FaultInjection, AllMissesThrowSimulationError) {
   xbar::CamSubCrossbar cs(hw::TechNode::n32(), xbar::RramDevice::ideal(2), 6);
   const std::vector<std::int64_t> xs{5, 60};
-  EXPECT_THROW((void)cs.find_max(xs, 1.0), SimulationError);
+  Rng rng(1);
+  EXPECT_THROW((void)cs.find_max(xs, 1.0, rng), SimulationError);
 }
 
 TEST(FaultInjection, SaturatedSubtractionWhenMaxMissed) {
   xbar::CamSubCrossbar cs(hw::TechNode::n32(), xbar::RramDevice::ideal(2), 6);
   const std::vector<std::int64_t> xs{5, 60, 20};
-  auto mf = cs.find_max(xs, 0.0);
+  Rng rng(1);
+  auto mf = cs.find_max(xs, 0.0, rng);
   // Pretend the true max (60) missed and 20 was elected instead.
   mf.input_rows[1] = -1;
   mf.misses = 1;
@@ -130,7 +134,9 @@ TEST(FaultInjection, SaturatedSubtractionWhenMaxMissed) {
 TEST(FaultInjection, EngineDegradesGracefullyUnderMisses) {
   StarConfig cfg = nine_bit_cfg();
   cfg.cam_miss_prob = 0.01;
-  SoftmaxEngine engine(cfg);
+  const SoftmaxEngine engine(cfg);
+  SoftmaxRunState run;
+  SoftmaxEngineRowRef star(engine, run);
   Rng rng(7);
   const auto profile = workload::DatasetProfile::cnews();
   int agree = 0;
@@ -138,7 +144,7 @@ TEST(FaultInjection, EngineDegradesGracefullyUnderMisses) {
   for (int r = 0; r < rows; ++r) {
     const auto row = profile.sample_row(64, rng);
     const auto exact = nn::softmax(row);
-    const auto got = engine(row);
+    const auto got = nn::softmax_row(star, row);
     double sum = 0.0;
     for (double v : got) {
       EXPECT_GE(v, 0.0);

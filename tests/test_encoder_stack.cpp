@@ -202,11 +202,12 @@ TEST(EncoderStackFunctional, TwoLayerChainMatchesManualComposition) {
       1, 10, static_cast<std::size_t>(kTiny.d_model), 1.0, 0x11);
 
   const std::uint64_t seed = 0xFEED;
-  // One engine view spans the whole chain — the fault stream continues
+  // One run state spans the whole chain — the fault stream continues
   // across layers like a physical pass through the stack.
-  core::SoftmaxEngineView view(model.softmax_engine(), seed);
-  const auto l1 = nn::encoder_layer_forward(inputs[0], model.layer_weights(0), view);
-  const auto expected = nn::encoder_layer_forward(l1, model.layer_weights(1), view);
+  core::SoftmaxRunState run(seed);
+  core::SoftmaxEngineRowRef softmax(model.softmax_engine(), run);
+  const auto l1 = nn::encoder_layer_forward(inputs[0], model.layer_weights(0), softmax);
+  const auto expected = nn::encoder_layer_forward(l1, model.layer_weights(1), softmax);
 
   const auto got = model.run_encoder_one(inputs[0], seed, 2);
   EXPECT_TRUE(nn::Tensor::bit_identical(got, expected));

@@ -27,7 +27,7 @@ TEST(FunctionalAttention, TracksExactAttention) {
   const auto qkv = workload::random_qkv(24, 64, 2.0, rng);
   const auto res = attention_on_star(qkv.q, qkv.k, qkv.v, nine_bit_cfg());
 
-  nn::ExactSoftmax exact;
+  nn::ExactSoftmaxInto exact;
   const auto ref = nn::scaled_dot_attention(qkv.q, qkv.k, qkv.v, exact);
 
   ASSERT_EQ(res.output.rows(), ref.rows());
@@ -55,11 +55,12 @@ TEST(FunctionalAttention, ProbabilitiesAreValid) {
 TEST(FunctionalAttention, EngineReuseAcrossCalls) {
   Rng rng(3);
   const StarConfig cfg = nine_bit_cfg();
-  MatmulEngine matmul(cfg);
-  SoftmaxEngine softmax_engine(cfg);
+  const MatmulEngine matmul(cfg);
+  const SoftmaxEngine softmax_engine(cfg);
+  SoftmaxRunState run;
   const auto qkv = workload::random_qkv(8, 16, 2.0, rng);
-  const auto a = attention_on_star(qkv.q, qkv.k, qkv.v, matmul, softmax_engine);
-  const auto b = attention_on_star(qkv.q, qkv.k, qkv.v, matmul, softmax_engine);
+  const auto a = attention_on_star(qkv.q, qkv.k, qkv.v, matmul, softmax_engine, run);
+  const auto b = attention_on_star(qkv.q, qkv.k, qkv.v, matmul, softmax_engine, run);
   // Ideal device: deterministic datapath.
   EXPECT_DOUBLE_EQ(nn::Tensor::max_abs_diff(a.output, b.output), 0.0);
 }

@@ -165,7 +165,8 @@ class Grid {
       for (const double miss : {0.0, 0.05}) {
         jobs_.emplace_back([this, key, seq, miss] {
           return std::vector<Cell>{{key + "/engine/" + miss_tag(miss), guarded([&] {
-            core::SoftmaxEngineView softmax(model(miss).softmax_engine(), kEngineSeed);
+            core::SoftmaxRunState run(kEngineSeed);
+            core::SoftmaxEngineRowRef softmax(model(miss).softmax_engine(), run);
             return fnv1a(nn::encoder_layer_forward(embedding(seq),
                                                    model(miss).layer_weights(0), softmax)
                              .flat());
@@ -174,7 +175,7 @@ class Grid {
       }
       jobs_.emplace_back([this, key, seq] {
         return std::vector<Cell>{{key + "/exact", guarded([&] {
-          nn::ExactSoftmax softmax;
+          nn::ExactSoftmaxInto softmax;
           return fnv1a(nn::encoder_layer_forward(embedding(seq),
                                                  exact_model_.layer_weights(0), softmax)
                            .flat());
@@ -211,8 +212,10 @@ class Grid {
       for (const std::size_t len : kLens) {
         const std::vector<double> row = fixed_row(len);
         const std::string d = "/d" + std::to_string(len);
-        cells.push_back({"row/softermax" + d, guarded([&] { return fnv1a(softermax(row)); })});
-        cells.push_back({"row/cmos" + d, guarded([&] { return fnv1a(cmos(row)); })});
+        cells.push_back({"row/softermax" + d,
+                         guarded([&] { return fnv1a(nn::softmax_row(softermax, row)); })});
+        cells.push_back({"row/cmos" + d,
+                         guarded([&] { return fnv1a(nn::softmax_row(cmos, row)); })});
         cells.push_back({"row/exact" + d, guarded([&] { return fnv1a(nn::softmax(row)); })});
       }
       return cells;

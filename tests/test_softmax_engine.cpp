@@ -6,12 +6,15 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <numeric>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "baseline/cmos_softmax.hpp"
+#include "core/batch_encoder.hpp"
 #include "core/softmax_engine.hpp"
 #include "nn/attention.hpp"
 #include "nn/softmax_ref.hpp"
@@ -28,6 +31,21 @@ StarConfig config_for(const fxp::QFormat& fmt) {
   StarConfig cfg;
   cfg.softmax_format = fmt;
   return cfg;
+}
+
+/// The engine's probabilities of one row, on a continuing run state.
+std::vector<double> run_row(const SoftmaxEngine& eng, SoftmaxRunState& run,
+                            std::span<const double> row) {
+  SoftmaxEngineRowRef star(eng, run);
+  return nn::softmax_row(star, row);
+}
+
+/// The engine's probability codes of one code row.
+std::vector<std::int64_t> run_codes(const SoftmaxEngine& eng, SoftmaxRunState& run,
+                                    std::span<const std::int64_t> codes) {
+  std::vector<std::int64_t> probs(codes.size());
+  eng.forward_codes_into(codes, run, probs);
+  return probs;
 }
 
 /// Rows whose values stay inside the engine's biased-signed input window
@@ -49,14 +67,15 @@ TEST(SoftmaxEngine, GeometryMatchesPaperForNineBits) {
 }
 
 TEST(SoftmaxEngine, MatchesOracleWithinDividerStep) {
-  SoftmaxEngine eng(config_for(fxp::kMrpcFormat));
+  const SoftmaxEngine eng(config_for(fxp::kMrpcFormat));
+  SoftmaxRunState run;
   Rng rng(1);
   const double tol = std::ldexp(1.0, -eng.prob_frac_bits()) * 1.5;
   for (int trial = 0; trial < 30; ++trial) {
     const auto row = in_window_row(eng.format(), 64, rng);
     const auto oracle =
         workload::quantized_softmax(row, eng.format(), eng.lut_frac_bits());
-    const auto got = eng(row);
+    const auto got = run_row(eng, run, row);
     ASSERT_EQ(got.size(), oracle.size());
     for (std::size_t i = 0; i < got.size(); ++i) {
       EXPECT_NEAR(got[i], oracle[i], tol) << "trial " << trial << " i " << i;
@@ -65,10 +84,11 @@ TEST(SoftmaxEngine, MatchesOracleWithinDividerStep) {
 }
 
 TEST(SoftmaxEngine, OutputsSumToOneWithinFlooring) {
-  SoftmaxEngine eng(config_for(fxp::kCnewsFormat));
+  const SoftmaxEngine eng(config_for(fxp::kCnewsFormat));
+  SoftmaxRunState run;
   Rng rng(2);
   const auto row = in_window_row(eng.format(), 128, rng);
-  const auto p = eng(row);
+  const auto p = run_row(eng, run, row);
   const double sum = std::accumulate(p.begin(), p.end(), 0.0);
   // Each element floors away < 1 divider LSB.
   EXPECT_LE(sum, 1.0 + 1e-9);
@@ -76,56 +96,57 @@ TEST(SoftmaxEngine, OutputsSumToOneWithinFlooring) {
 }
 
 TEST(SoftmaxEngine, OrderPreservingOnCodes) {
-  SoftmaxEngine eng(config_for(fxp::kCnewsFormat));
+  const SoftmaxEngine eng(config_for(fxp::kCnewsFormat));
+  SoftmaxRunState run;
   // Codes within e^-x LUT resolution of the max (Q6.2: code 40 = value 10,
   // so the magnitudes below stay representable in the LUT words).
   const std::vector<std::int64_t> codes{16, 40, 30, 40};
-  const auto p = eng.forward_codes(codes);
+  const auto p = run_codes(eng, run, codes);
   EXPECT_LT(p[0], p[2]);
   EXPECT_LT(p[2], p[1]);
   EXPECT_EQ(p[1], p[3]);  // equal codes -> identical probabilities
 }
 
 TEST(SoftmaxEngine, DeepElementsUnderflowToZero) {
-  SoftmaxEngine eng(config_for(fxp::kCnewsFormat));
+  const SoftmaxEngine eng(config_for(fxp::kCnewsFormat));
+  SoftmaxRunState run;
   // Max code and an element farther than the exp CAM row range below it.
   const std::vector<std::int64_t> codes{255, 255 - eng.exp_rows() - 1};
-  const auto p = eng.forward_codes(codes);
+  const auto p = run_codes(eng, run, codes);
   EXPECT_EQ(p[1], 0);
   EXPECT_GT(p[0], 0);
 }
 
 TEST(SoftmaxEngine, AgreesWithExactSoftmaxOnTypicalRows) {
-  SoftmaxEngine eng(config_for(fxp::kMrpcFormat));
+  const SoftmaxEngine eng(config_for(fxp::kMrpcFormat));
+  SoftmaxRunState run;
   Rng rng(3);
   for (int trial = 0; trial < 10; ++trial) {
     const auto row = in_window_row(eng.format(), 32, rng);
     const auto exact = nn::softmax(row);
-    const auto got = eng(row);
+    const auto got = run_row(eng, run, row);
     EXPECT_EQ(argmax(exact), argmax(got));
     EXPECT_LT(max_abs_diff(exact, got), 0.04);
   }
 }
 
 TEST(SoftmaxEngine, WorksAsRowSoftmaxInAttention) {
-  StarConfig cfg = config_for(fxp::kMrpcFormat);
-  SoftmaxEngine eng(cfg);
-  nn::ExactSoftmax exact;
+  const SoftmaxEngine eng(config_for(fxp::kMrpcFormat));
+  SoftmaxRunState run;
+  SoftmaxEngineRowRef star(eng, run);
+  nn::ExactSoftmaxInto exact;
   Rng rng(4);
   const auto q = nn::Tensor::randn(8, 16, rng);
   const auto k = nn::Tensor::randn(8, 16, rng);
   const auto v = nn::Tensor::randn(8, 4, rng);
-  const auto out_star = nn::scaled_dot_attention(q, k, v, eng);
+  const auto out_star = nn::scaled_dot_attention(q, k, v, star);
   const auto out_exact = nn::scaled_dot_attention(q, k, v, exact);
   EXPECT_LT(nn::Tensor::max_abs_diff(out_star, out_exact), 0.15);
 }
 
 TEST(SoftmaxEngine, RowStatsPopulatedAndConsistent) {
-  SoftmaxEngine eng(config_for(fxp::kCnewsFormat));
-  Rng rng(5);
-  const auto row = in_window_row(eng.format(), 64, rng);
-  (void)eng(row);
-  const auto& st = eng.row_stats();
+  const SoftmaxEngine eng(config_for(fxp::kCnewsFormat));
+  const SoftmaxRowStats st = eng.compute_row_stats(64);
   EXPECT_EQ(st.elements, 64);
   EXPECT_GT(st.latency.as_ns(), 0.0);
   EXPECT_GT(st.energy.as_pJ(), 0.0);
@@ -267,17 +288,54 @@ TEST(SoftmaxEngine, CostSheetListsAllBlocks) {
 }
 
 TEST(SoftmaxEngine, RejectsBadInputs) {
-  SoftmaxEngine eng(config_for(fxp::kCnewsFormat));
-  EXPECT_THROW(eng(std::vector<double>{}), InvalidArgument);
-  EXPECT_THROW(eng.forward_codes(std::vector<std::int64_t>{256}), InvalidArgument);
-  EXPECT_THROW(eng.forward_codes(std::vector<std::int64_t>{-1}), InvalidArgument);
+  const SoftmaxEngine eng(config_for(fxp::kCnewsFormat));
+  SoftmaxRunState run;
+  EXPECT_THROW(run_row(eng, run, std::vector<double>{}), InvalidArgument);
+  EXPECT_THROW(run_codes(eng, run, std::vector<std::int64_t>{256}), InvalidArgument);
+  EXPECT_THROW(run_codes(eng, run, std::vector<std::int64_t>{-1}), InvalidArgument);
   EXPECT_THROW((void)eng.row_latency(0), InvalidArgument);
+}
+
+TEST(SoftmaxEngine, RejectsRowsLongerThanMaxSeqLen) {
+  // The counters are sized by bits_for(max_seq_len): a longer row would
+  // saturate them and the probabilities would stop summing to one.
+  StarConfig cfg = config_for(fxp::kCnewsFormat);
+  cfg.max_seq_len = 16;
+  const SoftmaxEngine eng(cfg);
+  SoftmaxRunState run;
+  EXPECT_THROW(run_row(eng, run, std::vector<double>(17, 0.5)), InvalidArgument);
+  EXPECT_THROW(run_codes(eng, run, std::vector<std::int64_t>(64, 40)), InvalidArgument);
+  EXPECT_EQ(run_row(eng, run, std::vector<double>(16, 0.5)).size(), 16u);
 }
 
 TEST(SoftmaxEngine, SignedFormatRejectedByConfig) {
   StarConfig cfg;
   cfg.softmax_format = fxp::make_signed(6, 2);
   EXPECT_THROW(SoftmaxEngine{cfg}, InvalidArgument);
+}
+
+TEST(SoftmaxEngine, OversizedFormatsFailConfigValidationFirst) {
+  // The config is validated before any crossbar is sized from it: a 20-bit
+  // format must not build a 2^20-row CAM/SUB first, and a 31-bit one must
+  // not escape as std::length_error.
+  for (const int bits : {13, 20, 31}) {
+    const StarConfig cfg = config_for(fxp::make_unsigned(bits - 4, 4));
+    const auto expect_config_error = [&](const std::function<void()>& build,
+                                         const char* what) {
+      std::string message = "accepted";
+      try {
+        build();
+      } catch (const InvalidArgument& e) {
+        message = e.what();
+      }
+      EXPECT_NE(message.find("StarConfig"), std::string::npos)
+          << what << ", " << bits << " bits: " << message;
+    };
+    expect_config_error([&] { const SoftmaxEngine eng(cfg); }, "SoftmaxEngine");
+    expect_config_error([&] { const StarAccelerator acc(cfg); }, "StarAccelerator");
+    expect_config_error([&] { const BatchEncoderSim sim(cfg, nn::BertConfig::tiny()); },
+                        "BatchEncoderSim");
+  }
 }
 
 // Oracle-equivalence sweep across all three paper formats and distributions.
@@ -287,13 +345,14 @@ class EngineOracleSweep
 TEST_P(EngineOracleSweep, BitConsistentWithOracle) {
   const auto [ib, fb, seed] = GetParam();
   const fxp::QFormat fmt = fxp::make_unsigned(ib, fb);
-  SoftmaxEngine eng(config_for(fmt));
+  const SoftmaxEngine eng(config_for(fmt));
+  SoftmaxRunState run;
   Rng rng(static_cast<std::uint64_t>(seed) * 7919);
   const double tol = std::ldexp(1.0, -eng.prob_frac_bits()) * 1.5;
   for (int trial = 0; trial < 5; ++trial) {
     const auto row = in_window_row(fmt, 48, rng);
     const auto oracle = workload::quantized_softmax(row, fmt, eng.lut_frac_bits());
-    const auto got = eng(row);
+    const auto got = run_row(eng, run, row);
     for (std::size_t i = 0; i < got.size(); ++i) {
       ASSERT_NEAR(got[i], oracle[i], tol);
     }

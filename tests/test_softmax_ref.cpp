@@ -87,9 +87,9 @@ TEST(SoftmaxRef, EmptyRowRejected) {
 }
 
 TEST(SoftmaxRef, ExactSoftmaxAdapter) {
-  ExactSoftmax impl;
+  ExactSoftmaxInto impl;
   const std::vector<double> x{1.0, 2.0};
-  const auto p = impl(x);
+  const auto p = softmax_row(impl, x);
   EXPECT_EQ(std::string(impl.name()), "exact");
   EXPECT_NEAR(p[0] + p[1], 1.0, 1e-12);
 }

@@ -324,6 +324,28 @@ TEST(StarServer, SubmitAfterShutdownIsRejected) {
 
 // ---------- exception propagation + lifecycle ----------
 
+TEST(StarServer, OverlongSequenceRejectedThroughFuture) {
+  // The softmax counters are sized for max_seq_len: a longer sequence must
+  // fail at the boundary, not come back with saturated probabilities.
+  core::StarConfig cfg;
+  cfg.max_seq_len = 8;
+  const core::BatchEncoderSim model(cfg, kBert);
+  const auto fits = test_inputs(1, 0x5E0, 8);
+  const auto too_long = test_inputs(1, 0x5E1, 40);
+  nn::Tensor out;
+  EXPECT_THROW(model.run_encoder_one_into(too_long[0], 1, out), InvalidArgument);
+  EXPECT_THROW((void)model.run_encoder_one(too_long[0], 1), InvalidArgument);
+  EXPECT_EQ(model.run_encoder_one(fits[0], 1).rows(), 8u);
+
+  sim::BatchScheduler sched(2);
+  serve::StarServer server(model, sched);
+  auto bad_fut = server.submit(serve::EncoderRequest{too_long[0], 1});
+  EXPECT_THROW(bad_fut.get(), InvalidArgument);
+  auto good_fut = server.submit(serve::EncoderRequest{fits[0], 2});
+  EXPECT_TRUE(nn::Tensor::bit_identical(good_fut.get().output,
+                                        solo_reference(model, fits[0], 2)));
+}
+
 TEST(StarServer, ComputeExceptionPropagatesThroughOwnFutureOnly) {
   const auto& model = shared_model();
   const auto good = test_inputs(1, 0x60D, 6);

@@ -1,4 +1,4 @@
-// Unit tests for src/util: rng, math, units, csv, table, status, logging.
+// Unit tests for src/util: rng, math, units, csv, table, status.
 #include <gtest/gtest.h>
 
 #include <algorithm>

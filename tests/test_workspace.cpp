@@ -143,14 +143,13 @@ TEST(WorkspaceKernels, MultiHeadAttentionIntoBitIdentical) {
   const auto w = nn::MhaWeights::random(2, 8, 4, rng);
   const auto x = nn::Tensor::randn(5, 8, rng);
 
-  nn::ExactSoftmax exact;
+  nn::ExactSoftmaxInto exact;
   const auto ref = nn::multi_head_attention(x, w, exact);
 
   nn::Workspace ws;
   ws.require_capacity(1 << 12);
   const auto out = ws.alloc_view(5, 8);
-  nn::ExactSoftmaxInto exact_into;
-  nn::multi_head_attention_into(nn::view_of(x), w, exact_into, ws, out);
+  nn::multi_head_attention_into(nn::view_of(x), w, exact, ws, out);
   expect_bits(ref, out);
   // All attention scratch was rewound; only `out` remains allocated.
   EXPECT_EQ(ws.used(), 5u * 8u);
@@ -162,15 +161,14 @@ TEST(WorkspaceKernels, EncoderLayerIntoBitIdentical) {
   const auto x = nn::Tensor::randn(
       6, static_cast<std::size_t>(kTiny.d_model), rng);
 
-  nn::ExactSoftmax exact;
+  nn::ExactSoftmaxInto exact;
   const auto ref = nn::encoder_layer_forward(x, w, exact);
 
   nn::Workspace ws;
   ws.require_capacity(nn::encoder_workspace_doubles(kTiny, 6));
   const auto out =
       ws.alloc_view(6, static_cast<std::size_t>(kTiny.d_model));
-  nn::ExactSoftmaxInto exact_into;
-  nn::encoder_layer_forward_into(nn::view_of(x), w, exact_into, ws, out);
+  nn::encoder_layer_forward_into(nn::view_of(x), w, exact, ws, out);
   expect_bits(ref, out);
 }
 
@@ -196,7 +194,7 @@ TEST(MhaWeights, FlatBlocksPreserveHistoricalDrawOrder) {
   }
 }
 
-// ---------- softmax engine: _into vs legacy, reseed ----------
+// ---------- softmax engine: adapter vs span entry point, reseed ----------
 
 TEST(SoftmaxEngineInto, RowIntoBitIdenticalUnderFaultInjection) {
   core::StarConfig cfg;
@@ -205,6 +203,7 @@ TEST(SoftmaxEngineInto, RowIntoBitIdenticalUnderFaultInjection) {
 
   Rng rng(28);
   core::SoftmaxRunState legacy(0xF00D);
+  core::SoftmaxEngineRowRef adapter(engine, legacy);
   core::SoftmaxRunState arena(0xF00D);
   std::vector<double> out;
   for (int row = 0; row < 10; ++row) {
@@ -212,7 +211,7 @@ TEST(SoftmaxEngineInto, RowIntoBitIdenticalUnderFaultInjection) {
     for (auto& v : x) {
       v = rng.normal(0.0, 2.0);
     }
-    const auto ref = engine.softmax_row(x, legacy);
+    const auto ref = nn::softmax_row(adapter, x);
     out.resize(x.size());
     engine.softmax_row_into(x, arena, out);
     ASSERT_EQ(ref.size(), out.size());
@@ -265,10 +264,11 @@ TEST(ArenaEncoder, BitIdenticalToLegacyChainAcrossShapes) {
       for (std::int64_t layers = 1; layers <= 3; ++layers) {
         const std::uint64_t seed = 0x5eed0 + static_cast<std::uint64_t>(layers);
         // The legacy reference chain, rebuilt from allocating nn:: parts.
-        core::SoftmaxEngineView view(sim.softmax_engine(), seed);
-        nn::Tensor ref = nn::encoder_layer_forward(input, sim.layer_weights(0), view);
+        core::SoftmaxRunState run(seed);
+        core::SoftmaxEngineRowRef softmax(sim.softmax_engine(), run);
+        nn::Tensor ref = nn::encoder_layer_forward(input, sim.layer_weights(0), softmax);
         for (std::int64_t l = 1; l < layers; ++l) {
-          ref = nn::encoder_layer_forward(ref, sim.layer_weights(l), view);
+          ref = nn::encoder_layer_forward(ref, sim.layer_weights(l), softmax);
         }
         const auto got = sim.run_encoder_one(input, seed, layers);
         EXPECT_TRUE(nn::Tensor::bit_identical(ref, got))
