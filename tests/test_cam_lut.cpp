@@ -194,18 +194,12 @@ TEST(CamFastPath, SearchRowMatchesDenseScan) {
   }
 }
 
-/// Distinct words on every row, so a row mix-up cannot read equal.
-LutCrossbar make_lut_for_fast_path() {
+TEST(CamFastPath, WordAtMatchesOneHotRead) {
   auto lut = make_lut();
   for (int r = 0; r < 16; ++r) {
-    lut.store(r, 100 + 37 * r);
+    lut.store(r, 100 + 37 * r);  // distinct words: a row mix-up cannot read equal
   }
-  return lut;
-}
-
-TEST(CamFastPath, WordAtMatchesOneHotRead) {
-  auto lut = make_lut_for_fast_path();
-  std::vector<bool> one_hot(16, false);
+  std::vector<bool> one_hot;
   for (int r = 0; r < 16; ++r) {
     one_hot.assign(16, false);
     one_hot[static_cast<std::size_t>(r)] = true;
