@@ -99,13 +99,17 @@ SoftmaxEngine::SoftmaxEngine(const StarConfig& cfg)
   sum_op_cost_.leakage = sum_leakage_;
 }
 
+void SoftmaxEngine::check_row(std::size_t d) const {
+  require(d != 0, "SoftmaxEngine: empty row");
+  require(d <= static_cast<std::size_t>(cfg_.max_seq_len),
+          "SoftmaxEngine: row longer than max_seq_len");
+}
+
 // STAR_HOT
 void SoftmaxEngine::forward_codes_into(std::span<const std::int64_t> codes,
                                        SoftmaxRunState& run,
                                        std::span<std::int64_t> probs_out) const {
-  require(!codes.empty(), "SoftmaxEngine::forward_codes: empty row");
-  require(codes.size() <= static_cast<std::size_t>(cfg_.max_seq_len),
-          "SoftmaxEngine::forward_codes: row longer than max_seq_len");
+  check_row(codes.size());
   STAR_ASSERT(probs_out.size() == codes.size(),
               "SoftmaxEngine::forward_codes_into: output span length mismatch");
   const std::int64_t code_max_allowed = (std::int64_t{1} << fmt_.total_bits()) - 1;
@@ -113,6 +117,53 @@ void SoftmaxEngine::forward_codes_into(std::span<const std::int64_t> codes,
     require(c >= 0 && c <= code_max_allowed,
             "SoftmaxEngine::forward_codes: code out of operand range");
   }
+  run_datapath(codes, run);
+  const SoftmaxScratch& scratch = run.scratch;
+  for (std::size_t i = 0; i < codes.size(); ++i) {
+    probs_out[i] = scratch.quotients[static_cast<std::size_t>(scratch.e_rows[i])];
+  }
+}
+
+// STAR_HOT
+void SoftmaxEngine::softmax_row_into(std::span<const double> x,
+                                     SoftmaxRunState& run,
+                                     std::span<double> out) const {
+  check_row(x.size());
+  STAR_ASSERT(out.size() == x.size(),
+              "SoftmaxEngine::softmax_row_into: output span length mismatch");
+  SoftmaxScratch& scratch = run.scratch;
+
+  // Input conditioning: scores arrive as biased-signed fixed point —
+  // code = round(x / res) + 2^(b-1), clamped into the window. Values below
+  // the window floor are exactly the ones whose exponential underflows.
+  // The clamp runs on the double, before the int64 cast, so +-Inf and huge
+  // scores saturate like any other out-of-window score; NaN has no code.
+  const double res = fmt_.resolution();
+  const std::int64_t bias = std::int64_t{1} << (fmt_.total_bits() - 1);
+  const std::int64_t top = (std::int64_t{1} << fmt_.total_bits()) - 1;
+  const double lo = -static_cast<double>(bias);
+  const double hi = static_cast<double>(top - bias);
+  scratch.codes.resize(x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const double scaled = x[i] / res;
+    require(!std::isnan(scaled), "SoftmaxEngine: NaN score");
+    scratch.codes[i] =
+        static_cast<std::int64_t>(round_half_even(std::clamp(scaled, lo, hi))) + bias;
+  }
+
+  // Every score has been read, so `out` may alias x from here on.
+  run_datapath(scratch.codes, run);
+  const double inv = std::ldexp(1.0, -prob_frac_bits_);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    out[i] = static_cast<double>(
+                 scratch.quotients[static_cast<std::size_t>(scratch.e_rows[i])]) *
+             inv;
+  }
+}
+
+// STAR_HOT
+void SoftmaxEngine::run_datapath(std::span<const std::int64_t> codes,
+                                 SoftmaxRunState& run) const {
   SoftmaxScratch& scratch = run.scratch;
 
   // Stage 1: CAM/SUB — max find, then subtraction (Fig. 1). Both phases
@@ -124,7 +175,8 @@ void SoftmaxEngine::forward_codes_into(std::span<const std::int64_t> codes,
   // Stage 2: exponential via CAM search + LUT read, counters accumulate the
   // match histogram (Fig. 2). The counter array is per-run state: each
   // stream clones the prototype once, so concurrent rows through a shared
-  // engine never collide and the per-row cost is a reset, not an allocation.
+  // engine never collide and the per-row cost is a reset of the rows the
+  // previous row touched, not an allocation.
   if (!run.counters) {
     run.counters.emplace(counters_);
   }
@@ -132,67 +184,47 @@ void SoftmaxEngine::forward_codes_into(std::span<const std::int64_t> codes,
   counters.reset();
   // The exp CAM's identity preload (row r stores code r) is bijective, so
   // search_row resolves the one matchline — and its one fault draw — in
-  // O(1) per element.
-  scratch.e_words.assign(codes.size(), 0);
+  // O(1) per element. The LUT word is read per touched row in stage 4.
+  const int no_match = exp_cam_.rows();
+  scratch.e_rows.resize(codes.size());
   for (std::size_t i = 0; i < codes.size(); ++i) {
     const std::int64_t mag = -scratch.diffs[i];
-    if (mag < exp_cam_.rows()) {
-      const int row = exp_cam_.search_row(mag, cfg_.cam_miss_prob, run.rng);
-      if (row >= 0) {
-        scratch.e_words[i] = exp_lut_.word_at(row);
-        counters.accumulate_row(row);
+    int row = no_match;  // no matchline rises: the word reads 0, counters hold
+    if (mag < no_match) {
+      const int hit = exp_cam_.search_row(mag, cfg_.cam_miss_prob, run.rng);
+      if (hit >= 0) {
+        counters.accumulate_row(hit);
+        row = hit;
       }
     }
-    // else: no matchline rises; e_word stays 0 and the counters hold.
+    scratch.e_rows[i] = row;
   }
 
   // Stage 3: summation VMM (counter histogram . stored table).
-  const std::int64_t denom = summation_vmm(counters.counts());
+  const std::int64_t denom = summation_vmm(counters);
 
-  // Stage 4: division.
-  for (std::size_t i = 0; i < codes.size(); ++i) {
-    probs_out[i] = divider_.divide(scratch.e_words[i], denom, prob_frac_bits_);
+  // Stage 4: division. A quotient depends only on the LUT word, so each
+  // touched row is divided once and its elements share the result.
+  scratch.quotients.resize(static_cast<std::size_t>(no_match) + 1);
+  for (const std::int32_t r : counters.touched()) {
+    scratch.quotients[static_cast<std::size_t>(r)] =
+        divider_.divide(exp_lut_.word_at(r), denom, prob_frac_bits_);
   }
+  scratch.quotients[static_cast<std::size_t>(no_match)] =
+      divider_.divide(0, denom, prob_frac_bits_);
 }
 
-// STAR_HOT
-void SoftmaxEngine::softmax_row_into(std::span<const double> x,
-                                     SoftmaxRunState& run,
-                                     std::span<double> out) const {
-  require(!x.empty(), "SoftmaxEngine: empty row");
-  STAR_ASSERT(out.size() == x.size(),
-              "SoftmaxEngine::softmax_row_into: output span length mismatch");
-  SoftmaxScratch& scratch = run.scratch;
-
-  // Input conditioning: scores arrive as biased-signed fixed point —
-  // code = round(x / res) + 2^(b-1), clamped into the window. Values below
-  // the window floor are exactly the ones whose exponential underflows.
-  const double res = fmt_.resolution();
-  const std::int64_t bias = std::int64_t{1} << (fmt_.total_bits() - 1);
-  const std::int64_t top = (std::int64_t{1} << fmt_.total_bits()) - 1;
-  scratch.codes.resize(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const auto c = static_cast<std::int64_t>(round_half_even(x[i] / res)) + bias;
-    scratch.codes[i] = std::clamp<std::int64_t>(c, 0, top);
-  }
-
-  // Probability codes land in scratch, then scale into the output span.
-  scratch.prob_codes.resize(x.size());
-  forward_codes_into(scratch.codes, run, scratch.prob_codes);
-  const double inv = std::ldexp(1.0, -prob_frac_bits_);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    out[i] = static_cast<double>(scratch.prob_codes[i]) * inv;
-  }
-}
-
-std::int64_t SoftmaxEngine::summation_vmm(std::span<const std::int64_t> counts) const {
-  STAR_ASSERT(static_cast<int>(counts.size()) == exp_lut_.rows(),
+std::int64_t SoftmaxEngine::summation_vmm(const hw::CounterArray& counters) const {
+  STAR_ASSERT(counters.rows() == exp_lut_.rows(),
               "summation_vmm: histogram size mismatch");
   // Digital-equivalent of the analog dot product: the VMM crossbar stores
-  // exactly the LUT table and the counts stream in bit-serially.
+  // exactly the LUT table and the counts stream in bit-serially. Only the
+  // touched rows hold non-zero counts; integer addition makes their sum
+  // identical to the full dot product.
+  const std::vector<std::int64_t>& counts = counters.counts();
   std::int64_t acc = 0;
-  for (std::size_t r = 0; r < counts.size(); ++r) {
-    acc += counts[r] * exp_lut_.word_at(static_cast<int>(r));
+  for (const std::int32_t r : counters.touched()) {
+    acc += counts[static_cast<std::size_t>(r)] * exp_lut_.word_at(r);
   }
   return acc;
 }

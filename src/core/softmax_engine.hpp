@@ -59,11 +59,15 @@ struct SoftmaxRowStats {
 /// same or smaller length allocates nothing — the arena discipline applied
 /// to the engine internals.
 struct SoftmaxScratch {
-  std::vector<std::int64_t> codes;    ///< quantised operand row
-  std::vector<std::int64_t> diffs;    ///< x_i - x_max from the CAM/SUB
-  std::vector<std::int64_t> e_words;  ///< LUT readouts per element
-  xbar::MaxFindResult maxfind;        ///< phase-A result (vectors reused)
-  std::vector<std::int64_t> prob_codes;  ///< probability codes (codes stays live)
+  std::vector<std::int64_t> codes;  ///< quantised operand row
+  std::vector<std::int64_t> diffs;  ///< x_i - x_max from the CAM/SUB
+  /// Exp row per element: the LUT row its search matched, or exp_rows()
+  /// when no matchline rose (its word reads as 0).
+  std::vector<std::int32_t> e_rows;
+  /// Probability code per exp row, written for this row's touched rows
+  /// and the no-match slot at exp_rows().
+  std::vector<std::int64_t> quotients;
+  xbar::MaxFindResult maxfind;  ///< phase-A result (vectors reused)
 };
 
 /// Per-run mutable state of one stream through a (shared, read-only)
@@ -94,11 +98,12 @@ class SoftmaxEngine final {
 
   // --- functional datapath (shared read-only engine, per-run state) ---
   /// Softmax of a real-valued row through the full quantised crossbar
-  /// datapath, written into a caller span of x.size(). All mutation (fault
-  /// RNG draws, counters, scratch) lands in `run`, so many threads may
-  /// share one engine with one SoftmaxRunState each; warm rows allocate
-  /// nothing. Rows longer than max_seq_len are rejected: the counters are
-  /// sized for it.
+  /// datapath, written into a caller span of x.size() that may alias x.
+  /// All mutation (fault RNG draws, counters, scratch) lands in `run`, so
+  /// many threads may share one engine with one SoftmaxRunState each; warm
+  /// rows allocate nothing. Scores beyond the operand window (+-Inf
+  /// included) saturate to its edge; NaN scores and rows longer than
+  /// max_seq_len (the counters are sized for it) are rejected.
   void softmax_row_into(std::span<const double> x, SoftmaxRunState& run,
                         std::span<double> out) const;
   /// The datapath after input quantisation (white-box tests call it
@@ -141,7 +146,13 @@ class SoftmaxEngine final {
   [[nodiscard]] hw::CostSheet cost_sheet(int d) const;
 
  private:
-  [[nodiscard]] std::int64_t summation_vmm(std::span<const std::int64_t> counts) const;
+  /// Empty and over-long rows are rejected before any stage runs.
+  void check_row(std::size_t d) const;
+  /// Stages 1-4 over operand codes: leaves each element's exp row in
+  /// run.scratch.e_rows and the probability code of every touched row (and
+  /// of the no-match slot) in run.scratch.quotients.
+  void run_datapath(std::span<const std::int64_t> codes, SoftmaxRunState& run) const;
+  [[nodiscard]] std::int64_t summation_vmm(const hw::CounterArray& counters) const;
 
   StarConfig cfg_;
   fxp::QFormat fmt_;

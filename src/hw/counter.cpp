@@ -1,12 +1,14 @@
 #include "hw/counter.hpp"
 
 #include "hw/gates.hpp"
-#include "util/status.hpp"
 
 namespace star::hw {
 
 CounterArray::CounterArray(const TechNode& tech, int rows, int bits)
-    : rows_(rows), bits_(bits), counts_(static_cast<std::size_t>(rows), 0) {
+    : rows_(rows),
+      bits_(bits),
+      counts_(static_cast<std::size_t>(rows), 0),
+      touched_(counts_.size() + 1, 0) {
   require(rows >= 1, "CounterArray: rows must be >= 1");
   require(bits >= 1 && bits <= 32, "CounterArray: bits must be in [1, 32]");
   unit_ = GateLibrary(tech).counter(bits);
@@ -20,32 +22,24 @@ Cost CounterArray::array_cost() const {
   return c;
 }
 
-void CounterArray::reset() { counts_.assign(counts_.size(), 0); }
+void CounterArray::reset() {
+  for (const std::int32_t row : touched()) {
+    counts_[static_cast<std::size_t>(row)] = 0;
+  }
+  touched_count_ = 0;
+}
 
 void CounterArray::accumulate(const std::vector<bool>& one_hot) {
   require(one_hot.size() == counts_.size(),
           "CounterArray::accumulate: match vector size mismatch");
-  const std::int64_t sat = (std::int64_t{1} << bits_) - 1;
   int set_bits = 0;
   for (std::size_t i = 0; i < one_hot.size(); ++i) {
     if (one_hot[i]) {
       ++set_bits;
-      if (counts_[i] < sat) {
-        ++counts_[i];
-      }
+      bump(i);
     }
   }
   STAR_ASSERT(set_bits <= 1, "CounterArray::accumulate: input must be one-hot");
-}
-
-// STAR_HOT
-void CounterArray::accumulate_row(int row) {
-  require(row >= 0 && row < rows_, "CounterArray::accumulate_row: row out of range");
-  const std::int64_t sat = (std::int64_t{1} << bits_) - 1;
-  std::int64_t& c = counts_[static_cast<std::size_t>(row)];
-  if (c < sat) {
-    ++c;
-  }
 }
 
 }  // namespace star::hw

@@ -1,13 +1,20 @@
 // Match counter array (paper Fig. 2): one counter per CAM row accumulates
 // how many inputs matched that row; the resulting histogram becomes the
 // input vector of the summation VMM crossbar.
+//
+// The array also lists the counters an input row moves off zero, in the
+// order it does. reset() and the summation VMM then visit only those rows:
+// a short input row costs O(d), not O(rows). Integer addition makes the
+// touched-row sum bit-identical to the dense one, saturation included.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "hw/component.hpp"
 #include "hw/tech.hpp"
+#include "util/status.hpp"
 
 namespace star::hw {
 
@@ -26,7 +33,7 @@ class CounterArray {
 
   // --- functional model ---
 
-  /// Reset all counters to zero.
+  /// Reset every counter to zero (only the touched ones can be non-zero).
   void reset();
 
   /// Accumulate a one-hot match vector (at most one bit set; saturates at
@@ -36,16 +43,40 @@ class CounterArray {
   /// O(1) accumulate of a known single matchline: identical saturation rule
   /// to accumulate() with only bit `row` set. Hot-path companion for CAM
   /// searches that resolve the matching row directly.
-  void accumulate_row(int row);
+  // STAR_HOT
+  void accumulate_row(int row) {
+    require(row >= 0 && row < rows_, "CounterArray::accumulate_row: row out of range");
+    bump(static_cast<std::size_t>(row));
+  }
 
   /// Current histogram.
   [[nodiscard]] const std::vector<std::int64_t>& counts() const { return counts_; }
 
+  /// The rows with a non-zero count since the last reset(), each once, in
+  /// the order they were first touched.
+  [[nodiscard]] std::span<const std::int32_t> touched() const {
+    return {touched_.data(), touched_count_};
+  }
+
  private:
+  // Branch-free: whether a row was touched before is data-dependent. The
+  // row is always written one past the list and kept only on a first touch.
+  void bump(std::size_t row) {
+    const std::int64_t sat = (std::int64_t{1} << bits_) - 1;
+    std::int64_t& c = counts_[row];
+    touched_[touched_count_] = static_cast<std::int32_t>(row);
+    touched_count_ += static_cast<std::size_t>(c == 0);
+    c += static_cast<std::int64_t>(c < sat);
+  }
+
   int rows_;
   int bits_;
   Cost unit_;
   std::vector<std::int64_t> counts_;
+  // Sized to rows() + 1 up front (each row enters once per reset, plus the
+  // scratch slot bump() writes), so a copy never grows it on the hot path.
+  std::vector<std::int32_t> touched_;
+  std::size_t touched_count_ = 0;
 };
 
 }  // namespace star::hw

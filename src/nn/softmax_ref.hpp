@@ -31,6 +31,11 @@ double logsumexp(std::span<const double> x);
 /// interchangeably. The engine's implementation (core::SoftmaxEngineRowRef)
 /// does not allocate on the warm path — its per-run scratch lives in a
 /// core::SoftmaxRunState.
+///
+/// Aliasing contract: `out` may be `x` itself (the attention kernel
+/// overwrites each score row with its probabilities). Every implementation
+/// reads what it needs of an input element before writing that element's
+/// output, so in place and out of place give the same bits.
 class RowSoftmaxInto {
  public:
   virtual ~RowSoftmaxInto() = default;

@@ -192,7 +192,6 @@ void multi_head_attention_into(ConstTensorView x, const MhaWeights& w,
   // its concat column block (what the legacy path copied row by row).
   const TensorView ctx = ws.alloc_view(seq, d_qkv);
   const TensorView scores = ws.alloc_view(seq, seq);
-  const TensorView probs = ws.alloc_view(seq, seq);
   for (std::size_t h = 0; h < heads; ++h) {
     const ConstTensorView qh = q.block_cols(h * d_k, d_k);
     const ConstTensorView kh = k.block_cols(h * d_k, d_k);
@@ -200,11 +199,12 @@ void multi_head_attention_into(ConstTensorView x, const MhaWeights& w,
     matmul_transb_into(qh, kh, scores);
     scale_inplace(scores, 1.0 / std::sqrt(static_cast<double>(d_k)));
     // Rows in ascending order — the fault-RNG draw order every legacy
-    // softmax consumer established.
+    // softmax consumer established — each overwritten by its probabilities
+    // (RowSoftmaxInto's aliasing contract), which need no buffer of their own.
     for (std::size_t r = 0; r < seq; ++r) {
-      softmax_impl(scores.row(r), probs.row(r));
+      softmax_impl(scores.row(r), scores.row(r));
     }
-    matmul_into(probs, vh, TensorView{ctx.data + h * d_k, seq, d_k, ctx.stride});
+    matmul_into(scores, vh, TensorView{ctx.data + h * d_k, seq, d_k, ctx.stride});
   }
   matmul_into(ctx, view_of(w.wo), out);
   ws.rewind(scratch_mark);
@@ -248,7 +248,7 @@ std::size_t encoder_workspace_doubles(const BertConfig& bert,
   // upper bound that stays stack-depth independent.
   const std::size_t chain = 2 * seq * d_model;
   const std::size_t residual = seq * d_model;
-  const std::size_t mha = 4 * seq * d_model + 2 * seq * seq;
+  const std::size_t mha = 4 * seq * d_model + seq * seq;
   const std::size_t ffn = seq * d_ff + seq * d_model;
   return chain + residual + mha + ffn;
 }

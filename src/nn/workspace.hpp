@@ -24,8 +24,8 @@
 //
 // Aliasing rules: add_into(a, b, out) may alias b/out (per-element read
 // happens before the write at the same index); layer_norm_into may run in
-// place (row statistics are read before any element is written). matmul
-// outputs must not alias either input.
+// place (row statistics are read before any element is written), and so
+// may every RowSoftmaxInto. matmul outputs must not alias either input.
 #pragma once
 
 #include <cstddef>
@@ -137,8 +137,9 @@ void layer_norm_into(ConstTensorView x, TensorView out, double eps = 1e-12);
 void gelu_inplace(TensorView x);
 
 /// Multi-head attention into a caller view, with every intermediate (fused
-/// Q/K/V, per-head scores/probabilities, context) in arena scratch that is
-/// rewound before returning. Bit-identical to nn::multi_head_attention.
+/// Q/K/V, per-head scores, context) in arena scratch that is rewound before
+/// returning. The softmax runs in place over the score rows. Bit-identical
+/// to nn::multi_head_attention.
 void multi_head_attention_into(ConstTensorView x, const MhaWeights& w,
                                RowSoftmaxInto& softmax_impl, Workspace& ws,
                                TensorView out);
@@ -154,9 +155,9 @@ void encoder_layer_forward_into(ConstTensorView x, const EncoderLayerWeights& w,
 /// Arena sizing rule: an upper bound on the doubles a full encoder-layer
 /// chain needs at sequence length <= max_seq_len — two L x d_model
 /// ping-pong buffers for the layer chain, plus one layer's peak scratch
-/// (attention residual + fused Q/K/V/context + score/probability matrices
-/// + FFN intermediates). Stack-depth independent: every layer reuses the
-/// same scratch via mark()/rewind().
+/// (attention residual + fused Q/K/V/context + one L x L score matrix,
+/// softmaxed in place + FFN intermediates). Stack-depth independent:
+/// every layer reuses the same scratch via mark()/rewind().
 [[nodiscard]] std::size_t encoder_workspace_doubles(const BertConfig& bert,
                                                     std::size_t max_seq_len);
 

@@ -6,18 +6,6 @@
 
 namespace star {
 
-double round_half_even(double v) {
-  const double r = std::nearbyint(v);
-  // std::nearbyint honours the current rounding mode, which defaults to
-  // round-to-nearest-even; make the intent explicit and mode-independent.
-  const double floor_v = std::floor(v);
-  const double frac = v - floor_v;
-  if (frac == 0.5) {
-    return (std::fmod(floor_v, 2.0) == 0.0) ? floor_v : floor_v + 1.0;
-  }
-  return (frac > 0.5) ? floor_v + 1.0 : (frac < 0.5 ? floor_v : r);
-}
-
 double clamp(double v, double lo, double hi) {
   STAR_ASSERT(lo <= hi, "clamp: lo must be <= hi");
   return std::min(std::max(v, lo), hi);

@@ -26,8 +26,22 @@ constexpr int bits_for(std::uint64_t n) {
 constexpr bool is_pow2(std::uint64_t n) { return n != 0 && (n & (n - 1)) == 0; }
 
 /// Round to nearest, ties to even (the hardware-friendly rounding the
-/// quantisers use by default).
-double round_half_even(double v);
+/// quantisers use by default). Inline and without libm: truncation through
+/// int64 needs no rounding mode, and the tie and direction tests are
+/// arithmetic, not branches. A zero result is +0.0 unless v is -0.0;
+/// |v| >= 2^52, +-Inf and NaN pass through.
+inline double round_half_even(double v) {
+  if (!(std::fabs(v) < 0x1p52)) {
+    return v;  // already integral, or not a number
+  }
+  const auto whole = static_cast<std::int64_t>(v);           // toward zero
+  const double frac = v - static_cast<double>(whole);        // exact, |frac| < 1
+  const double mag = std::fabs(frac);
+  const std::int64_t away = static_cast<std::int64_t>(mag > 0.5) |
+                            (static_cast<std::int64_t>(mag == 0.5) & whole);
+  const std::int64_t rounded = whole + (v < 0.0 ? -away : away);
+  return frac == 0.0 ? v : static_cast<double>(rounded);
+}
 
 /// Clamp helper mirroring std::clamp but tolerant of lo > hi input checks.
 double clamp(double v, double lo, double hi);

@@ -30,10 +30,16 @@ class SimulationError : public std::runtime_error {
 namespace detail {
 [[noreturn]] void assert_fail(const char* expr, const char* file, int line,
                               const std::string& msg);
+/// Out-of-line throw of require(), so the inline check stays one branch.
+[[noreturn]] void require_fail(std::string_view message);
 }  // namespace detail
 
 /// Require a caller-visible precondition; throws InvalidArgument.
-void require(bool cond, std::string_view message);
+inline void require(bool cond, std::string_view message) {
+  if (!cond) [[unlikely]] {
+    detail::require_fail(message);
+  }
+}
 
 /// Build a message like "rows: expected 128, got 64".
 std::string expected_got(std::string_view what, long long expected, long long got);

@@ -87,10 +87,14 @@ void CamSubCrossbar::find_max_into(std::span<const std::int64_t> codes,
   // The descending preload is bijective, so each search raises at most
   // one matchline: search_row resolves it (and draws its one fault sample)
   // in O(1), and setting that line is the OR-gate cascade (Fig. 1, step 3).
+  // The priority encoder's answer, the first set bit of the merged vector,
+  // is the smallest matched row, so it is tracked here instead of scanned.
+  int first_set = rows();
   for (const std::int64_t code : codes) {
     const int matched_row = cam_.search_row(code, miss_prob, rng);
     if (matched_row >= 0) {
       res.merged_matchlines[static_cast<std::size_t>(matched_row)] = true;
+      first_set = std::min(first_set, matched_row);
     }
     STAR_ASSERT(matched_row >= 0 || miss_prob > 0.0,
                 "CamSubCrossbar::find_max: every preloaded code must match");
@@ -99,12 +103,9 @@ void CamSubCrossbar::find_max_into(std::span<const std::int64_t> codes,
   }
 
   // Priority encode: first set bit == largest code (descending preload).
-  for (int r = 0; r < rows(); ++r) {
-    if (res.merged_matchlines[static_cast<std::size_t>(r)]) {
-      res.max_row = r;
-      res.max_code = code_at(r);
-      break;
-    }
+  if (first_set < rows()) {
+    res.max_row = first_set;
+    res.max_code = code_at(first_set);
   }
   if (res.max_row < 0) {
     throw SimulationError(

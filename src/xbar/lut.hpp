@@ -11,6 +11,7 @@
 
 #include "hw/component.hpp"
 #include "hw/tech.hpp"
+#include "util/status.hpp"
 #include "xbar/device.hpp"
 
 namespace star::xbar {
@@ -35,7 +36,11 @@ class LutCrossbar {
 
   /// Direct indexed read of the row a resolved search selects (same cost
   /// as read(); the engine's hot path).
-  [[nodiscard]] std::int64_t word_at(int r) const;
+  // STAR_HOT
+  [[nodiscard]] std::int64_t word_at(int r) const {
+    require(r >= 0 && r < rows_, "LutCrossbar::word_at: row out of range");
+    return words_[static_cast<std::size_t>(r)];
+  }
 
   [[nodiscard]] hw::Cost read_cost() const { return read_cost_; }
   [[nodiscard]] Area area() const { return area_; }
