@@ -4,7 +4,11 @@
 #include <benchmark/benchmark.h>
 
 #include "baseline/cmos_softmax.hpp"
+#include "baseline/gpu_model.hpp"
+#include "baseline/pipelayer.hpp"
+#include "baseline/retransformer.hpp"
 #include "baseline/softermax.hpp"
+#include "core/accelerator.hpp"
 #include "core/matmul_engine.hpp"
 #include "core/softmax_engine.hpp"
 #include "nn/attention.hpp"
@@ -157,5 +161,55 @@ void BM_MatmulEngineFunctional(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MatmulEngineFunctional);
+
+// One uncached design point split by stage, as perfbench's design-sweep
+// evaluates it on BERT-base (default config): the StarAccelerator build,
+// STAR's evaluation, and each baseline's build plus evaluation.
+void BM_DesignPointBuild(benchmark::State& state) {
+  const core::StarConfig cfg;
+  for (auto _ : state) {
+    const core::StarAccelerator acc(cfg);
+    benchmark::DoNotOptimize(&acc);
+  }
+}
+BENCHMARK(BM_DesignPointBuild);
+
+void BM_DesignPointStarEval(benchmark::State& state) {
+  const core::StarAccelerator acc((core::StarConfig()));
+  const nn::BertConfig bert = nn::BertConfig::base();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(acc.run_attention_layer(bert, state.range(0)));
+  }
+}
+BENCHMARK(BM_DesignPointStarEval)->Arg(128)->Arg(384);
+
+void BM_DesignPointGpu(benchmark::State& state) {
+  const nn::BertConfig bert = nn::BertConfig::base();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        baseline::GpuModel().run_attention_layer(bert, state.range(0)));
+  }
+}
+BENCHMARK(BM_DesignPointGpu)->Arg(128);
+
+void BM_DesignPointPipeLayer(benchmark::State& state) {
+  const core::StarConfig cfg;
+  const nn::BertConfig bert = nn::BertConfig::base();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        baseline::PipeLayerModel(cfg).run_attention_layer(bert, state.range(0)));
+  }
+}
+BENCHMARK(BM_DesignPointPipeLayer)->Arg(128);
+
+void BM_DesignPointReTransformer(benchmark::State& state) {
+  const core::StarConfig cfg;
+  const nn::BertConfig bert = nn::BertConfig::base();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        baseline::ReTransformerModel(cfg).run_attention_layer(bert, state.range(0)));
+  }
+}
+BENCHMARK(BM_DesignPointReTransformer)->Arg(128);
 
 }  // namespace

@@ -28,4 +28,9 @@ void StarConfig::validate() const {
           "StarConfig: residency_capacity must be >= 0 (0 = unbounded)");
 }
 
+const StarConfig& StarConfig::validated() const {
+  validate();
+  return *this;
+}
+
 }  // namespace star::core

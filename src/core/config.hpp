@@ -55,6 +55,9 @@ struct StarConfig {
   int residency_capacity = 0;
 
   void validate() const;
+  /// validate(), then *this: lets an engine check the config in its first
+  /// member initialiser, before any later member sizes hardware from it.
+  [[nodiscard]] const StarConfig& validated() const;
 };
 
 }  // namespace star::core

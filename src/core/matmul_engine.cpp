@@ -30,14 +30,11 @@ xbar::VmmConfig vmm_config_from(const StarConfig& cfg) {
 }  // namespace
 
 MatmulEngine::MatmulEngine(const StarConfig& cfg)
-    : cfg_(cfg),
+    : cfg_(cfg.validated()),
       vmm_cfg_(vmm_config_from(cfg)),
-      proto_tile_(cfg.tech, cfg.device, vmm_config_from(cfg)),
-      mapper_(cfg.matmul_rows,
-              cfg.matmul_cols / vmm_config_from(cfg).slices(cfg.device.bits_per_cell),
-              vmm_config_from(cfg).slices(cfg.device.bits_per_cell)) {
-  cfg_.validate();
-}
+      tile_(cfg.tech, xbar::VmmCosts(cfg.tech, cfg.device, vmm_cfg_)),
+      mapper_(cfg.matmul_rows, tile_logical_cols(),
+              vmm_cfg_.slices(cfg.device.bits_per_cell)) {}
 
 nn::Tensor MatmulEngine::multiply(const nn::Tensor& x, const nn::Tensor& w) const {
   require(x.cols() == w.rows(), "MatmulEngine::multiply: inner dimension mismatch");
@@ -170,11 +167,11 @@ MatmulCost MatmulEngine::stream_cost(std::int64_t b, std::int64_t m, std::int64_
   // All grid tiles work in parallel on the same input vector (row stripes
   // see different slices of it; column stripes produce different outputs),
   // so the initiation interval is one tile op and the makespan is b of them.
-  out.row_service = proto_tile_.op_latency();
+  out.row_service = tile_latency();
   out.latency = out.row_service * static_cast<double>(b);
 
   const int active = static_cast<int>(std::min<std::int64_t>(m, tile_rows()));
-  out.energy = proto_tile_.op_energy(active) * static_cast<double>(mc.vmm_invocations);
+  out.energy = tile_energy(active) * static_cast<double>(mc.vmm_invocations);
 
   if (dynamic_matrix) {
     out.write_energy =
@@ -193,17 +190,17 @@ hw::ProgramCost MatmulEngine::weight_image_cost(std::int64_t m, std::int64_t n) 
 }
 
 Area MatmulEngine::area_for_tiles(std::int64_t tiles) const {
-  return proto_tile_.area() * static_cast<double>(tiles);
+  return tile_.area() * static_cast<double>(tiles);
 }
 
 Power MatmulEngine::leakage_for_tiles(std::int64_t tiles) const {
-  return proto_tile_.leakage() * static_cast<double>(tiles);
+  return tile_.leakage() * static_cast<double>(tiles);
 }
 
-Time MatmulEngine::tile_latency() const { return proto_tile_.op_latency(); }
+Time MatmulEngine::tile_latency() const { return tile_.op_latency(); }
 
 Energy MatmulEngine::tile_energy(int active_rows) const {
-  return proto_tile_.op_energy(active_rows);
+  return tile_.op_energy(active_rows, cfg_.device.g_off_us);
 }
 
 int MatmulEngine::tile_rows() const { return vmm_cfg_.rows; }

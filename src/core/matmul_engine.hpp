@@ -64,7 +64,9 @@ class MatmulEngine {
   [[nodiscard]] Area area_for_tiles(std::int64_t tiles) const;
   [[nodiscard]] Power leakage_for_tiles(std::int64_t tiles) const;
 
-  /// Per-tile-op quantities of the prototype tile.
+  /// Per-tile-op quantities of one tile, from the cost-only tile figures.
+  /// The tile's array is never programmed, so its mean conductance is the
+  /// device's g_off.
   [[nodiscard]] Time tile_latency() const;
   [[nodiscard]] Energy tile_energy(int active_rows) const;
   [[nodiscard]] int tile_rows() const;
@@ -77,7 +79,7 @@ class MatmulEngine {
  private:
   StarConfig cfg_;
   xbar::VmmConfig vmm_cfg_;
-  xbar::XbarTile proto_tile_;
+  xbar::TileCosts tile_;
   xbar::Mapper mapper_;
 };
 

@@ -34,7 +34,8 @@ PipelineReport run_pipeline(const StageTimes& t, std::size_t rows,
   PipelineReport rep;
 
   if (discipline == PipelineDiscipline::kVectorGrained) {
-    const auto res = sim::simulate(t.stages(), rows, sim::Discipline::kItemGranular);
+    const auto res = sim::simulate(t.stages(), rows, sim::Discipline::kItemGranular, {},
+                                   sim::SimOptions{.record_completion = false});
     rep.makespan = res.makespan;
     rep.softmax_stage_util = res.stage_util[2];
     rep.bottleneck_util = res.bottleneck_util();
@@ -50,7 +51,8 @@ PipelineReport run_pipeline(const StageTimes& t, std::size_t rows,
                                    sim::Stage{"score", t.score_row},
                                    sim::Stage{"context", t.context_row},
                                    sim::Stage{"outproj", t.outproj_row}};
-  const auto mm_res = sim::simulate(mm, rows, sim::Discipline::kItemGranular);
+  const auto mm_res = sim::simulate(mm, rows, sim::Discipline::kItemGranular, {},
+                                    sim::SimOptions{.record_completion = false});
   const Time softmax_block = t.softmax_row * static_cast<double>(rows);
   rep.makespan = mm_res.makespan + softmax_block;
   rep.softmax_stage_util = softmax_block / rep.makespan;

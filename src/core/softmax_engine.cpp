@@ -18,14 +18,6 @@ namespace {
 /// The engine's probability output precision (divider fraction bits).
 constexpr int kProbFracBits = 15;
 
-/// Validates before any member sizes a crossbar from the config: an
-/// out-of-range format must fail with StarConfig's message, not build a
-/// 2^b-row CAM first.
-const StarConfig& validated(const StarConfig& cfg) {
-  cfg.validate();
-  return cfg;
-}
-
 int exp_rows_for(const fxp::QFormat& fmt) {
   // Half the code space suffices: exponentials of larger magnitudes
   // underflow the LUT word (see file header). Matches the paper's
@@ -36,7 +28,9 @@ int exp_rows_for(const fxp::QFormat& fmt) {
 }  // namespace
 
 SoftmaxEngine::SoftmaxEngine(const StarConfig& cfg)
-    : cfg_(validated(cfg)),
+    // Validated first: an out-of-range format must fail with StarConfig's
+    // message, not build a 2^b-row CAM first.
+    : cfg_(cfg.validated()),
       fmt_(cfg.softmax_format),
       lut_frac_bits_(workload::default_lut_frac_bits(cfg.softmax_format)),
       prob_frac_bits_(kProbFracBits),

@@ -16,7 +16,8 @@ Fixed Fixed::from_code(std::int64_t code, const QFormat& fmt) {
   const std::int64_t lo =
       fmt.is_signed ? -(std::int64_t{1} << (fmt.int_bits + fmt.frac_bits)) : 0;
   const std::int64_t hi = (std::int64_t{1} << (fmt.int_bits + fmt.frac_bits)) - 1;
-  require(code >= lo && code <= hi, "Fixed::from_code: code out of range for " + fmt.name());
+  require(code >= lo && code <= hi,
+          [&] { return "Fixed::from_code: code out of range for " + fmt.name(); });
   return Fixed(code, fmt);
 }
 

@@ -58,9 +58,10 @@ std::span<const double> Tensor::row(std::size_t r) const {
 }
 
 Tensor Tensor::matmul(const Tensor& other) const {
-  require(cols_ == other.rows_,
-          expected_got("Tensor::matmul inner dim", static_cast<long long>(cols_),
-                       static_cast<long long>(other.rows_)));
+  require(cols_ == other.rows_, [&] {
+    return expected_got("Tensor::matmul inner dim", static_cast<long long>(cols_),
+                        static_cast<long long>(other.rows_));
+  });
   Tensor out(rows_, other.cols_);
   // ikj loop order: streams `other` rows, cache-friendly for row-major data.
   for (std::size_t i = 0; i < rows_; ++i) {

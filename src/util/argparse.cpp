@@ -15,9 +15,9 @@ ArgParser::ArgParser(std::string prog, std::string description)
 
 void ArgParser::add_int(const std::string& name, long def, const std::string& help,
                         long min_value, long max_value) {
-  require(!specs_.contains(name), "ArgParser: duplicate flag --" + name);
+  require(!specs_.contains(name), [&] { return "ArgParser: duplicate flag --" + name; });
   require(min_value <= def && def <= max_value,
-          "ArgParser: default out of range for --" + name);
+          [&] { return "ArgParser: default out of range for --" + name; });
   Spec s;
   s.kind = Kind::kInt;
   s.help = help;
@@ -31,10 +31,10 @@ void ArgParser::add_int(const std::string& name, long def, const std::string& he
 void ArgParser::add_string(const std::string& name, std::string def,
                            const std::string& help,
                            std::vector<std::string> choices) {
-  require(!specs_.contains(name), "ArgParser: duplicate flag --" + name);
+  require(!specs_.contains(name), [&] { return "ArgParser: duplicate flag --" + name; });
   require(choices.empty() ||
               std::find(choices.begin(), choices.end(), def) != choices.end(),
-          "ArgParser: default not among choices for --" + name);
+          [&] { return "ArgParser: default not among choices for --" + name; });
   Spec s;
   s.kind = Kind::kString;
   s.help = help;
@@ -45,7 +45,7 @@ void ArgParser::add_string(const std::string& name, std::string def,
 }
 
 void ArgParser::add_flag(const std::string& name, const std::string& help) {
-  require(!specs_.contains(name), "ArgParser: duplicate flag --" + name);
+  require(!specs_.contains(name), [&] { return "ArgParser: duplicate flag --" + name; });
   Spec s;
   s.kind = Kind::kBool;
   s.help = help;
@@ -154,8 +154,8 @@ void ArgParser::parse(int argc, char** argv) {
 const ArgParser::Spec& ArgParser::spec_for(const std::string& name,
                                            Kind kind) const {
   const auto it = specs_.find(name);
-  require(it != specs_.end(), "ArgParser: unregistered flag --" + name);
-  require(it->second.kind == kind, "ArgParser: wrong type for --" + name);
+  require(it != specs_.end(), [&] { return "ArgParser: unregistered flag --" + name; });
+  require(it->second.kind == kind, [&] { return "ArgParser: wrong type for --" + name; });
   return it->second;
 }
 
@@ -173,7 +173,7 @@ bool ArgParser::get_flag(const std::string& name) const {
 
 bool ArgParser::provided(const std::string& name) const {
   const auto it = specs_.find(name);
-  require(it != specs_.end(), "ArgParser: unregistered flag --" + name);
+  require(it != specs_.end(), [&] { return "ArgParser: unregistered flag --" + name; });
   return it->second.provided;
 }
 

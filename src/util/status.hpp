@@ -6,9 +6,11 @@
 // STAR_ASSERT so that a broken simulation never silently produces numbers.
 #pragma once
 
+#include <concepts>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 
 namespace star {
 
@@ -38,6 +40,16 @@ namespace detail {
 inline void require(bool cond, std::string_view message) {
   if (!cond) [[unlikely]] {
     detail::require_fail(message);
+  }
+}
+
+/// Lazy form for a composed message: `message()` builds it only when the
+/// check fails, so a passing check never allocates.
+///   require(n == rows, [&] { return expected_got("rows", rows, n); });
+template <std::invocable F>
+inline void require(bool cond, F&& message) {
+  if (!cond) [[unlikely]] {
+    detail::require_fail(std::forward<F>(message)());
   }
 }
 

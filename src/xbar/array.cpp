@@ -6,7 +6,7 @@
 namespace star::xbar {
 
 CrossbarArray::CrossbarArray(ArrayConfig cfg, RramDevice device, Rng rng)
-    : cfg_(cfg), device_(device), rng_(rng) {
+    : cfg_(cfg), device_(device), rng_(rng), mean_g_us_(device.g_off_us) {
   require(cfg.rows >= 1 && cfg.cols >= 1, "CrossbarArray: dimensions must be >= 1");
   require(cfg.ir_drop_alpha >= 0.0 && cfg.ir_drop_alpha < 1.0,
           "CrossbarArray: ir_drop_alpha must be in [0, 1)");
@@ -16,28 +16,58 @@ CrossbarArray::CrossbarArray(ArrayConfig cfg, RramDevice device, Rng rng)
   levels_.assign(n, 0);
 }
 
+void CrossbarArray::check_level(int level) const {
+  require(level >= 0 && level < device_.levels(),
+          "CrossbarArray: level out of range");
+}
+
+void CrossbarArray::update_mean() {
+  double sum = 0.0;
+  for (double g : g_us_) {
+    sum += g;
+  }
+  mean_g_us_ = sum / static_cast<double>(g_us_.size());
+}
+
 void CrossbarArray::program_cell(int r, int c, int level) {
   require(r >= 0 && r < cfg_.rows && c >= 0 && c < cfg_.cols,
           "CrossbarArray::program_cell: index out of range");
-  require(level >= 0 && level < device_.levels(),
-          "CrossbarArray::program_cell: level out of range");
+  check_level(level);
   const std::size_t i = static_cast<std::size_t>(r) * cfg_.cols + c;
   levels_[i] = level;
   g_us_[i] = device_.program(level, rng_);
+  update_mean();
 }
 
 void CrossbarArray::program(const std::vector<std::vector<int>>& levels) {
-  require(static_cast<int>(levels.size()) == cfg_.rows,
-          expected_got("CrossbarArray::program rows", cfg_.rows,
-                       static_cast<long long>(levels.size())));
-  for (int r = 0; r < cfg_.rows; ++r) {
-    require(static_cast<int>(levels[r].size()) == cfg_.cols,
-            expected_got("CrossbarArray::program cols", cfg_.cols,
-                         static_cast<long long>(levels[r].size())));
-    for (int c = 0; c < cfg_.cols; ++c) {
-      program_cell(r, c, levels[r][c]);
-    }
+  require(static_cast<int>(levels.size()) == cfg_.rows, [&] {
+    return expected_got("CrossbarArray::program rows", cfg_.rows,
+                        static_cast<long long>(levels.size()));
+  });
+  std::vector<int> flat;
+  flat.reserve(g_us_.size());
+  for (const auto& row : levels) {
+    require(static_cast<int>(row.size()) == cfg_.cols, [&] {
+      return expected_got("CrossbarArray::program cols", cfg_.cols,
+                          static_cast<long long>(row.size()));
+    });
+    flat.insert(flat.end(), row.begin(), row.end());
   }
+  program_rows(flat);
+}
+
+void CrossbarArray::program_rows(std::span<const int> levels) {
+  require(levels.size() % static_cast<std::size_t>(cfg_.cols) == 0 &&
+              levels.size() <= g_us_.size(),
+          "CrossbarArray::program_rows: not a whole number of rows that fit");
+  for (const int level : levels) {
+    check_level(level);
+  }
+  for (std::size_t i = 0; i < levels.size(); ++i) {
+    levels_[i] = levels[i];
+    g_us_[i] = device_.program(levels[i], rng_);
+  }
+  update_mean();
 }
 
 double CrossbarArray::conductance(int r, int c) const {
@@ -62,9 +92,10 @@ double CrossbarArray::ir_factor(int r, int c) const {
 }
 
 std::vector<double> CrossbarArray::mvm_currents(const std::vector<double>& v_rows) {
-  require(static_cast<int>(v_rows.size()) == cfg_.rows,
-          expected_got("CrossbarArray::mvm_currents rows", cfg_.rows,
-                       static_cast<long long>(v_rows.size())));
+  require(static_cast<int>(v_rows.size()) == cfg_.rows, [&] {
+    return expected_got("CrossbarArray::mvm_currents rows", cfg_.rows,
+                        static_cast<long long>(v_rows.size()));
+  });
   std::vector<double> i_cols(static_cast<std::size_t>(cfg_.cols), 0.0);
   for (int r = 0; r < cfg_.rows; ++r) {
     const double v = v_rows[r];
@@ -86,15 +117,13 @@ std::vector<double> CrossbarArray::mvm_currents(const std::vector<double>& v_row
 Energy CrossbarArray::read_energy(int active_rows) const {
   require(active_rows >= 0 && active_rows <= cfg_.rows,
           "CrossbarArray::read_energy: active_rows out of range");
-  // Average stored conductance over the whole array approximates the
-  // column loading each driven row sees.
-  double g_avg = 0.0;
-  for (double g : g_us_) {
-    g_avg += g;
-  }
-  g_avg /= static_cast<double>(g_us_.size());
-  const double cells = static_cast<double>(active_rows) * cfg_.cols;
-  return device_.read_energy(g_avg) * cells;
+  return array_read_energy(device_, mean_g_us_, active_rows, cfg_.cols);
+}
+
+Energy array_read_energy(const RramDevice& device, double g_mean_us, int active_rows,
+                         int cols) {
+  const double cells = static_cast<double>(active_rows) * cols;
+  return device.read_energy(g_mean_us) * cells;
 }
 
 Energy CrossbarArray::write_energy(std::int64_t cells) const {

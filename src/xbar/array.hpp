@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -41,6 +42,12 @@ class CrossbarArray {
   /// Program a whole level matrix (rows x cols, row-major).
   void program(const std::vector<std::vector<int>>& levels);
 
+  /// Bulk form of program_cell: program the leading levels.size() / cols()
+  /// rows from a row-major level matrix, drawing cells in row-major order.
+  /// Later rows keep their contents. Every level is checked before any
+  /// cell is written.
+  void program_rows(std::span<const int> levels);
+
   /// Stored (post-variation) conductance in uS.
   [[nodiscard]] double conductance(int r, int c) const;
 
@@ -53,6 +60,11 @@ class CrossbarArray {
 
   /// Full-array read pulse energy given how many rows were driven at v_read.
   [[nodiscard]] Energy read_energy(int active_rows) const;
+
+  /// Mean stored conductance (uS). Re-summed in row-major order whenever
+  /// cells are programmed; g_off for an array that was never programmed,
+  /// since every cell then holds g_off.
+  [[nodiscard]] double mean_conductance() const { return mean_g_us_; }
 
   /// Energy/latency to program `cells` cell updates.
   [[nodiscard]] Energy write_energy(std::int64_t cells) const;
@@ -68,12 +80,22 @@ class CrossbarArray {
 
  private:
   [[nodiscard]] double ir_factor(int r, int c) const;
+  void check_level(int level) const;
+  void update_mean();
 
   ArrayConfig cfg_;
   RramDevice device_;
   Rng rng_;
   std::vector<double> g_us_;    // rows * cols conductances
   std::vector<int> levels_;     // rows * cols ideal levels
+  double mean_g_us_;            // mean of g_us_
 };
+
+/// Read-pulse energy of `active_rows` driven rows across `cols` columns of
+/// cells whose mean conductance is `g_mean_us`: the column loading each
+/// driven row sees. CrossbarArray::read_energy and the cost-only tiles
+/// share this one formula.
+[[nodiscard]] Energy array_read_energy(const RramDevice& device, double g_mean_us,
+                                       int active_rows, int cols);
 
 }  // namespace star::xbar

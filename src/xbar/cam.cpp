@@ -1,5 +1,8 @@
 #include "xbar/cam.hpp"
 
+#include <algorithm>
+#include <string>
+
 #include "hw/sense_amp.hpp"
 #include "util/status.hpp"
 
@@ -75,10 +78,16 @@ void CamCrossbar::rebuild_index() {
   }
 }
 
+void CamCrossbar::check_code(std::int64_t code) const {
+  require(code >= 0 && code < (std::int64_t{1} << bits_), [&] {
+    return "CamCrossbar::store: code out of range for " + std::to_string(bits_) +
+           " bits";
+  });
+}
+
 void CamCrossbar::store(int r, std::int64_t code) {
   require(r >= 0 && r < rows_, "CamCrossbar::store: row out of range");
-  require(code >= 0 && code < (std::int64_t{1} << bits_),
-          "CamCrossbar::store: code out of range for " + std::to_string(bits_) + " bits");
+  check_code(code);
   stored_[static_cast<std::size_t>(r)] = code;
   rebuild_index();
 }
@@ -86,9 +95,11 @@ void CamCrossbar::store(int r, std::int64_t code) {
 void CamCrossbar::fill(const std::vector<std::int64_t>& codes) {
   require(static_cast<int>(codes.size()) <= rows_,
           "CamCrossbar::fill: more codes than rows");
-  for (std::size_t r = 0; r < codes.size(); ++r) {
-    store(static_cast<int>(r), codes[r]);
+  for (const auto code : codes) {
+    check_code(code);
   }
+  std::copy(codes.begin(), codes.end(), stored_.begin());
+  rebuild_index();
 }
 
 std::vector<bool> CamCrossbar::search(std::int64_t code, double miss_prob,

@@ -33,7 +33,9 @@ class CamCrossbar {
   /// Program row `r` to match `code` (0 <= code < 2^bits).
   void store(int r, std::int64_t code);
 
-  /// Fill rows 0..n-1 with codes produced by `code_of_row`.
+  /// Fill rows 0..n-1 with `codes`. All or nothing: the count and every
+  /// code are checked before any row is written, and the search index is
+  /// rebuilt once.
   void fill(const std::vector<std::int64_t>& codes);
 
   /// One search cycle: matchline vector for `code` (search-error rate
@@ -93,11 +95,14 @@ class CamCrossbar {
   RramDevice device_;
   int rows_;
   int bits_;
+  void check_code(std::int64_t code) const;
+
   std::vector<std::int64_t> stored_;  // -1 = unprogrammed (never matches)
   // Inverted index over stored_: code -> row, -1 = absent. Rebuilt after
-  // every mutation (programming is cold; searching is the hot path), valid
-  // only while the stored codes are pairwise distinct. Skipped entirely
-  // when 2^bits would make the table unreasonable.
+  // every store() and once per fill() (programming is cold; searching is
+  // the hot path), valid only while the stored codes are pairwise
+  // distinct. Skipped entirely when 2^bits would make the table
+  // unreasonable.
   void rebuild_index();
   std::vector<std::int32_t> row_of_code_;
   bool unique_codes_ = false;

@@ -1,5 +1,8 @@
 #include "xbar/lut.hpp"
 
+#include <algorithm>
+#include <string>
+
 #include "hw/sense_amp.hpp"
 #include "util/status.hpp"
 
@@ -31,19 +34,25 @@ LutCrossbar::LutCrossbar(const hw::TechNode& tech, RramDevice device, int rows,
   read_cost_.leakage = sa.cost().leakage * static_cast<double>(word_bits_);
 }
 
+void LutCrossbar::check_word(std::int64_t word) const {
+  require(word >= 0 && word < (std::int64_t{1} << word_bits_), [&] {
+    return "LutCrossbar::store: word out of range for " + std::to_string(word_bits_) +
+           " bits";
+  });
+}
+
 void LutCrossbar::store(int r, std::int64_t word) {
   require(r >= 0 && r < rows_, "LutCrossbar::store: row out of range");
-  require(word >= 0 && word < (std::int64_t{1} << word_bits_),
-          "LutCrossbar::store: word out of range for " + std::to_string(word_bits_) +
-              " bits");
+  check_word(word);
   words_[static_cast<std::size_t>(r)] = word;
 }
 
 void LutCrossbar::fill(const std::vector<std::int64_t>& words) {
   require(static_cast<int>(words.size()) <= rows_, "LutCrossbar::fill: too many words");
-  for (std::size_t r = 0; r < words.size(); ++r) {
-    store(static_cast<int>(r), words[r]);
+  for (const auto word : words) {
+    check_word(word);
   }
+  std::copy(words.begin(), words.end(), words_.begin());
 }
 
 std::int64_t LutCrossbar::read(const std::vector<bool>& one_hot) const {

@@ -27,7 +27,8 @@ class LutCrossbar {
   /// Program row `r` to hold `word`.
   void store(int r, std::int64_t word);
 
-  /// Fill rows 0..n-1.
+  /// Fill rows 0..n-1. All or nothing: the count and every word are
+  /// checked before any row is written.
   void fill(const std::vector<std::int64_t>& words);
 
   /// Read with a one-hot wordline vector; returns the selected word
@@ -49,6 +50,8 @@ class LutCrossbar {
   [[nodiscard]] Time program_latency() const;
 
  private:
+  void check_word(std::int64_t word) const;
+
   hw::TechNode tech_;
   RramDevice device_;
   int rows_;

@@ -2,6 +2,10 @@
 
 #include <cmath>
 
+#include "hw/adc.hpp"
+#include "hw/dac.hpp"
+#include "hw/sample_hold.hpp"
+#include "hw/shift_add.hpp"
 #include "util/math.hpp"
 #include "util/status.hpp"
 
@@ -22,99 +26,126 @@ void VmmConfig::validate() const {
           "VmmConfig: adc_full_scale_frac in (0, 1]");
 }
 
-BitSlicedVmm::BitSlicedVmm(const hw::TechNode& tech, RramDevice device, VmmConfig cfg,
-                           Rng rng)
-    : tech_(tech),
-      device_(device),
-      cfg_(cfg),
-      array_(ArrayConfig{cfg.rows, cfg.cols, 0.0, true}, device, rng),
-      adc_(tech, cfg.adc_bits),
-      driver_(tech, 1),
-      snh_(tech),
-      shift_add_(tech, cfg.adc_bits + cfg.input_bits + cfg.weight_bits +
-                           bits_for(static_cast<std::uint64_t>(cfg.rows))) {
+VmmCosts::VmmCosts(const hw::TechNode& tech, const RramDevice& device,
+                   const VmmConfig& cfg)
+    : device_(device), cfg_(cfg) {
   cfg_.validate();
+  device_.validate();
   require(cfg_.cols % slices() == 0,
           "BitSlicedVmm: cols must be a multiple of the weight slice count");
 
+  const hw::SarAdc adc(tech, cfg_.adc_bits);
+  const hw::RowDriver driver(tech, 1);
+  const hw::SampleHold snh(tech);
+  const hw::ShiftAdd shift_add(tech, cfg_.adc_bits + cfg_.input_bits + cfg_.weight_bits +
+                                         bits_for(static_cast<std::uint64_t>(cfg_.rows)));
+  const double rows = static_cast<double>(cfg_.rows);
+  const double cols = static_cast<double>(cfg_.cols);
   const double n_adc = static_cast<double>(ceil_div(cfg_.cols, cfg_.adc_mux_ratio));
-  area_ = array_.cell_array_area(tech.feature_nm) +
-          driver_.cost().area * static_cast<double>(cfg_.rows) +
-          snh_.cost().area * static_cast<double>(cfg_.cols) +
-          adc_.cost().area * n_adc + shift_add_.cost().area * n_adc;
-  leakage_ = driver_.cost().leakage * static_cast<double>(cfg_.rows) +
-             snh_.cost().leakage * static_cast<double>(cfg_.cols) +
-             adc_.cost().leakage * n_adc + shift_add_.cost().leakage * n_adc;
+  const Area cell_array =
+      device_.cell_area(tech.feature_nm) *
+      static_cast<double>(static_cast<std::int64_t>(cfg_.rows) * cfg_.cols);
+  area_ = cell_array + driver.cost().area * rows + snh.cost().area * cols +
+          adc.cost().area * n_adc + shift_add.cost().area * n_adc;
+  leakage_ = driver.cost().leakage * rows + snh.cost().leakage * cols +
+             adc.cost().leakage * n_adc + shift_add.cost().leakage * n_adc;
+
+  driver_energy_ = driver.cost().energy_per_op;
+  snh_energy_ = snh.cost().energy_per_op * cols;
+  adc_energy_ = adc.cost().energy_per_op * cols;
+  shift_add_energy_ = shift_add.cost().energy_per_op * n_adc *
+                      static_cast<double>(cfg_.adc_mux_ratio);
+  // Per input bit: array settle, then the ADC walks its mux group; the
+  // shift-add keeps up at one accumulation per conversion.
+  const Time per_bit =
+      device_.read_pulse + adc.cost().latency * static_cast<double>(cfg_.adc_mux_ratio);
+  op_latency_ = per_bit * static_cast<double>(cfg_.input_bits);
 }
 
-int BitSlicedVmm::logical_cols() const { return cfg_.cols / slices(); }
+Energy VmmCosts::op_energy(int active_rows, double g_mean_us) const {
+  require(active_rows >= 0 && active_rows <= cfg_.rows,
+          "BitSlicedVmm::op_energy: active_rows out of range");
+  // On average half the driven rows carry a 1 in any bit plane.
+  const double mean_active = 0.5 * active_rows;
+  const Energy per_bit =
+      driver_energy_ * mean_active +
+      array_read_energy(device_, g_mean_us, static_cast<int>(mean_active), cfg_.cols) +
+      snh_energy_ + adc_energy_ + shift_add_energy_;
+  return per_bit * static_cast<double>(cfg_.input_bits);
+}
+
+BitSlicedVmm::BitSlicedVmm(const hw::TechNode& tech, RramDevice device, VmmConfig cfg,
+                           Rng rng)
+    : costs_(tech, device, cfg),
+      array_(ArrayConfig{cfg.rows, cfg.cols, 0.0, true}, device, rng) {}
 
 void BitSlicedVmm::program_weights(const std::vector<std::vector<std::int64_t>>& weights) {
-  require(static_cast<int>(weights.size()) <= cfg_.rows,
+  const VmmConfig& cfg = config();
+  require(static_cast<int>(weights.size()) <= cfg.rows,
           "BitSlicedVmm::program_weights: too many rows");
-  const int cell_bits = device_.bits_per_cell;
+  const int cell_bits = array_.device().bits_per_cell;
   const int n_slices = slices();
+  const int n_cols = logical_cols();
   const std::int64_t level_mask = (std::int64_t{1} << cell_bits) - 1;
-  const std::int64_t w_max = (std::int64_t{1} << cfg_.weight_bits) - 1;
+  const std::int64_t w_max = (std::int64_t{1} << cfg.weight_bits) - 1;
 
-  for (int r = 0; r < static_cast<int>(weights.size()); ++r) {
-    require(static_cast<int>(weights[r].size()) == logical_cols(),
-            expected_got("BitSlicedVmm::program_weights cols", logical_cols(),
-                         static_cast<long long>(weights[r].size())));
-    for (int lc = 0; lc < logical_cols(); ++lc) {
-      const std::int64_t w = weights[r][lc];
+  // Slice every weight into its row-major cell levels: logical column lc,
+  // slice s lands in physical column lc * n_slices + s.
+  std::vector<int> levels;
+  levels.reserve(weights.size() * static_cast<std::size_t>(cfg.cols));
+  for (const auto& row : weights) {
+    require(static_cast<int>(row.size()) == n_cols, [&] {
+      return expected_got("BitSlicedVmm::program_weights cols", n_cols,
+                          static_cast<long long>(row.size()));
+    });
+    for (const std::int64_t w : row) {
       require(w >= 0 && w <= w_max,
               "BitSlicedVmm::program_weights: weight out of unsigned range");
       for (int s = 0; s < n_slices; ++s) {
-        const int level = static_cast<int>((w >> (s * cell_bits)) & level_mask);
-        array_.program_cell(r, lc * n_slices + s, level);
+        levels.push_back(static_cast<int>((w >> (s * cell_bits)) & level_mask));
       }
     }
   }
+  array_.program_rows(levels);
   programmed_rows_ = static_cast<int>(weights.size());
 
   // Profile the per-column worst-case discharge (all programmed rows
   // driven) to calibrate the ADC full scale, as NeuroSim-style flows do.
-  col_max_counts_.assign(static_cast<std::size_t>(cfg_.cols), 0.0);
-  for (int r = 0; r < programmed_rows_; ++r) {
-    for (int lc = 0; lc < logical_cols(); ++lc) {
-      const std::int64_t w = weights[static_cast<std::size_t>(r)][static_cast<std::size_t>(lc)];
-      for (int s = 0; s < n_slices; ++s) {
-        const int level = static_cast<int>((w >> (s * cell_bits)) & level_mask);
-        col_max_counts_[static_cast<std::size_t>(lc * n_slices + s)] += level;
-      }
-    }
+  col_max_counts_.assign(static_cast<std::size_t>(cfg.cols), 0.0);
+  for (std::size_t i = 0; i < levels.size(); ++i) {
+    col_max_counts_[i % col_max_counts_.size()] += levels[i];
   }
 }
 
 std::vector<std::int64_t> BitSlicedVmm::multiply(std::span<const std::int64_t> x) {
-  require(static_cast<int>(x.size()) <= cfg_.rows,
+  const VmmConfig& cfg = config();
+  const RramDevice& device = array_.device();
+  require(static_cast<int>(x.size()) <= cfg.rows,
           "BitSlicedVmm::multiply: input longer than crossbar rows");
-  const std::int64_t x_max = (std::int64_t{1} << cfg_.input_bits) - 1;
+  const std::int64_t x_max = (std::int64_t{1} << cfg.input_bits) - 1;
   for (const auto v : x) {
     require(v >= 0 && v <= x_max, "BitSlicedVmm::multiply: input out of unsigned range");
   }
 
   const int n_slices = slices();
-  const int cell_bits = device_.bits_per_cell;
-  const int max_level = device_.levels() - 1;
-  const double g_span = device_.g_on_us - device_.g_off_us;
-  const double active_rows = static_cast<double>(x.size());
+  const int cell_bits = device.bits_per_cell;
+  const int max_level = device.levels() - 1;
+  const double g_span = device.g_on_us - device.g_off_us;
 
   // Per-column profiled worst case defines each ADC full scale; fall back
   // to the theoretical bound for unprogrammed engines.
-  const double fs_fallback = static_cast<double>(cfg_.rows) * max_level;
-  const double adc_levels = std::ldexp(1.0, cfg_.adc_bits) - 1.0;
+  const double fs_fallback = static_cast<double>(cfg.rows) * max_level;
+  const double adc_levels = std::ldexp(1.0, cfg.adc_bits) - 1.0;
 
   std::vector<double> acc(static_cast<std::size_t>(logical_cols()), 0.0);
-  std::vector<double> v_rows(static_cast<std::size_t>(cfg_.rows), 0.0);
+  std::vector<double> v_rows(static_cast<std::size_t>(cfg.rows), 0.0);
 
-  for (int b = 0; b < cfg_.input_bits; ++b) {
+  for (int b = 0; b < cfg.input_bits; ++b) {
     // Drive the b-th bit of every input element.
     int driven = 0;
     for (std::size_t r = 0; r < x.size(); ++r) {
       const bool bit = ((x[r] >> b) & 1) != 0;
-      v_rows[r] = bit ? device_.v_read : 0.0;
+      v_rows[r] = bit ? device.v_read : 0.0;
       driven += bit ? 1 : 0;
     }
     if (driven == 0) {
@@ -127,13 +158,13 @@ std::vector<std::int64_t> BitSlicedVmm::multiply(std::span<const std::int64_t> x
         const double i_col = currents[static_cast<std::size_t>(lc * n_slices + s)];
         // Convert current back to level counts: remove the g_off pedestal of
         // the `driven` active rows, scale by the conductance step.
-        const double pedestal = device_.v_read * device_.g_off_us * driven;
+        const double pedestal = device.v_read * device.g_off_us * driven;
         double counts =
-            (i_col - pedestal) / (device_.v_read * g_span) * max_level;
+            (i_col - pedestal) / (device.v_read * g_span) * max_level;
         counts = std::max(counts, 0.0);
 
         double digitised;
-        if (cfg_.ideal_readout) {
+        if (cfg.ideal_readout) {
           digitised = round_half_even(counts);
         } else {
           const std::size_t pc = static_cast<std::size_t>(lc * n_slices + s);
@@ -142,7 +173,7 @@ std::vector<std::int64_t> BitSlicedVmm::multiply(std::span<const std::int64_t> x
                   ? fs_fallback
                   : col_max_counts_[pc];
           const double fs_counts =
-              std::max(1.0, cfg_.adc_full_scale_frac * col_max);
+              std::max(1.0, cfg.adc_full_scale_frac * col_max);
           const double clipped = std::min(counts, fs_counts);
           const double code = round_half_even(clipped / fs_counts * adc_levels);
           digitised = code / adc_levels * fs_counts;
@@ -151,7 +182,6 @@ std::vector<std::int64_t> BitSlicedVmm::multiply(std::span<const std::int64_t> x
             std::ldexp(digitised, b + s * cell_bits);
       }
     }
-    (void)active_rows;
   }
 
   std::vector<std::int64_t> y(acc.size());
@@ -161,39 +191,15 @@ std::vector<std::int64_t> BitSlicedVmm::multiply(std::span<const std::int64_t> x
   return y;
 }
 
-Energy BitSlicedVmm::op_energy(int active_rows) const {
-  require(active_rows >= 0 && active_rows <= cfg_.rows,
-          "BitSlicedVmm::op_energy: active_rows out of range");
-  const double bits = cfg_.input_bits;
-  const double n_adc = static_cast<double>(ceil_div(cfg_.cols, cfg_.adc_mux_ratio));
-  // On average half the driven rows carry a 1 in any bit plane.
-  const double mean_active = 0.5 * active_rows;
-  Energy per_bit = driver_.cost().energy_per_op * mean_active +
-                   array_.read_energy(static_cast<int>(mean_active)) +
-                   snh_.cost().energy_per_op * static_cast<double>(cfg_.cols) +
-                   adc_.cost().energy_per_op * static_cast<double>(cfg_.cols) +
-                   shift_add_.cost().energy_per_op * n_adc *
-                       static_cast<double>(cfg_.adc_mux_ratio);
-  return per_bit * bits;
-}
-
-Time BitSlicedVmm::op_latency() const {
-  // Per input bit: array settle, then the ADC walks its mux group; the
-  // shift-add keeps up at one accumulation per conversion.
-  const Time per_bit = device_.read_pulse +
-                       adc_.cost().latency * static_cast<double>(cfg_.adc_mux_ratio);
-  return per_bit * static_cast<double>(cfg_.input_bits);
-}
-
 Energy BitSlicedVmm::program_energy() const {
   const std::int64_t cells =
-      static_cast<std::int64_t>(programmed_rows_) * cfg_.cols;
+      static_cast<std::int64_t>(programmed_rows_) * config().cols;
   return array_.write_energy(cells);
 }
 
 Time BitSlicedVmm::program_latency() const {
   const std::int64_t cells =
-      static_cast<std::int64_t>(programmed_rows_) * cfg_.cols;
+      static_cast<std::int64_t>(programmed_rows_) * config().cols;
   return array_.write_latency(cells);
 }
 

@@ -14,11 +14,6 @@
 #include <span>
 #include <vector>
 
-#include "hw/adc.hpp"
-#include "hw/component.hpp"
-#include "hw/dac.hpp"
-#include "hw/sample_hold.hpp"
-#include "hw/shift_add.hpp"
 #include "hw/tech.hpp"
 #include "util/rng.hpp"
 #include "xbar/array.hpp"
@@ -47,15 +42,52 @@ struct VmmConfig {
   void validate() const;
 };
 
+/// The cost figures of one bit-sliced VMM. They depend on (tech, device,
+/// config) alone, plus the array's mean conductance for read energy, so
+/// they are computed once here and shared by BitSlicedVmm and the
+/// cost-only tiles that build no array (MatmulEngine's). Construction runs
+/// every check BitSlicedVmm runs on its config.
+class VmmCosts {
+ public:
+  VmmCosts(const hw::TechNode& tech, const RramDevice& device, const VmmConfig& cfg);
+
+  [[nodiscard]] const VmmConfig& config() const { return cfg_; }
+  [[nodiscard]] int slices() const { return cfg_.slices(device_.bits_per_cell); }
+  /// Logical output columns = physical cols / slices.
+  [[nodiscard]] int logical_cols() const { return cfg_.cols / slices(); }
+
+  /// One multiply() with `active_rows` driven rows over cells whose mean
+  /// conductance is `g_mean_us`.
+  [[nodiscard]] Energy op_energy(int active_rows, double g_mean_us) const;
+  [[nodiscard]] Time op_latency() const { return op_latency_; }
+  [[nodiscard]] Area area() const { return area_; }
+  [[nodiscard]] Power leakage() const { return leakage_; }
+
+ private:
+  RramDevice device_;
+  VmmConfig cfg_;
+  // Per input bit: the row drivers' energy per driven row, then the
+  // sample-and-holds, ADC conversions and shift-adds of all columns.
+  Energy driver_energy_{};
+  Energy snh_energy_{};
+  Energy adc_energy_{};
+  Energy shift_add_energy_{};
+  Time op_latency_{};
+  Area area_{};
+  Power leakage_{};
+};
+
 class BitSlicedVmm {
  public:
   BitSlicedVmm(const hw::TechNode& tech, RramDevice device, VmmConfig cfg,
                Rng rng = Rng(0x77));
 
-  [[nodiscard]] const VmmConfig& config() const { return cfg_; }
+  [[nodiscard]] const VmmConfig& config() const { return costs_.config(); }
   /// Logical output columns = physical cols / slices.
-  [[nodiscard]] int logical_cols() const;
-  [[nodiscard]] int slices() const { return cfg_.slices(device_.bits_per_cell); }
+  [[nodiscard]] int logical_cols() const { return costs_.logical_cols(); }
+  [[nodiscard]] int slices() const { return costs_.slices(); }
+  [[nodiscard]] const VmmCosts& costs() const { return costs_; }
+  [[nodiscard]] const CrossbarArray& array() const { return array_; }
 
   /// Program an unsigned weight matrix (logical: rows x logical_cols,
   /// entries < 2^weight_bits). Rows beyond weights.size() stay at level 0.
@@ -67,10 +99,12 @@ class BitSlicedVmm {
 
   // --- cost model ---
   /// Cost of one multiply() invocation with `active_rows` driven rows.
-  [[nodiscard]] Energy op_energy(int active_rows) const;
-  [[nodiscard]] Time op_latency() const;
-  [[nodiscard]] Area area() const { return area_; }
-  [[nodiscard]] Power leakage() const { return leakage_; }
+  [[nodiscard]] Energy op_energy(int active_rows) const {
+    return costs_.op_energy(active_rows, array_.mean_conductance());
+  }
+  [[nodiscard]] Time op_latency() const { return costs_.op_latency(); }
+  [[nodiscard]] Area area() const { return costs_.area(); }
+  [[nodiscard]] Power leakage() const { return costs_.leakage(); }
 
   /// Cost of programming the current weights (dynamic-matrix accounting
   /// for PipeLayer-style mappings).
@@ -78,19 +112,10 @@ class BitSlicedVmm {
   [[nodiscard]] Time program_latency() const;
 
  private:
-  hw::TechNode tech_;
-  RramDevice device_;
-  VmmConfig cfg_;
+  VmmCosts costs_;  ///< first: checks the config before the array is sized
   CrossbarArray array_;
-  hw::SarAdc adc_;
-  hw::RowDriver driver_;
-  hw::SampleHold snh_;
-  hw::ShiftAdd shift_add_;
   int programmed_rows_ = 0;
   std::vector<double> col_max_counts_;  ///< per-column profiled ADC range
-
-  Area area_{};
-  Power leakage_{};
 };
 
 }  // namespace star::xbar

@@ -39,6 +39,13 @@ runtime half is util/contract.hpp's STAR_CONTRACT layer):
                      messages, or local std::vector/std::string
                      declarations. The runtime half is util::AllocCounter;
                      this rule catches the regression at review time.
+  eager-require-message
+                     anywhere in src/, a require() whose message is
+                     composed (concatenation, std::to_string, expected_got
+                     or any other call) builds that string on every call,
+                     pass or fail. Pass a literal, or a lambda that builds
+                     the message, which util/status.hpp's lazy require()
+                     runs only when the check fails.
 
 Usage:
   tools/star_lint.py                  # lint src/ under the repo root
@@ -383,6 +390,53 @@ def rule_hot_path_no_alloc(path: str, text: str, code: str) -> List[Violation]:
 
 
 # --------------------------------------------------------------------------
+# Rule: eager-require-message
+# --------------------------------------------------------------------------
+
+_REQUIRE_CALL = re.compile(r"\brequire\s*\(")
+# In stripped code a literal message is blank. What is left is eager when it
+# concatenates, streams or calls anything; a bare name passes a message
+# that was built elsewhere, and a leading '[' is a lambda (the lazy form).
+_EAGER_MESSAGE = re.compile(r"\+|<<|\w\s*\(")
+
+
+def _call_arguments(code: str, open_paren: int) -> List[str]:
+    """Top-level arguments of the call whose '(' sits at `open_paren`."""
+    args, depth, start = [], 0, open_paren + 1
+    for i in range(open_paren, len(code)):
+        c = code[i]
+        if c in "([{":
+            depth += 1
+        elif c in ")]}":
+            depth -= 1
+            if depth == 0:
+                args.append(code[start:i])
+                break
+        elif c == "," and depth == 1:
+            args.append(code[start:i])
+            start = i + 1
+    return args
+
+
+def rule_eager_require_message(path: str, text: str, code: str) -> List[Violation]:
+    del text
+    found = []
+    for m in _REQUIRE_CALL.finditer(code):
+        args = _call_arguments(code, m.end() - 1)
+        if len(args) < 2:
+            continue
+        message = ",".join(args[1:]).strip()
+        if message.startswith("[") or not _EAGER_MESSAGE.search(message):
+            continue
+        found.append(Violation(
+            path, line_of(code, m.start()), "eager-require-message",
+            "require() builds this message on every call, even when the "
+            "check passes; pass a literal, or a lambda returning the message "
+            "(util/status.hpp's lazy require)"))
+    return found
+
+
+# --------------------------------------------------------------------------
 # Driver
 # --------------------------------------------------------------------------
 
@@ -393,6 +447,7 @@ RULES = [
     rule_const_compute_entry,
     rule_determinism_doc,
     rule_hot_path_no_alloc,
+    rule_eager_require_message,
 ]
 
 
@@ -432,7 +487,8 @@ def collect_default_targets(root: str) -> List[str]:
 # --------------------------------------------------------------------------
 
 _FIXTURES: List[Tuple[str, str, str, Optional[str]]] = [
-    # (fixture path, source text, expected rule id or "" for clean, sibling)
+    # (fixture path, source text, expected rule ids joined by "," or "" for
+    # clean, sibling)
     ("src/fake/bad_rand.cpp",
      "int f() { return rand() % 7; }\n", "no-libc-rand", None),
     ("src/fake/bad_random_header.cpp",
@@ -483,19 +539,44 @@ _FIXTURES: List[Tuple[str, str, str, Optional[str]]] = [
     ("src/fake/bad_hot_tostring.cpp",
      "// STAR_HOT\nvoid f(int r, int n) {\n"
      "  require(r < n, \"row \" + std::to_string(r));\n}\n",
-     "hot-path-no-alloc", None),
+     "eager-require-message,hot-path-no-alloc", None),
     ("src/fake/bad_hot_local_vector.cpp",
      "// STAR_HOT\nvoid f() { std::vector<double> tmp(8); (void)tmp; }\n",
      "hot-path-no-alloc", None),
     ("src/fake/bad_hot_expected_got.cpp",
      "// STAR_HOT\nvoid f(int a, int b) { require(a == b, expected_got(a, b)); }\n",
-     "hot-path-no-alloc", None),
+     "eager-require-message,hot-path-no-alloc", None),
     ("src/fake/ok_hot_scratch_ref.cpp",
      "// STAR_HOT\nvoid f(std::vector<bool>& match) {\n"
      "  require(!match.empty(), \"f: match must be sized\");\n"
      "  match.assign(match.size(), false);\n}\n", "", None),
     ("src/fake/ok_cold_vector.cpp",
      "void cold() { std::vector<double> tmp(8); (void)tmp; }\n", "", None),
+    ("src/fake/bad_eager_tostring.cpp",
+     "void store(int r, int bits) {\n"
+     "  require(r < (1 << bits),\n"
+     "          \"code out of range for \" + std::to_string(bits) + \" bits\");\n}\n",
+     "eager-require-message", None),
+    ("src/fake/bad_eager_concat.cpp",
+     "void add(const std::string& name, bool fresh) {\n"
+     "  require(fresh, \"duplicate flag --\" + name);\n}\n",
+     "eager-require-message", None),
+    ("src/fake/bad_eager_expected_got.cpp",
+     "void f(int a, int b) { require(a == b, expected_got(\"rows\", a, b)); }\n",
+     "eager-require-message", None),
+    ("src/fake/ok_lazy_lambda.cpp",
+     "void f(int a, int b) {\n"
+     "  require(a == b, [&] { return expected_got(\"rows\", a, b); });\n}\n",
+     "", None),
+    ("src/fake/ok_literal_message.cpp",
+     "void f(int a, int b) {\n"
+     "  require(a < b && f2(a, b),\n          \"f: a must be below b, \"\n"
+     "          \"and f2(a, b) must hold\");\n}\n",
+     "", None),
+    ("src/fake/ok_forwarded_message.cpp",
+     "inline void require(bool cond, std::string_view message) { g(cond, message); }\n"
+     "void h(bool ok, std::string_view why) { require(ok, why); }\n",
+     "", None),
 ]
 
 
@@ -510,7 +591,7 @@ def self_test() -> int:
             if got:
                 failures.append(f"{path}: expected clean, got {got}")
         else:
-            if got_rules != [expected_rule]:
+            if got_rules != sorted(expected_rule.split(",")):
                 failures.append(
                     f"{path}: expected [{expected_rule}], got {got_rules or got}")
     if failures:
