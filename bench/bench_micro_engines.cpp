@@ -12,7 +12,9 @@
 #include "core/matmul_engine.hpp"
 #include "core/softmax_engine.hpp"
 #include "nn/attention.hpp"
+#include "nn/bert.hpp"
 #include "nn/softmax_ref.hpp"
+#include "nn/workspace.hpp"
 #include "util/rng.hpp"
 #include "workload/dataset_profile.hpp"
 #include "xbar/cam_sub.hpp"
@@ -161,6 +163,97 @@ void BM_MatmulEngineFunctional(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MatmulEngineFunctional);
+
+// The encoder's fused matmul kernels at the shapes it runs them. `a` is
+// m x depth and the right operand depth x n (n x depth for the transposed
+// kernel); each operand and the output is a column block of a row-major
+// buffer `*_stride` wide, as a head's slice of the fused Q/K/V and context
+// buffers is. Items are multiply-adds.
+struct MatmulShape {
+  std::size_t m, depth, n, a_stride, b_stride, out_stride;
+};
+
+using MatmulKernel = void (*)(nn::ConstTensorView, nn::ConstTensorView,
+                              nn::TensorView);
+
+void run_matmul(benchmark::State& state, MatmulKernel kernel, bool transb,
+                const MatmulShape& s) {
+  Rng rng(9);
+  const auto a = nn::Tensor::randn(s.m, s.a_stride, rng);
+  const auto b = nn::Tensor::randn(transb ? s.n : s.depth, s.b_stride, rng);
+  nn::Tensor out(s.m, s.out_stride);
+  const nn::ConstTensorView a_view{a.flat().data(), s.m, s.depth, s.a_stride};
+  const nn::ConstTensorView b_view{b.flat().data(), transb ? s.n : s.depth,
+                                   transb ? s.depth : s.n, s.b_stride};
+  const nn::TensorView out_view{out.flat().data(), s.m, s.n, s.out_stride};
+  for (auto _ : state) {
+    kernel(a_view, b_view, out_view);
+    benchmark::DoNotOptimize(out_view.data);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(s.m * s.depth * s.n));
+}
+
+void BM_MatmulInto(benchmark::State& state, MatmulShape s) {
+  run_matmul(state, nn::matmul_into, false, s);
+}
+
+void BM_MatmulTransbInto(benchmark::State& state, MatmulShape s) {
+  run_matmul(state, nn::matmul_transb_into, true, s);
+}
+
+// Tiny (d_model 32, 2 heads, d_ff 64), cluster-mixed's model: scores
+// Q_h K_h^T, context P V_h, a projection and the two FFN products.
+BENCHMARK_CAPTURE(BM_MatmulTransbInto, tiny_scores_128,
+                  MatmulShape{128, 16, 128, 32, 32, 128});
+BENCHMARK_CAPTURE(BM_MatmulTransbInto, tiny_scores_384,
+                  MatmulShape{384, 16, 384, 32, 32, 384});
+BENCHMARK_CAPTURE(BM_MatmulInto, tiny_context_128,
+                  MatmulShape{128, 128, 16, 128, 32, 32});
+BENCHMARK_CAPTURE(BM_MatmulInto, tiny_context_384,
+                  MatmulShape{384, 384, 16, 384, 32, 32});
+BENCHMARK_CAPTURE(BM_MatmulInto, tiny_projection_128,
+                  MatmulShape{128, 32, 32, 32, 32, 32});
+BENCHMARK_CAPTURE(BM_MatmulInto, tiny_projection_384,
+                  MatmulShape{384, 32, 32, 32, 32, 32});
+BENCHMARK_CAPTURE(BM_MatmulInto, tiny_ffn1_128, MatmulShape{128, 32, 64, 32, 64, 64});
+BENCHMARK_CAPTURE(BM_MatmulInto, tiny_ffn1_384, MatmulShape{384, 32, 64, 32, 64, 64});
+BENCHMARK_CAPTURE(BM_MatmulInto, tiny_ffn2_128, MatmulShape{128, 64, 32, 64, 32, 32});
+BENCHMARK_CAPTURE(BM_MatmulInto, tiny_ffn2_384, MatmulShape{384, 64, 32, 64, 32, 32});
+// BERT-base at L = 128 (d_model 768, 12 heads of d_k 64, d_ff 3072).
+BENCHMARK_CAPTURE(BM_MatmulTransbInto, base_scores_128,
+                  MatmulShape{128, 64, 128, 768, 768, 128});
+BENCHMARK_CAPTURE(BM_MatmulInto, base_projection_128,
+                  MatmulShape{128, 768, 768, 768, 768, 768});
+BENCHMARK_CAPTURE(BM_MatmulInto, base_ffn1_128,
+                  MatmulShape{128, 768, 3072, 768, 3072, 3072});
+BENCHMARK_CAPTURE(BM_MatmulInto, base_ffn2_128,
+                  MatmulShape{128, 3072, 768, 3072, 768, 768});
+
+// One tiny encoder layer on the STAR softmax engine, arena-backed as the
+// serving path runs it (weights and workspace built once).
+void BM_EncoderLayerInto(benchmark::State& state) {
+  const auto seq = static_cast<std::size_t>(state.range(0));
+  const nn::BertConfig bert = nn::BertConfig::tiny();
+  Rng rng(10);
+  const auto weights = nn::EncoderLayerWeights::random(bert, rng);
+  const auto x = nn::Tensor::randn(seq, static_cast<std::size_t>(bert.d_model), rng);
+  const core::SoftmaxEngine eng((core::StarConfig()));
+  core::SoftmaxRunState run;
+  core::SoftmaxEngineRowRef softmax(eng, run);
+  nn::Workspace ws;
+  ws.require_capacity(nn::encoder_workspace_doubles(bert, seq));
+  nn::Tensor out(seq, static_cast<std::size_t>(bert.d_model));
+  for (auto _ : state) {
+    ws.reset();
+    nn::encoder_layer_forward_into(nn::view_of(x), weights, softmax, ws,
+                                   nn::view_of(out));
+    benchmark::DoNotOptimize(out.flat().data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_EncoderLayerInto)->Arg(32)->Arg(128)->Arg(384);
 
 // One uncached design point split by stage, as perfbench's design-sweep
 // evaluates it on BERT-base (default config): the StarAccelerator build,

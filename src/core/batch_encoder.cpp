@@ -1,5 +1,8 @@
 #include "core/batch_encoder.hpp"
 
+#include <algorithm>
+#include <cmath>
+
 #include "core/weight_images.hpp"
 #include "util/status.hpp"
 
@@ -20,6 +23,11 @@ std::vector<nn::EncoderLayerWeights> make_weights(const nn::BertConfig& bert,
     w.push_back(nn::EncoderLayerWeights::random(bert, rng));
   }
   return w;
+}
+
+bool all_finite(const nn::Tensor& t) {
+  return std::all_of(t.flat().begin(), t.flat().end(),
+                     [](double x) { return std::isfinite(x); });
 }
 
 }  // namespace
@@ -165,6 +173,9 @@ void BatchEncoderSim::run_encoder_one_into(const nn::Tensor& input,
           "run_encoder_one: num_shards must be in [1, config().num_shards]");
   require(input.rows() <= static_cast<std::size_t>(config().max_seq_len),
           "run_encoder_one: sequence longer than config().max_seq_len");
+  // Before any residency lookup: a request that is rejected must not
+  // reprogram or evict an image on its way to the error.
+  require(all_finite(input), "run_encoder_one: input holds a NaN or Inf");
   // num_shards only gates admission and dataset only selects the resident
   // LUT image: the digital partial-sum reduce is exact and the datapath
   // always runs in the configured format, so the payload below is
@@ -208,6 +219,8 @@ void BatchEncoderSim::run_encoder_one_into(const nn::Tensor& input,
 
 FunctionalAttentionResult BatchEncoderSim::run_attention_one(
     const workload::QkvTriple& qkv, std::uint64_t engine_seed) const {
+  require(all_finite(qkv.q) && all_finite(qkv.k) && all_finite(qkv.v),
+          "run_attention_one: q, k and v must hold no NaN or Inf");
   // attention_on_star's tensors still allocate (accuracy path, not the hot
   // serve loop), but the engine-internal scratch and counters come warm
   // from the pooled run state — reseed() restarts the fault stream exactly

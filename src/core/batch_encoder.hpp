@@ -180,6 +180,10 @@ class BatchEncoderSim {
   /// cost into `*charge` (pass nullptr to discard — hits are free either
   /// way, which is the steady state: the model's own images are installed
   /// at construction).
+  ///
+  /// An input holding a NaN or Inf throws InvalidArgument before any
+  /// residency lookup, so a rejected request leaves the residency stats and
+  /// resident images exactly as they were.
   [[nodiscard]] nn::Tensor run_encoder_one(
       const nn::Tensor& input, std::uint64_t engine_seed,
       std::int64_t num_layers = 1, std::int64_t num_shards = 1,
@@ -202,7 +206,8 @@ class BatchEncoderSim {
                             EncoderWorkspace* ws = nullptr) const;
 
   /// Full-hardware attention path: attention_on_star(qkv) with both matmuls
-  /// on the crossbar MatMul engine.
+  /// on the crossbar MatMul engine. A NaN or Inf in q, k or v throws
+  /// InvalidArgument.
   [[nodiscard]] FunctionalAttentionResult run_attention_one(
       const workload::QkvTriple& qkv, std::uint64_t engine_seed) const;
 

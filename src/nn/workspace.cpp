@@ -1,5 +1,6 @@
 #include "nn/workspace.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "nn/ops.hpp"
@@ -52,35 +53,82 @@ TensorView Workspace::alloc_view(std::size_t rows, std::size_t cols) {
   return {alloc(rows * cols), rows, cols, cols};
 }
 
+namespace {
+
+// Register block of the matmul kernels: an 8-column panel of `out`, whose
+// running sums fill four SSE2 registers, over a 128-deep chunk of the inner
+// dimension, so one packed tile of the right operand is 8 KB and stays in L1.
+constexpr std::size_t kPanel = 8;
+constexpr std::size_t kDepth = 128;
+
+// Columns [j0, j0 + W) of out = a * B, where B(k, j) = b[k * k_step + j * j_step].
+// Each 128-deep chunk of the panel's B is packed into a contiguous stack
+// tile, then every row of `a` runs over it with the W sums in registers; a
+// chunk after the first continues from the partial sums it left in `out`.
+// So every output element starts at +0.0 and adds a(i,k) * B(k,j) over
+// ascending k, skipping a(i,k) == 0.0: Tensor::matmul's per-element rule,
+// bit for bit, NaN and +-Inf included.
+// STAR_HOT
+template <std::size_t W>
+void packed_panel(ConstTensorView a, const double* b, std::size_t k_step,
+                  std::size_t j_step, TensorView out, std::size_t j0) {
+  std::size_t k0 = 0;
+  do {  // at least once, so a zero-depth product still writes +0.0
+    const std::size_t chunk = std::min(kDepth, a.cols - k0);
+    double tile[kDepth][W];
+    for (std::size_t kk = 0; kk < chunk; ++kk) {
+      const double* src = b + (k0 + kk) * k_step + j0 * j_step;
+      for (std::size_t jj = 0; jj < W; ++jj) {
+        tile[kk][jj] = src[jj * j_step];
+      }
+    }
+    for (std::size_t i = 0; i < a.rows; ++i) {
+      const double* arow = a.data + i * a.stride + k0;
+      double* orow = out.data + i * out.stride + j0;
+      double sum[W] = {};
+      if (k0 > 0) {
+        for (std::size_t jj = 0; jj < W; ++jj) {
+          sum[jj] = orow[jj];
+        }
+      }
+      for (std::size_t kk = 0; kk < chunk; ++kk) {
+        const double av = arow[kk];
+        if (av == 0.0) {
+          continue;
+        }
+        for (std::size_t jj = 0; jj < W; ++jj) {
+          sum[jj] += av * tile[kk][jj];
+        }
+      }
+      for (std::size_t jj = 0; jj < W; ++jj) {
+        orow[jj] = sum[jj];
+      }
+    }
+    k0 += kDepth;
+  } while (k0 < a.cols);
+}
+
+// out = a * B: full 8-column panels, then the remaining columns one by one.
+// STAR_HOT
+void packed_matmul(ConstTensorView a, const double* b, std::size_t k_step,
+                   std::size_t j_step, TensorView out) {
+  std::size_t j0 = 0;
+  for (; j0 + kPanel <= out.cols; j0 += kPanel) {
+    packed_panel<kPanel>(a, b, k_step, j_step, out, j0);
+  }
+  for (; j0 < out.cols; ++j0) {
+    packed_panel<1>(a, b, k_step, j_step, out, j0);
+  }
+}
+
+}  // namespace
+
 // STAR_HOT
 void matmul_into(ConstTensorView a, ConstTensorView b, TensorView out) {
   STAR_ASSERT(a.cols == b.rows, "matmul_into: inner dimension mismatch");
   STAR_ASSERT(out.rows == a.rows && out.cols == b.cols,
               "matmul_into: output shape mismatch");
-  for (std::size_t i = 0; i < out.rows; ++i) {
-    double* orow = out.data + i * out.stride;
-    for (std::size_t j = 0; j < out.cols; ++j) {
-      orow[j] = 0.0;
-    }
-  }
-  // Tensor::matmul's exact ikj order, zero-operand skip included: each
-  // output element accumulates over ascending k, so the result is
-  // bit-identical to the allocating matmul (and per COLUMN BLOCK to the
-  // per-head products a fused SoA weight block replaces).
-  for (std::size_t i = 0; i < a.rows; ++i) {
-    const double* arow = a.data + i * a.stride;
-    double* orow = out.data + i * out.stride;
-    for (std::size_t k = 0; k < a.cols; ++k) {
-      const double av = arow[k];
-      if (av == 0.0) {
-        continue;
-      }
-      const double* brow = b.data + k * b.stride;
-      for (std::size_t j = 0; j < out.cols; ++j) {
-        orow[j] += av * brow[j];
-      }
-    }
-  }
+  packed_matmul(a, b.data, b.stride, 1, out);  // B(k, j) = b(k, j)
 }
 
 // STAR_HOT
@@ -88,27 +136,7 @@ void matmul_transb_into(ConstTensorView a, ConstTensorView b, TensorView out) {
   STAR_ASSERT(a.cols == b.cols, "matmul_transb_into: inner dimension mismatch");
   STAR_ASSERT(out.rows == a.rows && out.cols == b.rows,
               "matmul_transb_into: output shape mismatch");
-  for (std::size_t i = 0; i < out.rows; ++i) {
-    double* orow = out.data + i * out.stride;
-    for (std::size_t j = 0; j < out.cols; ++j) {
-      orow[j] = 0.0;
-    }
-  }
-  // Same k-ascending accumulation per output element as
-  // matmul_into(a, transposed(b)): b^T(k, j) == b(j, k).
-  for (std::size_t i = 0; i < a.rows; ++i) {
-    const double* arow = a.data + i * a.stride;
-    double* orow = out.data + i * out.stride;
-    for (std::size_t k = 0; k < a.cols; ++k) {
-      const double av = arow[k];
-      if (av == 0.0) {
-        continue;
-      }
-      for (std::size_t j = 0; j < b.rows; ++j) {
-        orow[j] += av * b.data[j * b.stride + k];
-      }
-    }
-  }
+  packed_matmul(a, b.data, 1, b.stride, out);  // B(k, j) = b(j, k)
 }
 
 // STAR_HOT

@@ -115,13 +115,14 @@ class Workspace {
 
 // --- fused kernels (bit-identical to their allocating counterparts) ---
 
-/// out = a * b. Zero-fills out, then accumulates in Tensor::matmul's exact
-/// ikj order (including its skip on a(i,k) == 0.0). out must not alias
-/// either input.
+/// out = a * b, bit-identical to Tensor::matmul by its per-element rule:
+/// out(i,j) starts at +0.0 and adds a(i,k) * b(k,j) over ascending k,
+/// skipping the product when a(i,k) == 0.0. out must not alias either
+/// input.
 void matmul_into(ConstTensorView a, ConstTensorView b, TensorView out);
 
-/// out = a * b^T without materializing the transpose; per-element
-/// accumulation order matches matmul_into(a, transposed(b)) exactly.
+/// out = a * b^T without materializing the transpose, by the same
+/// per-element rule as matmul_into(a, transposed(b)).
 void matmul_transb_into(ConstTensorView a, ConstTensorView b, TensorView out);
 
 /// Element-wise in-place scale (Tensor::scale).

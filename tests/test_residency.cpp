@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <future>
+#include <limits>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -348,6 +349,48 @@ TEST(BatchEncoderResidency, CapacityOneThrashReprogramsEveryRun) {
         model.layer_weight_cost() + model.lut_image_cost(Dataset::kDefault);
     EXPECT_DOUBLE_EQ(charge.programming.latency.as_ns(), expect.latency.as_ns())
         << run;
+  }
+}
+
+void expect_same_stats(const xbar::ResidencyStats& before,
+                       const xbar::ResidencyStats& after) {
+  EXPECT_EQ(after.lookups, before.lookups);
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(after.evictions, before.evictions);
+  EXPECT_EQ(after.lut_hits, before.lut_hits);
+  EXPECT_EQ(after.lut_misses, before.lut_misses);
+  EXPECT_EQ(after.weight_hits, before.weight_hits);
+  EXPECT_EQ(after.weight_misses, before.weight_misses);
+  EXPECT_EQ(after.programming.latency.as_ns(), before.programming.latency.as_ns());
+  EXPECT_EQ(after.programming.energy.as_pJ(), before.programming.energy.as_pJ());
+}
+
+TEST(BatchEncoderResidency, NonFiniteRequestIsRejectedBeforeAnyLookup) {
+  // Four slots for seven images: a request that reached the manager would
+  // miss, evict and charge programming before its NaN was found.
+  core::StarConfig cfg = tiny_cfg();
+  cfg.residency_capacity = 4;
+  const BatchEncoderSim model(cfg, kBert);
+  const auto inputs = test_inputs(1, 47);
+  (void)model.run_encoder_one(inputs[0], 1, 1, 1, Dataset::kCnews);
+  const xbar::ResidencyStats before = model.residency().stats();
+  ASSERT_GT(before.evictions, 0u);
+
+  const double kHostile[] = {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()};
+  for (const double bad : kHostile) {
+    nn::Tensor poisoned = inputs[0];
+    poisoned.at(3, 5) = bad;
+    EXPECT_THROW((void)model.run_encoder_one(poisoned, 1, 1, 1, Dataset::kMrpc),
+                 InvalidArgument)
+        << bad;
+    expect_same_stats(before, model.residency().stats());
+
+    Rng rng(48);
+    workload::QkvTriple qkv = workload::random_qkv(8, 4, 1.0, rng);
+    qkv.v.at(2, 1) = bad;
+    EXPECT_THROW((void)model.run_attention_one(qkv, 1), InvalidArgument) << bad;
   }
 }
 

@@ -6,8 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <future>
+#include <iterator>
+#include <limits>
 #include <vector>
 
 #include "core/batch_encoder.hpp"
@@ -96,6 +99,145 @@ TEST(WorkspaceKernels, MatmulTransbIntoMatchesMaterializedTranspose) {
   const auto out = ws.alloc_view(6, 3);
   nn::matmul_transb_into(nn::view_of(a), nn::view_of(b), out);
   expect_bits(ref, out);
+}
+
+// ---------- packed-tile matmul kernels at every block edge ----------
+//
+// The kernels pack the right operand into 8-column x 128-deep tiles and run
+// the columns past the last full panel one at a time, so the shapes below
+// cross full panels, that tail, and one, two and three depth chunks; every
+// operand is a column block of a wider buffer, as a head's slice of the
+// fused Q/K/V buffers is.
+
+using MatmulKernel = void (*)(nn::ConstTensorView, nn::ConstTensorView,
+                              nn::TensorView);
+
+// A NaN payload no product or sum of the test data can produce.
+constexpr std::uint64_t kSentinelBits = 0x7FF4'0000'DEAD'BEEFULL;
+
+double sentinel() {
+  double s = 0.0;
+  std::memcpy(&s, &kSentinelBits, sizeof s);
+  return s;
+}
+
+bool is_sentinel(double x) { return std::memcmp(&x, &kSentinelBits, sizeof x) == 0; }
+
+// `t` in columns [left, left + t.cols()) of a sentinel-filled buffer with
+// `right` more columns.
+nn::Tensor embedded(const nn::Tensor& t, std::size_t left, std::size_t right) {
+  nn::Tensor wide(t.rows(), left + t.cols() + right, sentinel());
+  for (std::size_t r = 0; r < t.rows(); ++r) {
+    for (std::size_t c = 0; c < t.cols(); ++c) {
+      wide.at(r, left + c) = t.at(r, c);
+    }
+  }
+  return wide;
+}
+
+// Runs `kernel` on a (m x depth) and the logical right operand rhs
+// (depth x n), handed over as rhs for matmul_into and as its transpose for
+// matmul_transb_into, and checks the bits against a.matmul(rhs). The output
+// is a column block of a wider buffer with a spare row: a panel that writes
+// past out.cols lands on a sentinel and fails the check.
+void expect_kernel_bits(MatmulKernel kernel, bool transb, const nn::Tensor& a,
+                        const nn::Tensor& rhs) {
+  const std::size_t m = a.rows();
+  const std::size_t n = rhs.cols();
+  const nn::Tensor ref = a.matmul(rhs);
+  const nn::Tensor wide_a = embedded(a, 1, 2);
+  const nn::Tensor wide_b = embedded(transb ? rhs.transposed() : rhs, 3, 1);
+  nn::Tensor wide_out(m + 1, n + 10, sentinel());
+  const auto block = [](const nn::Tensor& w, std::size_t left, std::size_t rows,
+                        std::size_t cols) {
+    return nn::ConstTensorView{w.flat().data() + left, rows, cols, w.cols()};
+  };
+  const nn::ConstTensorView b_view =
+      transb ? block(wide_b, 3, n, a.cols()) : block(wide_b, 3, a.cols(), n);
+  const nn::TensorView out{wide_out.flat().data() + 2, m, n, wide_out.cols()};
+  kernel(block(wide_a, 1, m, a.cols()), b_view, out);
+
+  expect_bits(ref, out);
+  for (std::size_t r = 0; r <= m; ++r) {
+    for (std::size_t c = 0; c < wide_out.cols(); ++c) {
+      if (r == m || c < 2 || c >= n + 2) {
+        ASSERT_TRUE(is_sentinel(wide_out.at(r, c)))
+            << "write outside out at (" << r << ", " << c << ")";
+      }
+    }
+  }
+}
+
+// a with +0.0 and -0.0 at about one entry in six (the skip's operands).
+nn::Tensor randn_with_signed_zeros(std::size_t rows, std::size_t cols, Rng& rng) {
+  nn::Tensor a = nn::Tensor::randn(rows, cols, rng);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      if ((r * cols + c) % 6 == 1) {
+        a.at(r, c) = (r + c) % 2 == 0 ? 0.0 : -0.0;
+      }
+    }
+  }
+  return a;
+}
+
+void sweep_shapes(MatmulKernel kernel, bool transb, std::uint64_t seed) {
+  Rng rng(seed);
+  for (const std::size_t m : {1u, 2u, 7u, 33u}) {
+    for (const std::size_t depth :
+         {1u, 2u, 5u, 64u, 127u, 128u, 129u, 200u, 255u, 256u, 257u, 300u}) {
+      for (const std::size_t n :
+           {1u, 2u, 3u, 7u, 8u, 9u, 15u, 16u, 17u, 31u, 32u, 33u, 40u}) {
+        SCOPED_TRACE(testing::Message()
+                     << "m=" << m << " depth=" << depth << " n=" << n);
+        const nn::Tensor a = randn_with_signed_zeros(m, depth, rng);
+        const nn::Tensor rhs = nn::Tensor::randn(depth, n, rng);
+        expect_kernel_bits(kernel, transb, a, rhs);
+        if (testing::Test::HasFatalFailure()) {
+          return;
+        }
+      }
+    }
+  }
+}
+
+TEST(PackedMatmul, IntoSweepBitIdenticalAcrossPanelsAndChunks) {
+  sweep_shapes(nn::matmul_into, false, 41);
+}
+
+TEST(PackedMatmul, TransbSweepBitIdenticalAcrossPanelsAndChunks) {
+  sweep_shapes(nn::matmul_transb_into, true, 42);
+}
+
+TEST(PackedMatmul, ZeroOperandSkipsInfAndNaNRowsOfB) {
+  // Where column k of a is all +-0.0, row k of the right operand is +-Inf or
+  // NaN. Tensor::matmul skips those products, so the reference stays finite;
+  // a kernel that multiplies them would write 0 * Inf = NaN.
+  constexpr std::size_t kM = 7;
+  constexpr std::size_t kDepthK = 300;
+  constexpr std::size_t kN = 20;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Rng rng(43);
+  nn::Tensor a = nn::Tensor::randn(kM, kDepthK, rng);
+  nn::Tensor rhs = nn::Tensor::randn(kDepthK, kN, rng);
+  const std::size_t hostile_k[] = {0, 7, 127, 128, 129, 255, 256, 299};
+  const double hostile_v[] = {inf, -inf, nan};
+  for (std::size_t h = 0; h < std::size(hostile_k); ++h) {
+    const std::size_t k = hostile_k[h];
+    for (std::size_t i = 0; i < kM; ++i) {
+      a.at(i, k) = (i + h) % 2 == 0 ? 0.0 : -0.0;
+    }
+    for (std::size_t j = 0; j < kN; ++j) {
+      rhs.at(k, j) = hostile_v[(h + j) % std::size(hostile_v)];
+    }
+  }
+  const nn::Tensor ref = a.matmul(rhs);
+  for (const double x : ref.flat()) {
+    ASSERT_TRUE(std::isfinite(x)) << "the reference did not skip a zero operand";
+  }
+  expect_kernel_bits(nn::matmul_into, false, a, rhs);
+  expect_kernel_bits(nn::matmul_transb_into, true, a, rhs);
 }
 
 TEST(WorkspaceKernels, LayerNormIntoMatchesAndRunsInPlace) {
