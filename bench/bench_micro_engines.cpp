@@ -66,7 +66,7 @@ void BM_StarSoftmaxEngine(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_StarSoftmaxEngine)->Arg(8)->Arg(128)->Arg(512);
+BENCHMARK(BM_StarSoftmaxEngine)->Arg(8)->Arg(128)->Arg(384)->Arg(512);
 
 void BM_Softermax(benchmark::State& state) {
   baseline::SoftermaxUnit unit(hw::TechNode::n32());
@@ -209,6 +209,11 @@ BENCHMARK_CAPTURE(BM_MatmulTransbInto, tiny_scores_128,
                   MatmulShape{128, 16, 128, 32, 32, 128});
 BENCHMARK_CAPTURE(BM_MatmulTransbInto, tiny_scores_384,
                   MatmulShape{384, 16, 384, 32, 32, 384});
+// Lengths that are not a multiple of the 8-column panel: the tail's cost.
+BENCHMARK_CAPTURE(BM_MatmulTransbInto, tiny_scores_100,
+                  MatmulShape{100, 16, 100, 32, 32, 100});
+BENCHMARK_CAPTURE(BM_MatmulTransbInto, tiny_scores_383,
+                  MatmulShape{383, 16, 383, 32, 32, 383});
 BENCHMARK_CAPTURE(BM_MatmulInto, tiny_context_128,
                   MatmulShape{128, 128, 16, 128, 32, 32});
 BENCHMARK_CAPTURE(BM_MatmulInto, tiny_context_384,

@@ -106,13 +106,21 @@ void SoftmaxEngine::forward_codes_into(std::span<const std::int64_t> codes,
   check_row(codes.size());
   STAR_ASSERT(probs_out.size() == codes.size(),
               "SoftmaxEngine::forward_codes_into: output span length mismatch");
+  SoftmaxScratch& scratch = run.scratch;
+
+  // Pass 0: the codes arrive quantised. They are narrowed to the scratch
+  // lanes, and the row is rejected before any search if one lies outside
+  // the operand range.
   const std::int64_t code_max_allowed = (std::int64_t{1} << fmt_.total_bits()) - 1;
-  for (const auto c : codes) {
-    require(c >= 0 && c <= code_max_allowed,
-            "SoftmaxEngine::forward_codes: code out of operand range");
+  scratch.codes.resize(codes.size());
+  bool out_of_range = false;
+  for (std::size_t i = 0; i < codes.size(); ++i) {
+    out_of_range |= codes[i] < 0 || codes[i] > code_max_allowed;
+    scratch.codes[i] = static_cast<std::int32_t>(codes[i]);
   }
-  run_datapath(codes, run);
-  const SoftmaxScratch& scratch = run.scratch;
+  require(!out_of_range, "SoftmaxEngine::forward_codes: code out of operand range");
+
+  run_datapath(codes.size(), run);
   for (std::size_t i = 0; i < codes.size(); ++i) {
     probs_out[i] = scratch.quotients[static_cast<std::size_t>(scratch.e_rows[i])];
   }
@@ -127,26 +135,39 @@ void SoftmaxEngine::softmax_row_into(std::span<const double> x,
               "SoftmaxEngine::softmax_row_into: output span length mismatch");
   SoftmaxScratch& scratch = run.scratch;
 
-  // Input conditioning: scores arrive as biased-signed fixed point —
-  // code = round(x / res) + 2^(b-1), clamped into the window. Values below
-  // the window floor are exactly the ones whose exponential underflows.
-  // The clamp runs on the double, before the int64 cast, so +-Inf and huge
-  // scores saturate like any other out-of-window score; NaN has no code.
-  const double res = fmt_.resolution();
-  const std::int64_t bias = std::int64_t{1} << (fmt_.total_bits() - 1);
-  const std::int64_t top = (std::int64_t{1} << fmt_.total_bits()) - 1;
+  // Pass 0, input conditioning: scores arrive as biased-signed fixed point
+  // — code = round(x / res) + 2^(b-1), clamped into the window. Values
+  // below the window floor are exactly the ones whose exponential
+  // underflows. res = 2^-f, so x * 2^f is x / res exactly. The clamp runs
+  // on the double, so +-Inf and huge scores saturate and no value outside
+  // the window reaches the int cast. std::min and std::max keep their
+  // first operand on an unordered compare, so the two clamp orders below
+  // send a NaN to opposite edges and every other score to one code: the
+  // XOR of the two codes flags a NaN, rejected before any search. (GCC 12
+  // does not vectorise a loop whose double compare feeds an integer flag;
+  // this one it does.) Adding and subtracting 1.5 * 2^52 rounds a value
+  // of magnitude below 2^51 to the nearest integer, ties to even in the
+  // default rounding mode, as round_half_even does.
+  const double scale = std::ldexp(1.0, fmt_.frac_bits);
+  const std::int32_t bias = std::int32_t{1} << (fmt_.total_bits() - 1);
   const double lo = -static_cast<double>(bias);
-  const double hi = static_cast<double>(top - bias);
+  const double hi = static_cast<double>(bias - 1);
+  constexpr double kRoundEven = 0x1.8p52;
   scratch.codes.resize(x.size());
+  std::int32_t* const codes = scratch.codes.data();
+  std::int32_t nan_seen = 0;
   for (std::size_t i = 0; i < x.size(); ++i) {
-    const double scaled = x[i] / res;
-    require(!std::isnan(scaled), "SoftmaxEngine: NaN score");
-    scratch.codes[i] =
-        static_cast<std::int64_t>(round_half_even(std::clamp(scaled, lo, hi))) + bias;
+    const double scaled = x[i] * scale;
+    const double to_floor = std::max(lo, std::min(scaled, hi));
+    const double to_top = std::min(hi, std::max(scaled, lo));
+    const auto code = static_cast<std::int32_t>((to_floor + kRoundEven) - kRoundEven);
+    nan_seen |= code ^ static_cast<std::int32_t>((to_top + kRoundEven) - kRoundEven);
+    codes[i] = code + bias;
   }
+  require(nan_seen == 0, "SoftmaxEngine: NaN score");
 
   // Every score has been read, so `out` may alias x from here on.
-  run_datapath(scratch.codes, run);
+  run_datapath(x.size(), run);
   const double inv = std::ldexp(1.0, -prob_frac_bits_);
   for (std::size_t i = 0; i < x.size(); ++i) {
     out[i] = static_cast<double>(
@@ -156,49 +177,68 @@ void SoftmaxEngine::softmax_row_into(std::span<const double> x,
 }
 
 // STAR_HOT
-void SoftmaxEngine::run_datapath(std::span<const std::int64_t> codes,
-                                 SoftmaxRunState& run) const {
+void SoftmaxEngine::run_datapath(std::size_t d, SoftmaxRunState& run) const {
   SoftmaxScratch& scratch = run.scratch;
+  const double miss_prob = cfg_.cam_miss_prob;  // validated to [0, 1)
+  Rng& rng = run.rng;
 
-  // Stage 1: CAM/SUB — max find, then subtraction (Fig. 1). Both phases
-  // run against reused scratch (warm rows: zero allocations).
-  cam_sub_.find_max_into(codes, cfg_.cam_miss_prob, run.rng, scratch.maxfind);
-  scratch.diffs.resize(codes.size());
-  cam_sub_.subtract_into(scratch.maxfind, codes, scratch.diffs);
+  // Pass 1: CAM/SUB phase A (Fig. 1). Each search raises at most one
+  // matchline; the priority encoder's answer, the first set bit of the
+  // merged matchlines, is the smallest matched row. A missed search (-1)
+  // reads as the largest unsigned value, so it never wins the vote.
+  scratch.sub_rows.resize(d);
+  const std::int32_t* const codes = scratch.codes.data();
+  std::int32_t* const sub_rows = scratch.sub_rows.data();
+  const auto none_matched = static_cast<std::uint32_t>(cam_sub_.rows());
+  std::uint32_t max_row = none_matched;
+  for (std::size_t i = 0; i < d; ++i) {
+    const int row = cam_sub_.search_row(codes[i], miss_prob, rng);
+    STAR_ASSERT(row >= 0 || miss_prob > 0.0,
+                "SoftmaxEngine: every preloaded code must match");
+    sub_rows[i] = row;
+    max_row = std::min(max_row, static_cast<std::uint32_t>(row));
+  }
+  if (max_row == none_matched) {
+    throw SimulationError(
+        "CamSubCrossbar::find_max: every search missed; no matchline to encode");
+  }
 
-  // Stage 2: exponential via CAM search + LUT read, counters accumulate the
-  // match histogram (Fig. 2). The counter array is per-run state: each
-  // stream clones the prototype once, so concurrent rows through a shared
-  // engine never collide and the per-row cost is a reset of the rows the
-  // previous row touched, not an allocation.
+  // Pass 2: phase B, the exponential and the counters (Figs. 1 and 2).
+  // Rows store codes descending, so x_i - x_max = max_row - row_i <= 0; a
+  // missed search leaves its SL discharged, below every magnitude the exp
+  // CAM holds. The exp CAM's identity preload (row r stores magnitude r) is
+  // bijective, so search_row resolves the one matchline — and its one fault
+  // draw — in O(1). The counter array is per-run state: each stream clones
+  // the prototype once, so concurrent rows through a shared engine never
+  // collide and the per-row cost is a reset of the rows the previous row
+  // touched, not an allocation.
   if (!run.counters) {
     run.counters.emplace(counters_);
   }
   hw::CounterArray& counters = *run.counters;
   counters.reset();
-  // The exp CAM's identity preload (row r stores code r) is bijective, so
-  // search_row resolves the one matchline — and its one fault draw — in
-  // O(1) per element. The LUT word is read per touched row in stage 4.
   const int no_match = exp_cam_.rows();
-  scratch.e_rows.resize(codes.size());
-  for (std::size_t i = 0; i < codes.size(); ++i) {
-    const std::int64_t mag = -scratch.diffs[i];
-    int row = no_match;  // no matchline rises: the word reads 0, counters hold
+  const auto elected = static_cast<std::int32_t>(max_row);
+  scratch.e_rows.resize(d);
+  std::int32_t* const e_rows = scratch.e_rows.data();
+  for (std::size_t i = 0; i < d; ++i) {
+    const std::int32_t row = sub_rows[i];
+    const std::int32_t mag = row < 0 ? cam_sub_.rows() : row - elected;
+    int e_row = no_match;  // no matchline rises: the word reads 0, counters hold
     if (mag < no_match) {
-      const int hit = exp_cam_.search_row(mag, cfg_.cam_miss_prob, run.rng);
+      const int hit = exp_cam_.search_row(mag, miss_prob, rng);
       if (hit >= 0) {
         counters.accumulate_row(hit);
-        row = hit;
+        e_row = hit;
       }
     }
-    scratch.e_rows[i] = row;
+    e_rows[i] = e_row;
   }
 
-  // Stage 3: summation VMM (counter histogram . stored table).
+  // Pass 3: summation VMM (counter histogram . stored table), then the
+  // division. A quotient depends only on the LUT word, so each touched row
+  // is divided once and its elements share the result.
   const std::int64_t denom = summation_vmm(counters);
-
-  // Stage 4: division. A quotient depends only on the LUT word, so each
-  // touched row is divided once and its elements share the result.
   scratch.quotients.resize(static_cast<std::size_t>(no_match) + 1);
   for (const std::int32_t r : counters.touched()) {
     scratch.quotients[static_cast<std::size_t>(r)] =

@@ -18,6 +18,25 @@
 // The engine is bit-exact (under an ideal device) with the pure-math oracle
 // workload::quantized_softmax; tests enforce the equivalence.
 //
+// Host datapath: four passes over per-run int32 scratch, shared by
+// softmax_row_into() and forward_codes_into(), each O(d) and free of
+// allocation on a warm run state:
+//   0. quantise: code_i = round_half_even(clamp(x_i * 2^f)) + 2^(b-1),
+//      computed on the double so no NaN or out-of-window value is ever
+//      cast to an integer; a NaN is only flagged, and rejected after the
+//      pass, before any search (forward_codes_into checks its codes here);
+//   1. the CAM/SUB search of every element, keeping the smallest matched
+//      row — the priority encoder's first set bit of the OR-merged
+//      matchlines;
+//   2. the subtraction, the exp CAM search and the counter bump;
+//   3. the summation VMM, one division per touched LUT row, then the
+//      gather of each element's quotient.
+// Fault-draw order: every CAM/SUB search of a row draws its sample (when
+// cam_miss_prob > 0) in element order in pass 1, then every exp search in
+// element order in pass 2 — the order of the phase-level crossbar calls
+// (CamSubCrossbar::find_max, then one CamCrossbar search per element), so
+// a run state's stream, and every payload, stays the same.
+//
 // Determinism: the engine is shared read-only geometry; every per-run
 // mutable fact (the fault-injection stream, the counters, the datapath
 // scratch) lives in a caller-owned SoftmaxRunState whose Rng is explicitly
@@ -54,20 +73,22 @@ struct SoftmaxRowStats {
   Energy e_maxfind{}, e_subtract{}, e_exp{}, e_sum{}, e_divide{};
 };
 
-/// Reusable per-run scratch buffers of the softmax datapath. Sized on the
-/// first row (assign/clear keep capacity), so every subsequent row of the
-/// same or smaller length allocates nothing — the arena discipline applied
-/// to the engine internals.
+/// Reusable per-run scratch buffers of the softmax datapath, one int32 lane
+/// per element (codes are at most 12 bits). Sized on the first row
+/// (resize keeps capacity), so every subsequent row of the same or smaller
+/// length allocates nothing — the arena discipline applied to the engine
+/// internals.
 struct SoftmaxScratch {
-  std::vector<std::int64_t> codes;  ///< quantised operand row
-  std::vector<std::int64_t> diffs;  ///< x_i - x_max from the CAM/SUB
+  std::vector<std::int32_t> codes;     ///< operand code per element (pass 0)
+  /// CAM/SUB row whose matchline each element raised, -1 on a sensing
+  /// miss (pass 1).
+  std::vector<std::int32_t> sub_rows;
   /// Exp row per element: the LUT row its search matched, or exp_rows()
-  /// when no matchline rose (its word reads as 0).
+  /// when no matchline rose (its word reads as 0) (pass 2).
   std::vector<std::int32_t> e_rows;
   /// Probability code per exp row, written for this row's touched rows
-  /// and the no-match slot at exp_rows().
+  /// and the no-match slot at exp_rows() (pass 3).
   std::vector<std::int64_t> quotients;
-  xbar::MaxFindResult maxfind;  ///< phase-A result (vectors reused)
 };
 
 /// Per-run mutable state of one stream through a (shared, read-only)
@@ -148,10 +169,10 @@ class SoftmaxEngine final {
  private:
   /// Empty and over-long rows are rejected before any stage runs.
   void check_row(std::size_t d) const;
-  /// Stages 1-4 over operand codes: leaves each element's exp row in
+  /// Passes 1-3 over run.scratch.codes: leaves each element's exp row in
   /// run.scratch.e_rows and the probability code of every touched row (and
   /// of the no-match slot) in run.scratch.quotients.
-  void run_datapath(std::span<const std::int64_t> codes, SoftmaxRunState& run) const;
+  void run_datapath(std::size_t d, SoftmaxRunState& run) const;
   [[nodiscard]] std::int64_t summation_vmm(const hw::CounterArray& counters) const;
 
   StarConfig cfg_;

@@ -108,15 +108,28 @@ void packed_panel(ConstTensorView a, const double* b, std::size_t k_step,
   } while (k0 < a.cols);
 }
 
-// out = a * B: full 8-column panels, then the remaining columns one by one.
+// out = a * B: 8-column panels, then at most one 4-column panel. From
+// n = 4 on, a remainder of 1 to 3 columns is one more 4-column panel
+// ending at column n. It overlaps finished columns, but its first chunk
+// starts their sums from +0.0 again, so they are recomputed to the same
+// bits. Only n < 4 runs single columns.
 // STAR_HOT
 void packed_matmul(ConstTensorView a, const double* b, std::size_t k_step,
                    std::size_t j_step, TensorView out) {
+  constexpr std::size_t kHalf = kPanel / 2;
+  const std::size_t n = out.cols;
   std::size_t j0 = 0;
-  for (; j0 + kPanel <= out.cols; j0 += kPanel) {
+  for (; j0 + kPanel <= n; j0 += kPanel) {
     packed_panel<kPanel>(a, b, k_step, j_step, out, j0);
   }
-  for (; j0 < out.cols; ++j0) {
+  for (; j0 + kHalf <= n; j0 += kHalf) {
+    packed_panel<kHalf>(a, b, k_step, j_step, out, j0);
+  }
+  if (j0 < n && n >= kHalf) {
+    packed_panel<kHalf>(a, b, k_step, j_step, out, n - kHalf);
+    return;
+  }
+  for (; j0 < n; ++j0) {
     packed_panel<1>(a, b, k_step, j_step, out, j0);
   }
 }

@@ -29,11 +29,18 @@ std::vector<double> quantized_softmax(std::span<const double> x, const fxp::QFor
 
   // Step 1: every score is rounded onto the operand grid *individually*
   // (that is what the CAM/SUB crossbar stores and searches); the magnitude
-  // is the difference of the rounded codes, capped at the code range.
+  // is the difference of the rounded codes, capped at the code range. The
+  // engine's input rule applies: a NaN score has no code and is rejected,
+  // and a score is clamped to the operand window of 2^b codes centred on
+  // zero before the cast, so +-Inf and huge scores saturate at its edges.
+  const double lo = -std::ldexp(1.0, fmt.total_bits() - 1);
+  const double hi = -lo - 1.0;
   std::vector<std::int64_t> codes(x.size());
   std::int64_t c_max = std::numeric_limits<std::int64_t>::min();
   for (std::size_t i = 0; i < x.size(); ++i) {
-    codes[i] = static_cast<std::int64_t>(round_half_even(x[i] / res));
+    const double scaled = x[i] / res;
+    require(!std::isnan(scaled), "quantized_softmax: NaN score");
+    codes[i] = static_cast<std::int64_t>(round_half_even(std::clamp(scaled, lo, hi)));
     c_max = std::max(c_max, codes[i]);
   }
   const std::int64_t mag_cap = fmt.code_count() - 1;

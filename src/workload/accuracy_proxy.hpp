@@ -22,7 +22,9 @@ namespace star::workload {
 
 /// Quantised-softmax model of the STAR datapath (shared oracle: the real
 /// crossbar engine in src/core must match this bit-for-bit under ideal
-/// devices; tests enforce that).
+/// devices; tests enforce that). Takes the engine's input rule: scores
+/// saturate at the edges of the operand window (+-Inf included) and a NaN
+/// score throws InvalidArgument.
 std::vector<double> quantized_softmax(std::span<const double> x,
                                       const fxp::QFormat& fmt, int lut_frac_bits);
 

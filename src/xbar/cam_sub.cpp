@@ -91,7 +91,7 @@ void CamSubCrossbar::find_max_into(std::span<const std::int64_t> codes,
   // is the smallest matched row, so it is tracked here instead of scanned.
   int first_set = rows();
   for (const std::int64_t code : codes) {
-    const int matched_row = cam_.search_row(code, miss_prob, rng);
+    const int matched_row = search_row(code, miss_prob, rng);
     if (matched_row >= 0) {
       res.merged_matchlines[static_cast<std::size_t>(matched_row)] = true;
       first_set = std::min(first_set, matched_row);

@@ -50,6 +50,14 @@ class CamSubCrossbar {
   /// Row storing `code`.
   [[nodiscard]] int row_of(std::int64_t code) const;
 
+  /// One phase-A search cycle: the row whose matchline `code` raises, or
+  /// -1 when an injected sensing fault drops it. Draws the fault sample
+  /// find_max() draws for that input (none when miss_prob is 0).
+  // STAR_HOT
+  [[nodiscard]] int search_row(std::int64_t code, double miss_prob, Rng& rng) const {
+    return cam_.search_row(code, miss_prob, rng);
+  }
+
   /// Phase A over all inputs: d search cycles + OR merge + priority encode.
   /// `miss_prob` injects matchline sensing failures: a missed input raises
   /// no matchline, is excluded from the max vote and later reads as a deep

@@ -7,6 +7,11 @@
 //     only those rows, which must equal clearing and summing all of them;
 //   * the priority encoder as the smallest matched row, which must equal the
 //     first set bit of the OR-merged matchlines, fault draws included;
+//   * the quantise pass (multiply by 2^f, clamp, round half to even) and
+//     the code path behind it, which must equal the reference quantiser
+//     followed by forward_codes_into();
+//   * the whole row, which must equal the phase-level crossbar calls it
+//     fuses, output bits and fault-stream position alike;
 //   * per-run scratch reused across rows, which must leave no trace of the
 //     previous row;
 //   * RowSoftmaxInto's aliasing contract, on which the attention kernel's
@@ -18,6 +23,9 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "baseline/cmos_softmax.hpp"
@@ -25,10 +33,12 @@
 #include "core/batch_encoder.hpp"
 #include "core/softmax_engine.hpp"
 #include "hw/counter.hpp"
+#include "hw/divider.hpp"
 #include "nn/softmax_ref.hpp"
 #include "serve/request.hpp"
 #include "serve/star_server.hpp"
 #include "sim/batch_scheduler.hpp"
+#include "util/math.hpp"
 #include "util/rng.hpp"
 #include "util/status.hpp"
 #include "workload/dataset_profile.hpp"
@@ -180,6 +190,196 @@ TEST(MinRowEncode, MaxRowIsTheFirstSetMatchlineWithTheDenseScansDraws) {
   }
 }
 
+// ---------- the quantise pass against the reference quantiser ----------
+
+/// The reference input rule: code = round_half_even(clamp(x / res)) + 2^(b-1).
+std::vector<std::int64_t> reference_codes(std::span<const double> x,
+                                          const fxp::QFormat& fmt) {
+  const double bias = std::ldexp(1.0, fmt.total_bits() - 1);
+  std::vector<std::int64_t> codes;
+  for (const double v : x) {
+    const double c = round_half_even(std::clamp(v / fmt.resolution(), -bias, bias - 1.0));
+    codes.push_back(static_cast<std::int64_t>(c + bias));
+  }
+  return codes;
+}
+
+TEST(QuantisePass, RowEqualsReferenceCodesThroughTheCodePath) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  for (const fxp::QFormat fmt :
+       {fxp::make_unsigned(2, 2), fxp::kColaFormat, fxp::kCnewsFormat,
+        fxp::kMrpcFormat, fxp::make_unsigned(7, 5)}) {
+    core::StarConfig cfg;
+    cfg.softmax_format = fmt;
+    const core::SoftmaxEngine eng(cfg);
+    // Every half-code tie from 4 codes below the window to 4 above it, and
+    // the specials, in ascending order: a row is a run of neighbours, so
+    // its elements sit within the exp CAM's reach of its maximum and a
+    // wrong code shows in the output.
+    const double res = fmt.resolution();
+    const auto half = static_cast<std::int64_t>(1) << (fmt.total_bits() - 1);
+    std::vector<double> values{-inf, -1e300};
+    for (std::int64_t k = -half - 4; k < half + 4; ++k) {
+      values.push_back((static_cast<double>(k) + 0.5) * res);
+    }
+    values.insert(values.end(), {-tiny, -0.0, 0.0, tiny, 1e300, inf});
+    std::sort(values.begin(), values.end());
+    const std::size_t len = std::min<std::size_t>(32, eng.exp_rows() / 2);
+    core::SoftmaxRunState by_row(0x0A);
+    core::SoftmaxRunState by_codes(0x0A);
+    std::vector<std::int64_t> probs;
+    std::vector<double> out;
+    for (std::size_t start = 0; start < values.size(); start += len / 2) {
+      const std::span<const double> row(values.data() + start,
+                                        std::min(len, values.size() - start));
+      out.resize(row.size());
+      probs.resize(row.size());
+      eng.softmax_row_into(row, by_row, out);
+      eng.forward_codes_into(reference_codes(row, fmt), by_codes, probs);
+      for (std::size_t i = 0; i < row.size(); ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(out[i]),
+                  std::bit_cast<std::uint64_t>(
+                      std::ldexp(static_cast<double>(probs[i]), -eng.prob_frac_bits())))
+            << fmt.name() << " x " << row[i] << " at " << i << " of the row from "
+            << row[0];
+      }
+    }
+  }
+}
+
+// ---------- the row against the phase-level crossbar calls ----------
+
+/// The engine's datapath composed from the crossbars' phase-level calls:
+/// find_max and subtract_all on the CAM/SUB, a dense search of the exp CAM
+/// per element, the counters' one-hot accumulate, the summation VMM as the
+/// dot product over every row, and the divider.
+class PhaseReference {
+ public:
+  PhaseReference(const core::StarConfig& cfg, int lut_frac_bits, int prob_frac_bits)
+      : miss_(cfg.cam_miss_prob),
+        prob_frac_bits_(prob_frac_bits),
+        cam_sub_(cfg.tech, cfg.device, cfg.softmax_format.total_bits()),
+        exp_cam_(cfg.tech, cfg.device, 1 << (cfg.softmax_format.total_bits() - 1),
+                 cfg.softmax_format.total_bits()),
+        counters_(cfg.tech, exp_cam_.rows(),
+                  bits_for(static_cast<std::uint64_t>(cfg.max_seq_len))),
+        divider_(cfg.tech,
+                 std::min(31, lut_frac_bits + 1 +
+                                  bits_for(static_cast<std::uint64_t>(cfg.max_seq_len))),
+                 9) {
+    const double res = cfg.softmax_format.resolution();
+    std::vector<std::int64_t> magnitudes;
+    for (int r = 0; r < exp_cam_.rows(); ++r) {
+      magnitudes.push_back(r);
+      words_.push_back(static_cast<std::int64_t>(round_half_even(
+          std::exp(-static_cast<double>(r) * res) * std::ldexp(1.0, lut_frac_bits))));
+    }
+    exp_cam_.fill(magnitudes);
+  }
+
+  /// Probability codes of one row of operand codes; draws from `rng`.
+  std::vector<std::int64_t> operator()(const std::vector<std::int64_t>& codes, Rng& rng) {
+    const xbar::MaxFindResult mf = cam_sub_.find_max(codes, miss_, rng);
+    const std::vector<std::int64_t> diffs = cam_sub_.subtract_all(mf, codes);
+    counters_.reset();
+    std::vector<std::int64_t> e(codes.size(), 0);
+    std::vector<bool> match;
+    for (std::size_t i = 0; i < codes.size(); ++i) {
+      // A missed CAM/SUB search leaves the SL discharged: no magnitude at all.
+      if (mf.input_rows[i] < 0) {
+        continue;
+      }
+      exp_cam_.search_into(-diffs[i], miss_, rng, match);
+      counters_.accumulate(match);
+      for (std::size_t r = 0; r < match.size(); ++r) {
+        e[i] = match[r] ? words_[r] : e[i];
+      }
+    }
+    std::int64_t denom = 0;
+    for (std::size_t r = 0; r < words_.size(); ++r) {
+      denom += counters_.counts()[r] * words_[r];
+    }
+    std::vector<std::int64_t> probs;
+    for (const std::int64_t word : e) {
+      probs.push_back(divider_.divide(word, denom, prob_frac_bits_));
+    }
+    return probs;
+  }
+
+ private:
+  double miss_;
+  int prob_frac_bits_;
+  xbar::CamSubCrossbar cam_sub_;
+  xbar::CamCrossbar exp_cam_;
+  hw::CounterArray counters_;
+  hw::Divider divider_;
+  std::vector<std::int64_t> words_;
+};
+
+TEST(PhaseReference, EngineRowMatchesThePhaseLevelCrossbarCalls) {
+  const std::pair<fxp::QFormat, workload::DatasetProfile> datasets[] = {
+      {fxp::kCnewsFormat, workload::DatasetProfile::cnews()},
+      {fxp::kMrpcFormat, workload::DatasetProfile::mrpc()},
+      {fxp::kColaFormat, workload::DatasetProfile::cola()}};
+  for (const auto& [fmt, profile] : datasets) {
+    for (const double miss : {0.0, 0.05, 0.5}) {
+      core::StarConfig cfg;
+      cfg.softmax_format = fmt;
+      cfg.cam_miss_prob = miss;
+      const core::SoftmaxEngine eng(cfg);
+      PhaseReference reference(cfg, eng.lut_frac_bits(), eng.prob_frac_bits());
+      core::SoftmaxRunState run(0xD1A6);
+      Rng ref_rng(0xD1A6);
+      Rng rows_rng(0x5C0E);
+      int all_missed = 0;
+      for (int trial = 0; trial < 3; ++trial) {
+        for (const std::size_t d : {1u, 2u, 7u, 8u, 9u, 127u, 128u, 383u, 1024u}) {
+          const auto row = d == 1 ? std::vector<double>{rows_rng.uniform(-8.0, 8.0)}
+                                  : profile.sample_row(d, rows_rng);
+          const auto codes = reference_codes(row, fmt);
+          std::vector<double> out(d);
+          bool engine_threw = false;
+          bool reference_threw = false;
+          std::vector<std::int64_t> want;
+          try {
+            eng.softmax_row_into(row, run, out);
+          } catch (const SimulationError&) {
+            engine_threw = true;
+          }
+          try {
+            want = reference(codes, ref_rng);
+          } catch (const SimulationError&) {
+            reference_threw = true;
+          }
+          const std::string where = fmt.name() + " miss " + std::to_string(miss) +
+                                    " d " + std::to_string(d) + " trial " +
+                                    std::to_string(trial);
+          ASSERT_EQ(engine_threw, reference_threw) << where;
+          ASSERT_TRUE(same_stream(run.rng, ref_rng)) << where;
+          all_missed += engine_threw ? 1 : 0;
+          if (engine_threw) {
+            continue;
+          }
+          for (std::size_t i = 0; i < d; ++i) {
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(out[i]),
+                      std::bit_cast<std::uint64_t>(std::ldexp(
+                          static_cast<double>(want[i]), -eng.prob_frac_bits())))
+                << where << " element " << i;
+          }
+        }
+      }
+      // Fault-free rows always match; at miss 0.5 one- and two-element
+      // rows lose every search now and then, and both sides must throw.
+      if (miss == 0.0) {
+        EXPECT_EQ(all_missed, 0) << fmt.name();
+      } else if (miss == 0.5) {
+        EXPECT_GT(all_missed, 0) << fmt.name();
+      }
+    }
+  }
+}
+
 // ---------- per-run scratch carries nothing between rows ----------
 
 TEST(EngineRunState, StateThatServedALongerRowMatchesAFreshOne) {
@@ -283,11 +483,26 @@ TEST(HostileScores, NegativeInfinityReadsAsTheWindowFloor) {
 }
 
 TEST(HostileScores, NaNScoreIsRejected) {
-  const core::SoftmaxEngine eng(mrpc_config());
-  core::SoftmaxRunState run;
-  const std::vector<double> row{0.0, std::numeric_limits<double>::quiet_NaN(), 1.0};
-  std::vector<double> out(row.size());
-  EXPECT_THROW(eng.softmax_row_into(row, run, out), InvalidArgument);
+  // At every position of rows up to 9 long: the quantise pass runs in
+  // vector-wide steps and a scalar tail. The search would draw fault
+  // samples, so an untouched stream shows the row stopped before it.
+  const core::SoftmaxEngine eng(mrpc_config(0.3));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (std::size_t d = 1; d <= 9; ++d) {
+    for (std::size_t at = 0; at < d; ++at) {
+      std::vector<double> row(d);
+      for (std::size_t i = 0; i < d; ++i) {
+        row[i] = i % 3 == 0 ? inf : -static_cast<double>(i);
+      }
+      row[at] = nan;
+      core::SoftmaxRunState run(0xF00D);
+      std::vector<double> out(d);
+      EXPECT_THROW(eng.softmax_row_into(row, run, out), InvalidArgument)
+          << "d " << d << " at " << at;
+      EXPECT_TRUE(same_stream(run.rng, Rng(0xF00D))) << "d " << d << " at " << at;
+    }
+  }
 }
 
 TEST(HostileScores, NaNRequestFailsItsServerFuture) {

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <vector>
 
@@ -124,6 +125,28 @@ TEST(QuantizedSoftmax, DegenerateUnderflowGivesUniform) {
   const auto q = quantized_softmax(row, fxp::make_unsigned(6, 2), 11);
   // Equal inputs match the same code: this is NOT underflow (mag = 0).
   EXPECT_NEAR(q[0], 0.25, 1e-9);
+}
+
+TEST(QuantizedSoftmax, HostileScoresSaturateAtTheWindowEdgesAndNaNIsRejected) {
+  // Q6.2u: 8-bit codes, so the operand window is [-32, 31.75]. Scores past
+  // an edge, infinite ones included, read as that edge.
+  const fxp::QFormat fmt = fxp::kCnewsFormat;
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto quantized = [&](std::vector<double> row) {
+    return quantized_softmax(row, fmt, 11);
+  };
+  for (const double big : {inf, 1e300}) {
+    EXPECT_EQ(quantized({big, 0.0, -1.0}), quantized({31.75, 0.0, -1.0})) << big;
+    EXPECT_EQ(quantized({-big, 0.0, -1.0}), quantized({-32.0, 0.0, -1.0})) << -big;
+    EXPECT_EQ(quantized({big, -big}), quantized({31.75, -32.0})) << big;
+  }
+  const auto top = quantized({inf, 0.0});
+  EXPECT_GT(top[0], 0.99);
+  EXPECT_EQ(quantized({-inf, -inf}), (std::vector<double>{0.5, 0.5}));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(quantized({0.0, nan, 1.0}), InvalidArgument);
+  EXPECT_THROW(quantized({nan}), InvalidArgument);
+  EXPECT_THROW(quantized({inf, nan, -inf}), InvalidArgument);
 }
 
 TEST(QuantizedSoftmax, RejectsSignedFormats) {

@@ -187,7 +187,8 @@ void sweep_shapes(MatmulKernel kernel, bool transb, std::uint64_t seed) {
     for (const std::size_t depth :
          {1u, 2u, 5u, 64u, 127u, 128u, 129u, 200u, 255u, 256u, 257u, 300u}) {
       for (const std::size_t n :
-           {1u, 2u, 3u, 7u, 8u, 9u, 15u, 16u, 17u, 31u, 32u, 33u, 40u}) {
+           {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 12u, 13u, 14u, 15u, 16u, 17u, 31u, 32u,
+            33u, 40u}) {
         SCOPED_TRACE(testing::Message()
                      << "m=" << m << " depth=" << depth << " n=" << n);
         const nn::Tensor a = randn_with_signed_zeros(m, depth, rng);
