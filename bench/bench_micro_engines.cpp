@@ -15,6 +15,7 @@
 #include "nn/bert.hpp"
 #include "nn/softmax_ref.hpp"
 #include "nn/workspace.hpp"
+#include "sim/pipeline_sim.hpp"
 #include "util/rng.hpp"
 #include "workload/dataset_profile.hpp"
 #include "xbar/cam_sub.hpp"
@@ -260,17 +261,40 @@ void BM_EncoderLayerInto(benchmark::State& state) {
 }
 BENCHMARK(BM_EncoderLayerInto)->Arg(32)->Arg(128)->Arg(384);
 
+// The item-granular pipeline recurrence as the accelerator models run it
+// (no completion matrix): {stages, items}, items processed are cells. The
+// 24-stage case keeps its state past the simulator's stack buffer.
+void BM_PipelineSimulate(benchmark::State& state) {
+  const auto stages = static_cast<std::size_t>(state.range(0));
+  const auto items = static_cast<std::size_t>(state.range(1));
+  Rng rng(7);
+  std::vector<sim::Stage> pipeline;
+  for (std::size_t s = 0; s < stages; ++s) {
+    pipeline.push_back(sim::Stage{"stage", Time::ns(rng.uniform(100.0, 900.0))});
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sim::simulate(pipeline, items, sim::Discipline::kItemGranular,
+                                           {}, sim::SimOptions{.record_completion = false}));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0) * state.range(1));
+}
+BENCHMARK(BM_PipelineSimulate)->Args({5, 64})->Args({5, 384})->Args({24, 128});
+
 // One uncached design point split by stage, as perfbench's design-sweep
-// evaluates it on BERT-base (default config): the StarAccelerator build,
-// STAR's evaluation, and each baseline's build plus evaluation.
+// evaluates it on BERT-base (default config): the StarAccelerator build
+// (for the 7-, 8- and 9-bit paper formats), STAR's evaluation, and each
+// baseline's build plus evaluation.
 void BM_DesignPointBuild(benchmark::State& state) {
-  const core::StarConfig cfg;
+  core::StarConfig cfg;
+  cfg.softmax_format = state.range(0) == 7   ? fxp::kColaFormat
+                       : state.range(0) == 8 ? fxp::kCnewsFormat
+                                             : fxp::kMrpcFormat;
   for (auto _ : state) {
     const core::StarAccelerator acc(cfg);
     benchmark::DoNotOptimize(&acc);
   }
 }
-BENCHMARK(BM_DesignPointBuild);
+BENCHMARK(BM_DesignPointBuild)->Arg(7)->Arg(8)->Arg(9);
 
 void BM_DesignPointStarEval(benchmark::State& state) {
   const core::StarAccelerator acc((core::StarConfig()));

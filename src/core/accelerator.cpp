@@ -1,11 +1,29 @@
 #include "core/accelerator.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/math.hpp"
 #include "util/status.hpp"
 
 namespace star::core {
+
+namespace {
+
+/// Softmax engine replicas per head that keep a row of this latency off
+/// the critical path of a pipeline paced at `proj_row`.
+int engines_per_head(Time softmax_row_latency, Time proj_row) {
+  return std::max(1, static_cast<int>(std::ceil(softmax_row_latency / proj_row)));
+}
+
+/// Tiles of one layer's attention block from its three stream costs.
+std::int64_t layer_tiles(const nn::BertConfig& bert, const ShardedMatmulCost& proj,
+                         const ShardedMatmulCost& score,
+                         const ShardedMatmulCost& context) {
+  return 4 * proj.total.tiles + bert.heads * (score.total.tiles + context.total.tiles);
+}
+
+}  // namespace
 
 StarAccelerator::StarAccelerator(const StarConfig& cfg, SystemOverheads overheads)
     : cfg_(cfg),
@@ -20,7 +38,12 @@ StageTimes StarAccelerator::stage_times(const nn::BertConfig& bert,
                                         std::int64_t seq_len) const {
   bert.validate();
   require(seq_len >= 2, "stage_times: seq_len must be >= 2");
+  return stage_times_for(bert, seq_len, softmax_.row_latency(static_cast<int>(seq_len)));
+}
 
+StageTimes StarAccelerator::stage_times_for(const nn::BertConfig& bert,
+                                            std::int64_t seq_len,
+                                            Time softmax_row_latency) const {
   StageTimes t;
   if (cfg_.num_shards == 1) {
     // The monolithic engine: one calibrated per-row figure for every
@@ -39,11 +62,8 @@ StageTimes StarAccelerator::stage_times(const nn::BertConfig& bert,
     t.context_row = sharded_.row_service(seq_len, bert.d_head());
     t.outproj_row = sharded_.row_service(bert.d_model, bert.d_model);
   }
-  const int per_head = std::max(
-      1, static_cast<int>(std::ceil(softmax_.row_latency(static_cast<int>(seq_len)) /
-                                    t.proj_row)));
-  t.softmax_row =
-      softmax_.row_latency(static_cast<int>(seq_len)) / static_cast<double>(per_head);
+  t.softmax_row = softmax_row_latency /
+                  static_cast<double>(engines_per_head(softmax_row_latency, t.proj_row));
   return t;
 }
 
@@ -54,20 +74,17 @@ int StarAccelerator::engines_needed(const nn::BertConfig& bert,
   const Time mm_row = cfg_.num_shards == 1
                           ? matmul_.tile_latency() + overheads_.per_row_overhead
                           : sharded_.row_service(bert.d_model, bert.d_model);
-  const int per_head = std::max(
-      1, static_cast<int>(std::ceil(softmax_.row_latency(static_cast<int>(seq_len)) /
-                                    mm_row)));
-  return per_head * static_cast<int>(bert.heads);
+  return engines_per_head(softmax_.row_latency(static_cast<int>(seq_len)), mm_row) *
+         static_cast<int>(bert.heads);
 }
 
 std::int64_t StarAccelerator::tiles_per_layer(const nn::BertConfig& bert,
                                               std::int64_t seq_len) const {
   // Sharded grids round every slice up to whole tiles, so K > 1 instantiates
   // at least as many tiles as the monolithic grid (K = 1 delegates exactly).
-  const auto proj = sharded_.stream_cost(seq_len, bert.d_model, bert.d_model, false);
-  const auto score = sharded_.stream_cost(seq_len, bert.d_head(), seq_len, true);
-  const auto context = sharded_.stream_cost(seq_len, seq_len, bert.d_head(), true);
-  return 4 * proj.total.tiles + bert.heads * (score.total.tiles + context.total.tiles);
+  return layer_tiles(bert, sharded_.stream_cost(seq_len, bert.d_model, bert.d_model, false),
+                     sharded_.stream_cost(seq_len, bert.d_head(), seq_len, true),
+                     sharded_.stream_cost(seq_len, seq_len, bert.d_head(), true));
 }
 
 Area StarAccelerator::total_area(const nn::BertConfig& bert,
@@ -83,7 +100,10 @@ AttentionRunResult StarAccelerator::run_attention_layer(const nn::BertConfig& be
   require(seq_len >= 2, "run_attention_layer: seq_len must be >= 2");
 
   const auto counts = nn::attention_op_counts(bert, seq_len);
-  const StageTimes t = stage_times(bert, seq_len);
+  // One softmax row record serves the stage times, the engine count and
+  // the softmax energy.
+  const SoftmaxRowStats softmax_row = softmax_.compute_row_stats(static_cast<int>(seq_len));
+  const StageTimes t = stage_times_for(bert, seq_len, softmax_row.latency);
 
   // All heads run in parallel hardware; the layer makespan is one head's
   // row pipeline over seq_len rows.
@@ -97,7 +117,8 @@ AttentionRunResult StarAccelerator::run_attention_layer(const nn::BertConfig& be
   // --- energy ---
   // Sharded stream costs: at K = 1 these delegate to the unsharded engine
   // (bit-identical totals, zero interconnect); at K > 1 energy already
-  // includes the partial-sum / gather link traffic.
+  // includes the partial-sum / gather link traffic. The tile count reads
+  // the same three.
   const auto proj = sharded_.stream_cost(seq_len, bert.d_model, bert.d_model, false);
   const auto score = sharded_.stream_cost(seq_len, bert.d_head(), seq_len, true);
   const auto context = sharded_.stream_cost(seq_len, seq_len, bert.d_head(), true);
@@ -109,8 +130,7 @@ AttentionRunResult StarAccelerator::run_attention_layer(const nn::BertConfig& be
   // latency under the projection phase but pays the energy.
   const Energy e_write =
       (score.total.write_energy + context.total.write_energy) * heads;
-  const Energy e_softmax = softmax_.row_energy(static_cast<int>(seq_len)) *
-                           (heads * static_cast<double>(seq_len));
+  const Energy e_softmax = softmax_row.energy * (heads * static_cast<double>(seq_len));
 
   AttentionRunResult res;
   res.latency = pipe.makespan;
@@ -125,8 +145,9 @@ AttentionRunResult StarAccelerator::run_attention_layer(const nn::BertConfig& be
       proj.interconnect_energy * 4.0 +
       (score.interconnect_energy + context.interconnect_energy) * heads;
   res.softmax_block_latency = t.softmax_row * static_cast<double>(seq_len);
-  res.matmul_tiles = tiles_per_layer(bert, seq_len);
-  res.softmax_engines = engines_needed(bert, seq_len);
+  res.matmul_tiles = layer_tiles(bert, proj, score, context);
+  res.softmax_engines = engines_per_head(softmax_row.latency, t.proj_row) *
+                        static_cast<int>(bert.heads);
   res.pipeline_speedup = operand_pipe.makespan / pipe.makespan;
 
   // --- power ---

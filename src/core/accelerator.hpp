@@ -80,8 +80,9 @@ class StarAccelerator {
   /// The sharded composition layer over matmul_engine() (provisioned at
   /// cfg.num_shards; K = 1 delegates to the unsharded path bit-exactly).
   [[nodiscard]] const ShardedMatmulEngine& sharded_matmul() const { return sharded_; }
-  [[nodiscard]] SoftmaxEngine& softmax_engine() { return softmax_; }
-  [[nodiscard]] const SoftmaxEngine& softmax_engine() const { return softmax_; }
+  /// The softmax engines' cost figures. The analytic model reads nothing
+  /// else of the engine, so it builds no functional table.
+  [[nodiscard]] const SoftmaxCosts& softmax_costs() const { return softmax_; }
   [[nodiscard]] const StarConfig& config() const { return cfg_; }
   [[nodiscard]] const SystemOverheads& overheads() const { return overheads_; }
 
@@ -98,10 +99,16 @@ class StarAccelerator {
   [[nodiscard]] Area total_area(const nn::BertConfig& bert, std::int64_t seq_len) const;
 
  private:
+  /// stage_times() once its arguments are checked, given the softmax row
+  /// latency at seq_len.
+  [[nodiscard]] StageTimes stage_times_for(const nn::BertConfig& bert,
+                                           std::int64_t seq_len,
+                                           Time softmax_row_latency) const;
+
   StarConfig cfg_;
   SystemOverheads overheads_;
   MatmulEngine matmul_;
-  SoftmaxEngine softmax_;
+  SoftmaxCosts softmax_;
   ShardedMatmulEngine sharded_;  ///< references matmul_; declared after it
 };
 

@@ -62,6 +62,7 @@ BatchEncoderSim::BatchEncoderSim(const StarConfig& cfg, const nn::BertConfig& be
                                  std::int64_t stack_depth)
     : bert_(bert),
       accel_(cfg),
+      softmax_(cfg),
       weights_(make_weights(bert, weight_seed, stack_depth)),
       residency_(static_cast<std::size_t>(cfg.residency_capacity)) {
   bert_.validate();
@@ -70,7 +71,7 @@ BatchEncoderSim::BatchEncoderSim(const StarConfig& cfg, const nn::BertConfig& be
   // engine; named datasets price an engine sized for their format on the
   // same substrate. (Equal formats share one key AND one bill.)
   lut_costs_[static_cast<std::size_t>(workload::Dataset::kDefault)] =
-      accel_.softmax_engine().preload_cost();
+      accel_.softmax_costs().preload_cost();
   for (const auto d : {workload::Dataset::kCnews, workload::Dataset::kMrpc,
                        workload::Dataset::kCola}) {
     const fxp::QFormat& fmt = workload::format_for(d, config().softmax_format);
@@ -99,7 +100,7 @@ BatchEncoderSim::BatchEncoderSim(const StarConfig& cfg, const nn::BertConfig& be
       initial_programming_ += weight_costs_[s];
     }
   }
-  residency_.install(accel_.softmax_engine().image_key());
+  residency_.install(accel_.softmax_costs().image_key());
   initial_programming_ += lut_costs_[0];
 
   cost_fingerprint_ = cost_fingerprint(config(), accel_.overheads(), bert_);

@@ -246,9 +246,8 @@ class BatchEncoderSim {
   }
   [[nodiscard]] const nn::EncoderLayerWeights& layer_weights(std::int64_t layer) const;
   [[nodiscard]] const StarAccelerator& accelerator() const { return accel_; }
-  [[nodiscard]] const SoftmaxEngine& softmax_engine() const {
-    return accel_.softmax_engine();
-  }
+  /// The one functional softmax engine every request's rows run through.
+  [[nodiscard]] const SoftmaxEngine& softmax_engine() const { return softmax_; }
   [[nodiscard]] const MatmulEngine& matmul_engine() const {
     return accel_.matmul_engine();
   }
@@ -286,7 +285,8 @@ class BatchEncoderSim {
                                                 workload::Dataset dataset) const;
 
   nn::BertConfig bert_;
-  StarAccelerator accel_;  ///< owns the one shared engine pair
+  StarAccelerator accel_;  ///< the analytic model; owns the matmul engine
+  SoftmaxEngine softmax_;  ///< the functional softmax tables
   std::vector<nn::EncoderLayerWeights> weights_;  ///< one entry per stack layer
   /// Per-dataset LUT image costs, indexed by workload::Dataset.
   std::array<hw::ProgramCost, 4> lut_costs_{};

@@ -15,31 +15,36 @@ namespace star::core {
 
 namespace {
 
-/// The engine's probability output precision (divider fraction bits).
-constexpr int kProbFracBits = 15;
+/// The LUT word of magnitude code `mag`: round(e^(-mag * res) * 2^m)
+/// (paper Fig. 2's WL_i = round(e^(x_i) * 2^m) * 2^(-m) construction).
+std::int64_t exp_word(const fxp::QFormat& fmt, int lut_frac_bits, int mag) {
+  const double res = fmt.resolution();
+  const double scale = std::ldexp(1.0, lut_frac_bits);
+  return static_cast<std::int64_t>(
+      round_half_even(std::exp(-static_cast<double>(mag) * res) * scale));
+}
 
-int exp_rows_for(const fxp::QFormat& fmt) {
-  // Half the code space suffices: exponentials of larger magnitudes
-  // underflow the LUT word (see file header). Matches the paper's
-  // 512-row CAM/SUB vs 256-row CAM/LUT/VMM geometry.
-  return 1 << (fmt.total_bits() - 1);
+int exp_rows_for(const fxp::QFormat& fmt, int lut_frac_bits) {
+  // Half the code space suffices when the word of its first missing
+  // magnitude rounds to 0, since every larger magnitude's word does too
+  // (see file header): the paper's 512-row CAM/SUB vs 256-row
+  // CAM/LUT/VMM geometry. Otherwise the exp CAM spans every magnitude.
+  const int half = 1 << (fmt.total_bits() - 1);
+  return exp_word(fmt, lut_frac_bits, half) == 0 ? half : 2 * half;
 }
 
 }  // namespace
 
-SoftmaxEngine::SoftmaxEngine(const StarConfig& cfg)
+SoftmaxCosts::SoftmaxCosts(const StarConfig& cfg)
     // Validated first: an out-of-range format must fail with StarConfig's
-    // message, not build a 2^b-row CAM first.
+    // message, not size a 2^b-row CAM first.
     : cfg_(cfg.validated()),
-      fmt_(cfg.softmax_format),
       lut_frac_bits_(workload::default_lut_frac_bits(cfg.softmax_format)),
-      prob_frac_bits_(kProbFracBits),
       cam_sub_(cfg.tech, cfg.device, cfg.softmax_format.total_bits()),
-      exp_cam_(cfg.tech, cfg.device, exp_rows_for(cfg.softmax_format),
+      exp_cam_(cfg.tech, cfg.device, exp_rows_for(cfg.softmax_format, lut_frac_bits_),
                cfg.softmax_format.total_bits()),
-      exp_lut_(cfg.tech, cfg.device, exp_rows_for(cfg.softmax_format),
-               lut_frac_bits_ + 1),
-      counters_(cfg.tech, exp_rows_for(cfg.softmax_format),
+      exp_lut_(cfg.tech, cfg.device, exp_cam_.rows(), lut_frac_bits_ + 1),
+      counters_(cfg.tech, exp_cam_.rows(),
                 bits_for(static_cast<std::uint64_t>(cfg.max_seq_len))),
       divider_(cfg.tech,
                std::min(31, lut_frac_bits_ + 1 +
@@ -51,21 +56,6 @@ SoftmaxEngine::SoftmaxEngine(const StarConfig& cfg)
       out_buf_(cfg.tech, static_cast<double>(cfg.max_seq_len) * 2.0) {
   // Phase sequencer + address generation for the four crossbar phases.
   control_ = hw::GateLibrary(cfg_.tech).block(3000.0);
-
-  // Preload the exponent tables: row r holds the magnitude code r in the
-  // CAM and round(e^(-r * res) * 2^m) in the LUT (paper Fig. 2's
-  // WL_i = round(e^(x_i) * 2^m) * 2^(-m) construction).
-  const double res = fmt_.resolution();
-  const double scale = std::ldexp(1.0, lut_frac_bits_);
-  std::vector<std::int64_t> cam_codes(static_cast<std::size_t>(exp_cam_.rows()));
-  std::vector<std::int64_t> lut_words(cam_codes.size());
-  for (std::size_t r = 0; r < cam_codes.size(); ++r) {
-    cam_codes[r] = static_cast<std::int64_t>(r);
-    lut_words[r] = static_cast<std::int64_t>(
-        round_half_even(std::exp(-static_cast<double>(r) * res) * scale));
-  }
-  exp_cam_.fill(cam_codes);
-  exp_lut_.fill(lut_words);
 
   // Summation crossbar periphery: the VMM stores the same table as the LUT;
   // its input is the counter histogram applied bit-serially.
@@ -93,9 +83,27 @@ SoftmaxEngine::SoftmaxEngine(const StarConfig& cfg)
   sum_op_cost_.leakage = sum_leakage_;
 }
 
+SoftmaxEngine::SoftmaxEngine(const StarConfig& cfg)
+    : costs_(cfg),
+      cam_sub_(costs_.cam_sub()),
+      exp_cam_(costs_.exp_cam()),
+      exp_lut_(costs_.exp_lut()),
+      counters_(costs_.counters()) {
+  // Preload the exponent tables: row r holds the magnitude code r in the
+  // CAM and its LUT word in the LUT.
+  std::vector<std::int64_t> cam_codes(static_cast<std::size_t>(exp_cam_.rows()));
+  std::vector<std::int64_t> lut_words(cam_codes.size());
+  for (std::size_t r = 0; r < cam_codes.size(); ++r) {
+    cam_codes[r] = static_cast<std::int64_t>(r);
+    lut_words[r] = exp_word(format(), lut_frac_bits(), static_cast<int>(r));
+  }
+  exp_cam_.fill(cam_codes);
+  exp_lut_.fill(lut_words);
+}
+
 void SoftmaxEngine::check_row(std::size_t d) const {
   require(d != 0, "SoftmaxEngine: empty row");
-  require(d <= static_cast<std::size_t>(cfg_.max_seq_len),
+  require(d <= static_cast<std::size_t>(costs_.config().max_seq_len),
           "SoftmaxEngine: row longer than max_seq_len");
 }
 
@@ -111,7 +119,7 @@ void SoftmaxEngine::forward_codes_into(std::span<const std::int64_t> codes,
   // Pass 0: the codes arrive quantised. They are narrowed to the scratch
   // lanes, and the row is rejected before any search if one lies outside
   // the operand range.
-  const std::int64_t code_max_allowed = (std::int64_t{1} << fmt_.total_bits()) - 1;
+  const std::int64_t code_max_allowed = (std::int64_t{1} << format().total_bits()) - 1;
   scratch.codes.resize(codes.size());
   bool out_of_range = false;
   for (std::size_t i = 0; i < codes.size(); ++i) {
@@ -148,8 +156,8 @@ void SoftmaxEngine::softmax_row_into(std::span<const double> x,
   // this one it does.) Adding and subtracting 1.5 * 2^52 rounds a value
   // of magnitude below 2^51 to the nearest integer, ties to even in the
   // default rounding mode, as round_half_even does.
-  const double scale = std::ldexp(1.0, fmt_.frac_bits);
-  const std::int32_t bias = std::int32_t{1} << (fmt_.total_bits() - 1);
+  const double scale = std::ldexp(1.0, format().frac_bits);
+  const std::int32_t bias = std::int32_t{1} << (format().total_bits() - 1);
   const double lo = -static_cast<double>(bias);
   const double hi = static_cast<double>(bias - 1);
   constexpr double kRoundEven = 0x1.8p52;
@@ -168,7 +176,7 @@ void SoftmaxEngine::softmax_row_into(std::span<const double> x,
 
   // Every score has been read, so `out` may alias x from here on.
   run_datapath(x.size(), run);
-  const double inv = std::ldexp(1.0, -prob_frac_bits_);
+  const double inv = std::ldexp(1.0, -prob_frac_bits());
   for (std::size_t i = 0; i < x.size(); ++i) {
     out[i] = static_cast<double>(
                  scratch.quotients[static_cast<std::size_t>(scratch.e_rows[i])]) *
@@ -179,7 +187,7 @@ void SoftmaxEngine::softmax_row_into(std::span<const double> x,
 // STAR_HOT
 void SoftmaxEngine::run_datapath(std::size_t d, SoftmaxRunState& run) const {
   SoftmaxScratch& scratch = run.scratch;
-  const double miss_prob = cfg_.cam_miss_prob;  // validated to [0, 1)
+  const double miss_prob = costs_.config().cam_miss_prob;  // validated to [0, 1)
   Rng& rng = run.rng;
 
   // Pass 1: CAM/SUB phase A (Fig. 1). Each search raises at most one
@@ -239,13 +247,15 @@ void SoftmaxEngine::run_datapath(std::size_t d, SoftmaxRunState& run) const {
   // division. A quotient depends only on the LUT word, so each touched row
   // is divided once and its elements share the result.
   const std::int64_t denom = summation_vmm(counters);
+  const hw::Divider& divider = costs_.divider();
+  const int prob_bits = prob_frac_bits();
   scratch.quotients.resize(static_cast<std::size_t>(no_match) + 1);
   for (const std::int32_t r : counters.touched()) {
     scratch.quotients[static_cast<std::size_t>(r)] =
-        divider_.divide(exp_lut_.word_at(r), denom, prob_frac_bits_);
+        divider.divide(exp_lut_.word_at(r), denom, prob_bits);
   }
   scratch.quotients[static_cast<std::size_t>(no_match)] =
-      divider_.divide(0, denom, prob_frac_bits_);
+      divider.divide(0, denom, prob_bits);
 }
 
 std::int64_t SoftmaxEngine::summation_vmm(const hw::CounterArray& counters) const {
@@ -263,7 +273,7 @@ std::int64_t SoftmaxEngine::summation_vmm(const hw::CounterArray& counters) cons
   return acc;
 }
 
-SoftmaxRowStats SoftmaxEngine::compute_row_stats(int d) const {
+SoftmaxRowStats SoftmaxCosts::compute_row_stats(int d) const {
   SoftmaxRowStats s;
   s.elements = d;
   s.t_maxfind = cam_sub_.maxfind_latency(d);
@@ -294,62 +304,62 @@ SoftmaxRowStats SoftmaxEngine::compute_row_stats(int d) const {
   return s;
 }
 
-Area SoftmaxEngine::area() const {
+Area SoftmaxCosts::area() const {
   return cam_sub_.area() + exp_cam_.area() + exp_lut_.area() + sum_area_ +
          counters_.array_cost().area + divider_.cost().area +
          in_buf_.cost().area + out_buf_.cost().area + control_.area;
 }
 
-Power SoftmaxEngine::leakage() const {
+Power SoftmaxCosts::leakage() const {
   return cam_sub_.leakage() + exp_cam_.search_cost().leakage +
          exp_lut_.read_cost().leakage + sum_leakage_ +
          counters_.array_cost().leakage + divider_.cost().leakage +
          in_buf_.cost().leakage + out_buf_.cost().leakage + control_.leakage;
 }
 
-Time SoftmaxEngine::row_latency(int d) const {
-  require(d >= 1, "SoftmaxEngine::row_latency: d must be >= 1");
+Time SoftmaxCosts::row_latency(int d) const {
+  require(d >= 1, "SoftmaxCosts::row_latency: d must be >= 1");
   return compute_row_stats(d).latency;
 }
 
-Energy SoftmaxEngine::row_energy(int d) const {
-  require(d >= 1, "SoftmaxEngine::row_energy: d must be >= 1");
+Energy SoftmaxCosts::row_energy(int d) const {
+  require(d >= 1, "SoftmaxCosts::row_energy: d must be >= 1");
   return compute_row_stats(d).energy;
 }
 
-Power SoftmaxEngine::active_power(int d) const {
+Power SoftmaxCosts::active_power(int d) const {
   const Time t = row_latency(d);
   return row_energy(d) / t + leakage();
 }
 
-Energy SoftmaxEngine::preload_energy() const {
+Energy SoftmaxCosts::preload_energy() const {
   return cam_sub_.program_energy() + exp_cam_.program_energy() +
          exp_lut_.program_energy() * 2.0;  // LUT + identical summation table
 }
 
-Time SoftmaxEngine::preload_latency() const {
+Time SoftmaxCosts::preload_latency() const {
   // The four tables share one programming port, so the phases serialise
   // (the energy rule above prices the same four programs).
   return cam_sub_.program_latency() + exp_cam_.program_latency() +
          exp_lut_.program_latency() * 2.0;
 }
 
-hw::ProgramCost SoftmaxEngine::preload_cost() const {
+hw::ProgramCost SoftmaxCosts::preload_cost() const {
   return hw::ProgramCost{preload_latency(), preload_energy()};
 }
 
-xbar::ImageKey SoftmaxEngine::image_key() const {
-  return xbar::lut_image_key(fmt_);
+xbar::ImageKey SoftmaxCosts::image_key() const {
+  return xbar::lut_image_key(format());
 }
 
 hw::ProgramCost SoftmaxEngine::preload_cost_for(const StarConfig& cfg,
                                                 const fxp::QFormat& fmt) {
   StarConfig sized = cfg;
   sized.softmax_format = fmt;
-  return SoftmaxEngine(sized).preload_cost();
+  return SoftmaxCosts(sized).preload_cost();
 }
 
-hw::CostSheet SoftmaxEngine::cost_sheet(int d) const {
+hw::CostSheet SoftmaxCosts::cost_sheet(int d) const {
   hw::CostSheet sheet;
   sheet.add("CAM/SUB crossbar " + std::to_string(cam_sub_.rows()) + "x" +
                 std::to_string(cam_sub_.physical_cols()),

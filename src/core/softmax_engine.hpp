@@ -3,17 +3,30 @@
 // Datapath per score row x_1..x_d:
 //
 //   CAM/SUB crossbar (2^b x 2b)   max find + subtraction   -> |x_i - x_max|
-//   CAM crossbar     (2^(b-1) x 2b) magnitude search        -> one-hot row
-//   LUT crossbar     (2^(b-1) x w)  e^-mag word readout     -> e_i
+//   CAM crossbar     (R x 2b)     magnitude search         -> one-hot row
+//   LUT crossbar     (R x w)      e^-mag word readout      -> e_i
 //   Counter array                  match histogram          -> counts[r]
 //   Summation crossbar             counts . table           -> sum e_j
 //   Divider                        e_i / sum                -> p_i
 //
-// Magnitudes beyond the exp CAM's row range produce *no* match: the LUT
-// bitlines stay discharged (e_i = 0) and the counters do not advance —
-// exactly the right semantics, because those exponentials underflow the
-// LUT word anyway. This is why 2^(b-1) rows suffice for b-bit operands
-// (the paper's 256x18 for 9-bit data).
+// The exp CAM holds the magnitudes 0..R-1. A magnitude beyond them
+// produces *no* match: the LUT bitlines stay discharged (e_i = 0) and the
+// counters do not advance. That is exact only while every such magnitude's
+// LUT word rounds to 0, so R = 2^(b-1) when the word of magnitude 2^(b-1)
+// rounds to 0 (e^-mag falls, so every larger word does too): the paper's
+// 256x18 for its 9-bit data, and every paper format. Otherwise R = 2^b,
+// the whole magnitude range: narrow formats with few integer bits (a Q2.2
+// magnitude of 8 codes is 2.0, whose word is far from 0) keep every word.
+//
+// Costs versus tables: SoftmaxCosts holds every cost figure of an engine
+// (row stats, area, leakage, row latency and energy, the preload bill,
+// the image key and the cost sheet), built from the crossbars' table-free
+// cost values (xbar::CamSubCosts, CamCosts, LutCosts, hw::CounterCosts):
+// no stored code, LUT word or search index, and no std::exp per LUT row. The
+// analytic models (StarAccelerator, the residency bills) hold only that.
+// SoftmaxEngine holds one SoftmaxCosts and builds its functional tables on
+// the same cost values, so each cost formula has one copy and an engine's
+// figures are its SoftmaxCosts' bit for bit.
 //
 // The engine is bit-exact (under an ideal device) with the pure-math oracle
 // workload::quantized_softmax; tests enforce the equivalence.
@@ -113,6 +126,71 @@ struct SoftmaxRunState {
   SoftmaxScratch scratch;
 };
 
+/// Every cost figure of one softmax engine, from a validated StarConfig and
+/// no functional table (see the file comment). Pure and cheap: the
+/// uncached design-point model builds one per StarAccelerator.
+class SoftmaxCosts {
+ public:
+  /// Validates `cfg` first: an out-of-range format fails with StarConfig's
+  /// message before any crossbar is sized from it.
+  explicit SoftmaxCosts(const StarConfig& cfg);
+
+  [[nodiscard]] const StarConfig& config() const { return cfg_; }
+  [[nodiscard]] const fxp::QFormat& format() const { return cfg_.softmax_format; }
+  [[nodiscard]] int lut_frac_bits() const { return lut_frac_bits_; }
+  [[nodiscard]] int prob_frac_bits() const { return kProbFracBits; }
+  /// Rows of the exp CAM, LUT, counters and summation table (R above).
+  [[nodiscard]] int exp_rows() const { return exp_cam_.rows(); }
+
+  // --- the crossbars' cost values (SoftmaxEngine builds its tables on them) ---
+  [[nodiscard]] const xbar::CamSubCosts& cam_sub() const { return cam_sub_; }
+  [[nodiscard]] const xbar::CamCosts& exp_cam() const { return exp_cam_; }
+  [[nodiscard]] const xbar::LutCosts& exp_lut() const { return exp_lut_; }
+  [[nodiscard]] const hw::CounterCosts& counters() const { return counters_; }
+  [[nodiscard]] const hw::Divider& divider() const { return divider_; }
+
+  // --- cost model ---
+  [[nodiscard]] Area area() const;
+  [[nodiscard]] Power leakage() const;
+  /// Average power while streaming rows of length d back-to-back.
+  [[nodiscard]] Power active_power(int d) const;
+  [[nodiscard]] Time row_latency(int d) const;
+  [[nodiscard]] Energy row_energy(int d) const;
+  /// Full cost record of one row of length d (pure; thread-safe).
+  [[nodiscard]] SoftmaxRowStats compute_row_stats(int d) const;
+  /// One-time table preload cost (CAM/SUB codes, exp table, sum table).
+  [[nodiscard]] Energy preload_energy() const;
+  /// Time to program those tables (serial phases on the one write port:
+  /// CAM/SUB codes, exp CAM patterns, exp LUT words, summation table).
+  [[nodiscard]] Time preload_latency() const;
+  /// The full programming bill of the engine's CAM/LUT image — what the
+  /// residency layer charges when the image must be (re)programmed.
+  [[nodiscard]] hw::ProgramCost preload_cost() const;
+  /// Residency identity of the engine's image (keyed by operand format).
+  [[nodiscard]] xbar::ImageKey image_key() const;
+  [[nodiscard]] hw::CostSheet cost_sheet(int d) const;
+
+ private:
+  /// The engine's probability output precision (divider fraction bits).
+  static constexpr int kProbFracBits = 15;
+
+  StarConfig cfg_;
+  int lut_frac_bits_;
+  xbar::CamSubCosts cam_sub_;
+  xbar::CamCosts exp_cam_;
+  xbar::LutCosts exp_lut_;
+  hw::CounterCosts counters_;
+  hw::Divider divider_;
+  // Summation crossbar periphery (the VMM stores the same table as the LUT).
+  hw::Cost sum_op_cost_;
+  Area sum_area_{};
+  Power sum_leakage_{};
+  // Row staging buffers and the phase sequencer.
+  hw::Sram in_buf_;
+  hw::Sram out_buf_;
+  hw::Cost control_;
+};
+
 class SoftmaxEngine final {
  public:
   explicit SoftmaxEngine(const StarConfig& cfg);
@@ -135,36 +213,37 @@ class SoftmaxEngine final {
                           std::span<std::int64_t> probs_out) const;
 
   // --- formats ---
-  [[nodiscard]] const fxp::QFormat& format() const { return fmt_; }
-  [[nodiscard]] int lut_frac_bits() const { return lut_frac_bits_; }
-  [[nodiscard]] int prob_frac_bits() const { return prob_frac_bits_; }
+  [[nodiscard]] const fxp::QFormat& format() const { return costs_.format(); }
+  [[nodiscard]] int lut_frac_bits() const { return costs_.lut_frac_bits(); }
+  [[nodiscard]] int prob_frac_bits() const { return costs_.prob_frac_bits(); }
   [[nodiscard]] int exp_rows() const { return exp_cam_.rows(); }
 
-  // --- cost model ---
-  [[nodiscard]] Area area() const;
-  [[nodiscard]] Power leakage() const;
+  // --- cost model: the engine's SoftmaxCosts ---
+  [[nodiscard]] Area area() const { return costs_.area(); }
+  [[nodiscard]] Power leakage() const { return costs_.leakage(); }
   /// Average power while streaming rows of length d back-to-back.
-  [[nodiscard]] Power active_power(int d) const;
-  [[nodiscard]] Time row_latency(int d) const;
-  [[nodiscard]] Energy row_energy(int d) const;
+  [[nodiscard]] Power active_power(int d) const { return costs_.active_power(d); }
+  [[nodiscard]] Time row_latency(int d) const { return costs_.row_latency(d); }
+  [[nodiscard]] Energy row_energy(int d) const { return costs_.row_energy(d); }
   /// Full cost record of one row of length d (pure; thread-safe).
-  [[nodiscard]] SoftmaxRowStats compute_row_stats(int d) const;
+  [[nodiscard]] SoftmaxRowStats compute_row_stats(int d) const {
+    return costs_.compute_row_stats(d);
+  }
   /// One-time table preload cost (CAM/SUB codes, exp table, sum table).
-  [[nodiscard]] Energy preload_energy() const;
-  /// Time to program those tables (serial phases on the one write port:
-  /// CAM/SUB codes, exp CAM patterns, exp LUT words, summation table).
-  [[nodiscard]] Time preload_latency() const;
+  [[nodiscard]] Energy preload_energy() const { return costs_.preload_energy(); }
+  /// Time to program those tables (see SoftmaxCosts::preload_latency).
+  [[nodiscard]] Time preload_latency() const { return costs_.preload_latency(); }
   /// The full programming bill of this engine's CAM/LUT image — what the
   /// residency layer charges when the image must be (re)programmed.
-  [[nodiscard]] hw::ProgramCost preload_cost() const;
+  [[nodiscard]] hw::ProgramCost preload_cost() const { return costs_.preload_cost(); }
   /// Residency identity of this engine's image (keyed by operand format).
-  [[nodiscard]] xbar::ImageKey image_key() const;
+  [[nodiscard]] xbar::ImageKey image_key() const { return costs_.image_key(); }
   /// Programming bill of the CAM/LUT image for `fmt` on `cfg`'s substrate
   /// (tech node, device): the per-dataset miss cost of the LUT image cache.
-  /// Sizes a throwaway engine for `fmt` — use at setup, not per row.
+  /// Prices SoftmaxCosts for `fmt`; builds no table.
   [[nodiscard]] static hw::ProgramCost preload_cost_for(const StarConfig& cfg,
                                                         const fxp::QFormat& fmt);
-  [[nodiscard]] hw::CostSheet cost_sheet(int d) const;
+  [[nodiscard]] hw::CostSheet cost_sheet(int d) const { return costs_.cost_sheet(d); }
 
  private:
   /// Empty and over-long rows are rejected before any stage runs.
@@ -175,24 +254,12 @@ class SoftmaxEngine final {
   void run_datapath(std::size_t d, SoftmaxRunState& run) const;
   [[nodiscard]] std::int64_t summation_vmm(const hw::CounterArray& counters) const;
 
-  StarConfig cfg_;
-  fxp::QFormat fmt_;
-  int lut_frac_bits_;
-  int prob_frac_bits_;
-
+  SoftmaxCosts costs_;  ///< first: validates the config before any table
+  // The functional tables, built on costs_' crossbar cost values.
   xbar::CamSubCrossbar cam_sub_;
   xbar::CamCrossbar exp_cam_;
   xbar::LutCrossbar exp_lut_;
   hw::CounterArray counters_;
-  hw::Divider divider_;
-  // Summation crossbar periphery (the VMM stores the same table as the LUT).
-  hw::Cost sum_op_cost_;
-  Area sum_area_{};
-  Power sum_leakage_{};
-  // Row staging buffers and the phase sequencer.
-  hw::Sram in_buf_;
-  hw::Sram out_buf_;
-  hw::Cost control_;
 };
 
 /// The engine as an nn::RowSoftmaxInto: binds a shared const

@@ -18,11 +18,12 @@
 
 namespace star::hw {
 
-class CounterArray {
+/// The cost figures of one counter array, from (tech, rows, bits) alone:
+/// no count. CounterArray holds one; construction runs every check
+/// CounterArray's constructor runs.
+class CounterCosts {
  public:
-  /// `rows` counters of `bits` bits each (bits must cover the maximum
-  /// sequence length: e.g. 10 bits for 1024 inputs).
-  CounterArray(const TechNode& tech, int rows, int bits);
+  CounterCosts(const TechNode& tech, int rows, int bits);
 
   [[nodiscard]] int rows() const { return rows_; }
   [[nodiscard]] int bits() const { return bits_; }
@@ -30,6 +31,27 @@ class CounterArray {
   /// Unit cost of one counter; the array cost is unit * rows.
   [[nodiscard]] Cost unit_cost() const { return unit_; }
   [[nodiscard]] Cost array_cost() const;
+
+ private:
+  int rows_;
+  int bits_;
+  Cost unit_;
+};
+
+class CounterArray {
+ public:
+  /// `rows` counters of `bits` bits each (bits must cover the maximum
+  /// sequence length: e.g. 10 bits for 1024 inputs).
+  CounterArray(const TechNode& tech, int rows, int bits);
+  /// A zeroed array with these (already checked) costs.
+  explicit CounterArray(const CounterCosts& costs);
+
+  [[nodiscard]] int rows() const { return costs_.rows(); }
+  [[nodiscard]] int bits() const { return costs_.bits(); }
+
+  /// Unit cost of one counter; the array cost is unit * rows.
+  [[nodiscard]] Cost unit_cost() const { return costs_.unit_cost(); }
+  [[nodiscard]] Cost array_cost() const { return costs_.array_cost(); }
 
   // --- functional model ---
 
@@ -45,7 +67,7 @@ class CounterArray {
   /// searches that resolve the matching row directly.
   // STAR_HOT
   void accumulate_row(int row) {
-    require(row >= 0 && row < rows_, "CounterArray::accumulate_row: row out of range");
+    require(row >= 0 && row < rows(), "CounterArray::accumulate_row: row out of range");
     bump(static_cast<std::size_t>(row));
   }
 
@@ -62,16 +84,14 @@ class CounterArray {
   // Branch-free: whether a row was touched before is data-dependent. The
   // row is always written one past the list and kept only on a first touch.
   void bump(std::size_t row) {
-    const std::int64_t sat = (std::int64_t{1} << bits_) - 1;
+    const std::int64_t sat = (std::int64_t{1} << bits()) - 1;
     std::int64_t& c = counts_[row];
     touched_[touched_count_] = static_cast<std::int32_t>(row);
     touched_count_ += static_cast<std::size_t>(c == 0);
     c += static_cast<std::int64_t>(c < sat);
   }
 
-  int rows_;
-  int bits_;
-  Cost unit_;
+  CounterCosts costs_;
   std::vector<std::int64_t> counts_;
   // Sized to rows() + 1 up front (each row enters once per reset, plus the
   // scratch slot bump() writes), so a copy never grows it on the hot path.

@@ -1,6 +1,7 @@
 #include "sim/pipeline_sim.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "util/status.hpp"
 
@@ -13,6 +14,32 @@ double PipelineResult::bottleneck_util() const {
   }
   return peak;
 }
+
+namespace {
+
+/// The item-granular recurrence's state of one stage.
+struct StageState {
+  double service;  ///< per-item service time (s), before service_scale
+  double finish;   ///< finish time of the latest item through the stage
+  double busy;     ///< busy seconds so far
+};
+
+/// Pipelines up to this many stages keep their state on the stack; longer
+/// ones spill it to the heap. Every pipeline the models build has 4-7.
+constexpr std::size_t kStackStages = 16;
+
+/// Items that go through the stages together, their finish times held in
+/// registers (see simulate).
+constexpr std::size_t kItemBlock = 8;
+
+/// One cell of the item-granular recurrence: an item enters a stage once
+/// it left the previous stage (`ready`) and the stage is free
+/// (`stage_free`). The compare is std::max(ready, stage_free) spelled out.
+double finish_cell(double ready, double stage_free, double service) {
+  return (ready < stage_free ? stage_free : ready) + service;
+}
+
+}  // namespace
 
 PipelineResult simulate(const std::vector<Stage>& stages, std::size_t items,
                         Discipline discipline, const std::vector<double>& service_scale,
@@ -39,24 +66,55 @@ PipelineResult simulate(const std::vector<Stage>& stages, std::size_t items,
   double final_finish = 0.0;
   if (discipline == Discipline::kItemGranular) {
     // finish(i, s) = max(finish(i, s-1), finish(i-1, s)) + service(s) * scale(i)
-    // Only the previous item's row feeds the recurrence, so the rolling
-    // window keeps memory at O(stages) when the matrix is not recorded.
-    std::vector<double> prev(k, 0.0);  // finish times of item i-1
-    std::vector<double> cur(k, 0.0);
-    for (std::size_t i = 0; i < items; ++i) {
-      for (std::size_t s = 0; s < k; ++s) {
-        const double ready_item = (s == 0) ? 0.0 : cur[s - 1];
-        const double ready_stage = (i == 0) ? 0.0 : prev[s];
-        const double t = stages[s].service.as_s() * scale(i);
-        cur[s] = std::max(ready_item, ready_stage) + t;
-        res.stage_busy_s[s] += t;
-      }
-      if (options.record_completion) {
-        res.completion[i] = cur;
-      }
-      std::swap(prev, cur);
+    // Only the previous item's finish at the same stage feeds the next
+    // item, so one finish time per stage, overwritten in place, is the
+    // whole state: O(stages) memory, on the stack for short pipelines.
+    // A block of up to kItemBlock items goes through the stages together:
+    // inside the block an item reads its predecessor's finish from a
+    // register, so only one finish per stage and block makes the round trip
+    // through memory that bounds the recurrence. The inner loop runs to the
+    // constant kItemBlock so that the compiler unrolls it and keeps the
+    // block in registers; the last block may hold fewer items. Every cell
+    // keeps the operands and order of the formula above, and each stage
+    // adds its busy time item by item, so every result keeps its bits.
+    std::array<StageState, kStackStages> local;
+    std::vector<StageState> spilled(k > kStackStages ? k : 0);
+    StageState* const state = k > kStackStages ? spilled.data() : local.data();
+    for (std::size_t s = 0; s < k; ++s) {
+      state[s] = StageState{stages[s].service.as_s(), 0.0, 0.0};
     }
-    final_finish = prev[k - 1];
+    for (std::size_t first = 0; first < items; first += kItemBlock) {
+      const std::size_t n = std::min(kItemBlock, items - first);
+      std::array<double, kItemBlock> item_scale{};
+      for (std::size_t j = 0; j < n; ++j) {
+        item_scale[j] = scale(first + j);
+      }
+      std::array<double, kItemBlock> ready{};  // finish(first + j, s-1); 0 before stage 0
+      for (std::size_t s = 0; s < k; ++s) {
+        StageState& st = state[s];
+        double stage_free = st.finish;  // finish(first + j - 1, s)
+        double busy = st.busy;
+        for (std::size_t j = 0; j < kItemBlock; ++j) {
+          if (j < n) {
+            const double t = st.service * item_scale[j];
+            ready[j] = finish_cell(ready[j], stage_free, t);
+            busy += t;
+            stage_free = ready[j];
+          }
+        }
+        st.finish = stage_free;
+        st.busy = busy;
+        if (options.record_completion) {
+          for (std::size_t j = 0; j < n; ++j) {
+            res.completion[first + j][s] = ready[j];
+          }
+        }
+      }
+    }
+    for (std::size_t s = 0; s < k; ++s) {
+      res.stage_busy_s[s] = state[s].busy;
+    }
+    final_finish = state[k - 1].finish;
   } else {
     // Stage s starts only after every item finished stage s-1.
     double stage_start = 0.0;

@@ -13,6 +13,17 @@
 // The simulator is a deterministic discrete-time recurrence (no event heap
 // needed for a linear pipeline) and also exposes the closed-form makespan
 // for constant service times, which the tests cross-check.
+//
+// The per-cell rule (item-granular): item i finishes stage s at
+//   finish(i, s) = max(finish(i, s-1), finish(i-1, s)) + service(s) * scale(i)
+// with finish(i, -1) = finish(-1, s) = 0, and each stage's busy time adds
+// service(s) * scale(i) item by item. Every result is that double
+// arithmetic in that order, so the makespan, the busy and utilisation
+// figures and the completion matrix are reproducible bit for bit. The
+// loop keeps one state record per stage (service, latest finish, busy) on
+// the stack up to a fixed stage count, and walks blocks of items through
+// the stages with the block's finish times in registers; neither changes
+// a cell's operands or their order.
 #pragma once
 
 #include <cstddef>

@@ -8,21 +8,18 @@
 
 namespace star::xbar {
 
-CamCrossbar::CamCrossbar(const hw::TechNode& tech, RramDevice device, int rows, int bits)
-    : tech_(tech),
-      device_(device),
-      rows_(rows),
-      bits_(bits),
-      stored_(static_cast<std::size_t>(rows), -1) {
+CamCosts::CamCosts(const hw::TechNode& tech, const RramDevice& device, int rows,
+                   int bits)
+    : rows_(rows), bits_(bits) {
   require(rows >= 1, "CamCrossbar: rows must be >= 1");
   require(bits >= 1 && bits <= 32, "CamCrossbar: bits must be in [1, 32]");
-  device_.validate();
+  device.validate();
 
   // Area: 2 cells/bit crosspoints + one matchline sense amp per row +
   // search-line drivers per bit pair.
   const hw::SenseAmp sa(tech);
   const double cells = static_cast<double>(rows_) * physical_cols();
-  area_ = device_.cell_area(tech.feature_nm) * cells +
+  area_ = device.cell_area(tech.feature_nm) * cells +
           sa.cost().area * static_cast<double>(rows_) +
           Area::um2(1.4 * physical_cols());
 
@@ -48,6 +45,17 @@ CamCrossbar::CamCrossbar(const hw::TechNode& tech, RramDevice device, int rows, 
   search_cost_.latency = Time::ns(kSearchPulseNs) + sa.cost().latency;
   leakage_ = sa.cost().leakage * static_cast<double>(rows_);
   search_cost_.leakage = leakage_;
+
+  program_energy_ = device.write_energy() * cells;
+  // Row-serial programming.
+  program_latency_ = device.write_latency() * static_cast<double>(rows_);
+}
+
+CamCrossbar::CamCrossbar(const hw::TechNode& tech, RramDevice device, int rows, int bits)
+    : CamCrossbar(CamCosts(tech, device, rows, bits)) {}
+
+CamCrossbar::CamCrossbar(const CamCosts& costs)
+    : costs_(costs), stored_(static_cast<std::size_t>(costs.rows()), -1) {
   rebuild_index();
 }
 
@@ -55,14 +63,14 @@ void CamCrossbar::rebuild_index() {
   // 2^16 * 4 B caps the table at 256 KiB; every crossbar the engine builds
   // (<= 12-bit codes) is far below that, wider configs just keep the scan.
   constexpr int kIndexMaxBits = 16;
-  if (bits_ > kIndexMaxBits) {
+  if (bits() > kIndexMaxBits) {
     unique_codes_ = false;
     row_of_code_.clear();
     return;
   }
-  row_of_code_.assign(std::size_t{1} << bits_, -1);
+  row_of_code_.assign(std::size_t{1} << bits(), -1);
   unique_codes_ = true;
-  for (int r = 0; r < rows_; ++r) {
+  for (int r = 0; r < rows(); ++r) {
     const std::int64_t code = stored_[static_cast<std::size_t>(r)];
     if (code < 0) {
       continue;  // unprogrammed rows never match
@@ -79,21 +87,21 @@ void CamCrossbar::rebuild_index() {
 }
 
 void CamCrossbar::check_code(std::int64_t code) const {
-  require(code >= 0 && code < (std::int64_t{1} << bits_), [&] {
-    return "CamCrossbar::store: code out of range for " + std::to_string(bits_) +
+  require(code >= 0 && code < (std::int64_t{1} << bits()), [&] {
+    return "CamCrossbar::store: code out of range for " + std::to_string(bits()) +
            " bits";
   });
 }
 
 void CamCrossbar::store(int r, std::int64_t code) {
-  require(r >= 0 && r < rows_, "CamCrossbar::store: row out of range");
+  require(r >= 0 && r < rows(), "CamCrossbar::store: row out of range");
   check_code(code);
   stored_[static_cast<std::size_t>(r)] = code;
   rebuild_index();
 }
 
 void CamCrossbar::fill(const std::vector<std::int64_t>& codes) {
-  require(static_cast<int>(codes.size()) <= rows_,
+  require(static_cast<int>(codes.size()) <= rows(),
           "CamCrossbar::fill: more codes than rows");
   for (const auto code : codes) {
     check_code(code);
@@ -111,10 +119,10 @@ std::vector<bool> CamCrossbar::search(std::int64_t code, double miss_prob,
 
 void CamCrossbar::search_into(std::int64_t code, double miss_prob, Rng& rng,
                               std::vector<bool>& match) const {
-  require(code >= 0 && code < (std::int64_t{1} << bits_),
+  require(code >= 0 && code < (std::int64_t{1} << bits()),
           "CamCrossbar::search: code out of range");
-  match.assign(static_cast<std::size_t>(rows_), false);
-  for (int r = 0; r < rows_; ++r) {
+  match.assign(static_cast<std::size_t>(rows()), false);
+  for (int r = 0; r < rows(); ++r) {
     if (stored_[static_cast<std::size_t>(r)] == code) {
       const bool sensed = miss_prob <= 0.0 || !rng.bernoulli(miss_prob);
       match[static_cast<std::size_t>(r)] = sensed;
@@ -123,24 +131,14 @@ void CamCrossbar::search_into(std::int64_t code, double miss_prob, Rng& rng,
 }
 
 std::optional<int> CamCrossbar::search_index(std::int64_t code) const {
-  require(code >= 0 && code < (std::int64_t{1} << bits_),
+  require(code >= 0 && code < (std::int64_t{1} << bits()),
           "CamCrossbar::search: code out of range");
-  for (int r = 0; r < rows_; ++r) {
+  for (int r = 0; r < rows(); ++r) {
     if (stored_[static_cast<std::size_t>(r)] == code) {
       return r;
     }
   }
   return std::nullopt;
-}
-
-Energy CamCrossbar::program_energy() const {
-  const double cells = static_cast<double>(rows_) * physical_cols();
-  return device_.write_energy() * cells;
-}
-
-Time CamCrossbar::program_latency() const {
-  // Row-serial programming.
-  return device_.write_latency() * static_cast<double>(rows_);
 }
 
 }  // namespace star::xbar

@@ -21,14 +21,47 @@
 
 namespace star::xbar {
 
-class CamCrossbar {
+/// The cost figures of one CAM crossbar. They depend on (tech, device,
+/// rows, bits) alone, so a cost model builds them without storing a
+/// pattern or an index; CamCrossbar holds one. Construction runs every
+/// check CamCrossbar's constructor runs.
+class CamCosts {
  public:
-  /// `rows` stored patterns of `bits` bits (2 cells/bit on the die).
-  CamCrossbar(const hw::TechNode& tech, RramDevice device, int rows, int bits);
+  CamCosts(const hw::TechNode& tech, const RramDevice& device, int rows, int bits);
 
   [[nodiscard]] int rows() const { return rows_; }
   [[nodiscard]] int bits() const { return bits_; }
   [[nodiscard]] int physical_cols() const { return 2 * bits_; }
+
+  /// Per-search dynamic energy, latency; total area incl. sense amps.
+  [[nodiscard]] hw::Cost search_cost() const { return search_cost_; }
+  [[nodiscard]] Area area() const { return area_; }
+  [[nodiscard]] Power leakage() const { return leakage_; }
+
+  /// Cost of programming the full pattern set (row-serial).
+  [[nodiscard]] Energy program_energy() const { return program_energy_; }
+  [[nodiscard]] Time program_latency() const { return program_latency_; }
+
+ private:
+  int rows_;
+  int bits_;
+  hw::Cost search_cost_;
+  Area area_{};
+  Power leakage_{};
+  Energy program_energy_{};
+  Time program_latency_{};
+};
+
+class CamCrossbar {
+ public:
+  /// `rows` stored patterns of `bits` bits (2 cells/bit on the die).
+  CamCrossbar(const hw::TechNode& tech, RramDevice device, int rows, int bits);
+  /// An unprogrammed crossbar with these (already checked) costs.
+  explicit CamCrossbar(const CamCosts& costs);
+
+  [[nodiscard]] int rows() const { return costs_.rows(); }
+  [[nodiscard]] int bits() const { return costs_.bits(); }
+  [[nodiscard]] int physical_cols() const { return costs_.physical_cols(); }
 
   /// Program row `r` to match `code` (0 <= code < 2^bits).
   void store(int r, std::int64_t code);
@@ -64,7 +97,7 @@ class CamCrossbar {
   /// valid when unique_codes().
   // STAR_HOT
   [[nodiscard]] int search_row(std::int64_t code, double miss_prob, Rng& rng) const {
-    require(code >= 0 && code < (std::int64_t{1} << bits_),
+    require(code >= 0 && code < (std::int64_t{1} << costs_.bits()),
             "CamCrossbar::search: code out of range");
     STAR_ASSERT(unique_codes_, "CamCrossbar::search_row: requires unique stored codes");
     const std::int32_t r = row_of_code_[static_cast<std::size_t>(code)];
@@ -82,20 +115,18 @@ class CamCrossbar {
   [[nodiscard]] std::optional<int> search_index(std::int64_t code) const;
 
   /// Per-search dynamic energy, latency; total area incl. sense amps.
-  [[nodiscard]] hw::Cost search_cost() const { return search_cost_; }
-  [[nodiscard]] Area area() const { return area_; }
-  [[nodiscard]] Power leakage() const { return leakage_; }
+  [[nodiscard]] hw::Cost search_cost() const { return costs_.search_cost(); }
+  [[nodiscard]] Area area() const { return costs_.area(); }
+  [[nodiscard]] Power leakage() const { return costs_.leakage(); }
 
   /// Cost of programming the full pattern set.
-  [[nodiscard]] Energy program_energy() const;
-  [[nodiscard]] Time program_latency() const;
+  [[nodiscard]] Energy program_energy() const { return costs_.program_energy(); }
+  [[nodiscard]] Time program_latency() const { return costs_.program_latency(); }
 
  private:
-  hw::TechNode tech_;
-  RramDevice device_;
-  int rows_;
-  int bits_;
   void check_code(std::int64_t code) const;
+
+  CamCosts costs_;
 
   std::vector<std::int64_t> stored_;  // -1 = unprogrammed (never matches)
   // Inverted index over stored_: code -> row, -1 = absent. Rebuilt after
@@ -106,9 +137,6 @@ class CamCrossbar {
   void rebuild_index();
   std::vector<std::int32_t> row_of_code_;
   bool unique_codes_ = false;
-  hw::Cost search_cost_;
-  Area area_{};
-  Power leakage_{};
 };
 
 }  // namespace star::xbar

@@ -18,17 +18,8 @@ int rows_for(int bits) {
 
 }  // namespace
 
-CamSubCrossbar::CamSubCrossbar(const hw::TechNode& tech, RramDevice device, int bits)
-    : tech_(tech),
-      bits_(bits),
-      cam_(tech, device, rows_for(bits), bits) {
-  // Preload every representable code in descending order.
-  std::vector<std::int64_t> codes(static_cast<std::size_t>(1) << bits);
-  for (std::size_t r = 0; r < codes.size(); ++r) {
-    codes[r] = static_cast<std::int64_t>(codes.size() - 1 - r);
-  }
-  cam_.fill(codes);
-
+CamSubCosts::CamSubCosts(const hw::TechNode& tech, const RramDevice& device, int bits)
+    : bits_(bits), cam_(tech, device, rows_for(bits), bits) {
   const hw::GateLibrary lib(tech);
   // OR merge: one OR gate per matchline accumulating into a register bank.
   or_merge_ =
@@ -51,6 +42,42 @@ CamSubCrossbar::CamSubCrossbar(const hw::TechNode& tech, RramDevice device, int 
   area_ = cam_.area() + or_merge_.area + priority_enc_.area + sub_read_.area;
   leakage_ = cam_.leakage() + or_merge_.leakage + priority_enc_.leakage +
              sub_read_.leakage;
+}
+
+Energy CamSubCosts::maxfind_energy(int d) const {
+  require(d >= 1, "maxfind_energy: d must be >= 1");
+  return cam_.search_cost().energy_per_op * static_cast<double>(d) +
+         or_merge_.energy_per_op * static_cast<double>(d) +
+         priority_enc_.energy_per_op;
+}
+
+Time CamSubCosts::maxfind_latency(int d) const {
+  require(d >= 1, "maxfind_latency: d must be >= 1");
+  // Searches are pipelined one per search cycle; the OR merge overlaps.
+  return cam_.search_cost().latency * static_cast<double>(d) + priority_enc_.latency;
+}
+
+Energy CamSubCosts::subtract_energy(int d) const {
+  require(d >= 1, "subtract_energy: d must be >= 1");
+  return sub_read_.energy_per_op * static_cast<double>(d);
+}
+
+Time CamSubCosts::subtract_latency(int d) const {
+  require(d >= 1, "subtract_latency: d must be >= 1");
+  return sub_read_.latency * static_cast<double>(d);
+}
+
+CamSubCrossbar::CamSubCrossbar(const hw::TechNode& tech, RramDevice device, int bits)
+    : CamSubCrossbar(CamSubCosts(tech, device, bits)) {}
+
+CamSubCrossbar::CamSubCrossbar(const CamSubCosts& costs)
+    : costs_(costs), cam_(costs.cam()) {
+  // Preload every representable code in descending order.
+  std::vector<std::int64_t> codes(static_cast<std::size_t>(1) << bits());
+  for (std::size_t r = 0; r < codes.size(); ++r) {
+    codes[r] = static_cast<std::int64_t>(codes.size() - 1 - r);
+  }
+  cam_.fill(codes);
 }
 
 std::int64_t CamSubCrossbar::code_at(int row) const {
@@ -138,35 +165,15 @@ void CamSubCrossbar::subtract_into(const MaxFindResult& mf,
     // +V on the input's row, -V on the max row: SL output = x_i - x_max.
     out[i] = code_at(mf.input_rows[i]) - mf.max_code;
     if (mf.misses > 0) {
-      // If the true maximum's search missed, survivors can sit above the
-      // elected max; the analog subtractor saturates at zero.
+      // find_max elects the smallest matched row, so over the same codes
+      // every survivor sits at or below the elected max, even when the
+      // true maximum's search missed, and this clamp never fires. It
+      // guards a MaxFindResult that find_max did not produce over these
+      // codes: the analog subtractor saturates at zero.
       out[i] = std::min<std::int64_t>(out[i], 0);
     }
     STAR_ASSERT(out[i] <= 0, "CamSubCrossbar::subtract_all: difference must be <= 0");
   }
-}
-
-Energy CamSubCrossbar::maxfind_energy(int d) const {
-  require(d >= 1, "maxfind_energy: d must be >= 1");
-  return cam_.search_cost().energy_per_op * static_cast<double>(d) +
-         or_merge_.energy_per_op * static_cast<double>(d) +
-         priority_enc_.energy_per_op;
-}
-
-Time CamSubCrossbar::maxfind_latency(int d) const {
-  require(d >= 1, "maxfind_latency: d must be >= 1");
-  // Searches are pipelined one per search cycle; the OR merge overlaps.
-  return cam_.search_cost().latency * static_cast<double>(d) + priority_enc_.latency;
-}
-
-Energy CamSubCrossbar::subtract_energy(int d) const {
-  require(d >= 1, "subtract_energy: d must be >= 1");
-  return sub_read_.energy_per_op * static_cast<double>(d);
-}
-
-Time CamSubCrossbar::subtract_latency(int d) const {
-  require(d >= 1, "subtract_latency: d must be >= 1");
-  return sub_read_.latency * static_cast<double>(d);
 }
 
 }  // namespace star::xbar

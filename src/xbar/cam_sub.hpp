@@ -36,14 +36,52 @@ struct MaxFindResult {
   int misses = 0;                        ///< failed searches (fault injection)
 };
 
-class CamSubCrossbar {
+/// The cost figures of one CAM/SUB crossbar, from (tech, device, bits)
+/// alone: no preload, no index. CamSubCrossbar holds one; construction
+/// runs every check CamSubCrossbar's constructor runs.
+class CamSubCosts {
  public:
-  /// `bits`-wide operands; rows = 2^bits, preloaded descending.
-  CamSubCrossbar(const hw::TechNode& tech, RramDevice device, int bits);
+  CamSubCosts(const hw::TechNode& tech, const RramDevice& device, int bits);
 
   [[nodiscard]] int bits() const { return bits_; }
   [[nodiscard]] int rows() const { return cam_.rows(); }
   [[nodiscard]] int physical_cols() const { return cam_.physical_cols(); }
+  /// The CAM's own figures (2^bits rows of bits-wide codes).
+  [[nodiscard]] const CamCosts& cam() const { return cam_; }
+
+  [[nodiscard]] Area area() const { return area_; }
+  [[nodiscard]] Power leakage() const { return leakage_; }
+
+  /// Costs of a whole find_max over d inputs / a whole subtract pass.
+  [[nodiscard]] Energy maxfind_energy(int d) const;
+  [[nodiscard]] Time maxfind_latency(int d) const;
+  [[nodiscard]] Energy subtract_energy(int d) const;
+  [[nodiscard]] Time subtract_latency(int d) const;
+
+  /// One-time preload cost (all 2^bits rows).
+  [[nodiscard]] Energy program_energy() const { return cam_.program_energy(); }
+  [[nodiscard]] Time program_latency() const { return cam_.program_latency(); }
+
+ private:
+  int bits_;
+  CamCosts cam_;
+  hw::Cost or_merge_;
+  hw::Cost priority_enc_;
+  hw::Cost sub_read_;
+  Area area_{};
+  Power leakage_{};
+};
+
+class CamSubCrossbar {
+ public:
+  /// `bits`-wide operands; rows = 2^bits, preloaded descending.
+  CamSubCrossbar(const hw::TechNode& tech, RramDevice device, int bits);
+  /// The crossbar these (already checked) costs describe, preloaded.
+  explicit CamSubCrossbar(const CamSubCosts& costs);
+
+  [[nodiscard]] int bits() const { return costs_.bits(); }
+  [[nodiscard]] int rows() const { return costs_.rows(); }
+  [[nodiscard]] int physical_cols() const { return costs_.physical_cols(); }
 
   /// Code stored on row r (descending preload: 2^bits - 1 - r).
   [[nodiscard]] std::int64_t code_at(int row) const;
@@ -84,28 +122,22 @@ class CamSubCrossbar {
                      std::span<std::int64_t> out) const;
 
   // --- cost model ---
-  [[nodiscard]] Area area() const { return area_; }
-  [[nodiscard]] Power leakage() const { return leakage_; }
+  [[nodiscard]] Area area() const { return costs_.area(); }
+  [[nodiscard]] Power leakage() const { return costs_.leakage(); }
 
   /// Costs of a whole find_max over d inputs / a whole subtract pass.
-  [[nodiscard]] Energy maxfind_energy(int d) const;
-  [[nodiscard]] Time maxfind_latency(int d) const;
-  [[nodiscard]] Energy subtract_energy(int d) const;
-  [[nodiscard]] Time subtract_latency(int d) const;
+  [[nodiscard]] Energy maxfind_energy(int d) const { return costs_.maxfind_energy(d); }
+  [[nodiscard]] Time maxfind_latency(int d) const { return costs_.maxfind_latency(d); }
+  [[nodiscard]] Energy subtract_energy(int d) const { return costs_.subtract_energy(d); }
+  [[nodiscard]] Time subtract_latency(int d) const { return costs_.subtract_latency(d); }
 
   /// One-time preload cost (all 2^bits rows).
-  [[nodiscard]] Energy program_energy() const { return cam_.program_energy(); }
-  [[nodiscard]] Time program_latency() const { return cam_.program_latency(); }
+  [[nodiscard]] Energy program_energy() const { return costs_.program_energy(); }
+  [[nodiscard]] Time program_latency() const { return costs_.program_latency(); }
 
  private:
-  hw::TechNode tech_;
-  int bits_;
+  CamSubCosts costs_;
   CamCrossbar cam_;
-  hw::Cost or_merge_;
-  hw::Cost priority_enc_;
-  hw::Cost sub_read_;
-  Area area_{};
-  Power leakage_{};
 };
 
 }  // namespace star::xbar

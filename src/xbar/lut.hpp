@@ -16,13 +16,40 @@
 
 namespace star::xbar {
 
+/// The cost figures of one LUT crossbar, from (tech, device, rows,
+/// word_bits) alone: no stored word. LutCrossbar holds one; construction
+/// runs every check LutCrossbar's constructor runs.
+class LutCosts {
+ public:
+  LutCosts(const hw::TechNode& tech, const RramDevice& device, int rows, int word_bits);
+
+  [[nodiscard]] int rows() const { return rows_; }
+  [[nodiscard]] int word_bits() const { return word_bits_; }
+
+  [[nodiscard]] hw::Cost read_cost() const { return read_cost_; }
+  [[nodiscard]] Area area() const { return area_; }
+
+  [[nodiscard]] Energy program_energy() const { return program_energy_; }
+  [[nodiscard]] Time program_latency() const { return program_latency_; }
+
+ private:
+  int rows_;
+  int word_bits_;
+  hw::Cost read_cost_;
+  Area area_{};
+  Energy program_energy_{};
+  Time program_latency_{};
+};
+
 class LutCrossbar {
  public:
   /// `rows` words of `word_bits` bits (1 cell per bit; binary states).
   LutCrossbar(const hw::TechNode& tech, RramDevice device, int rows, int word_bits);
+  /// An all-zero crossbar with these (already checked) costs.
+  explicit LutCrossbar(const LutCosts& costs);
 
-  [[nodiscard]] int rows() const { return rows_; }
-  [[nodiscard]] int word_bits() const { return word_bits_; }
+  [[nodiscard]] int rows() const { return costs_.rows(); }
+  [[nodiscard]] int word_bits() const { return costs_.word_bits(); }
 
   /// Program row `r` to hold `word`.
   void store(int r, std::int64_t word);
@@ -39,26 +66,21 @@ class LutCrossbar {
   /// as read(); the engine's hot path).
   // STAR_HOT
   [[nodiscard]] std::int64_t word_at(int r) const {
-    require(r >= 0 && r < rows_, "LutCrossbar::word_at: row out of range");
+    require(r >= 0 && r < rows(), "LutCrossbar::word_at: row out of range");
     return words_[static_cast<std::size_t>(r)];
   }
 
-  [[nodiscard]] hw::Cost read_cost() const { return read_cost_; }
-  [[nodiscard]] Area area() const { return area_; }
+  [[nodiscard]] hw::Cost read_cost() const { return costs_.read_cost(); }
+  [[nodiscard]] Area area() const { return costs_.area(); }
 
-  [[nodiscard]] Energy program_energy() const;
-  [[nodiscard]] Time program_latency() const;
+  [[nodiscard]] Energy program_energy() const { return costs_.program_energy(); }
+  [[nodiscard]] Time program_latency() const { return costs_.program_latency(); }
 
  private:
   void check_word(std::int64_t word) const;
 
-  hw::TechNode tech_;
-  RramDevice device_;
-  int rows_;
-  int word_bits_;
+  LutCosts costs_;
   std::vector<std::int64_t> words_;
-  hw::Cost read_cost_;
-  Area area_{};
 };
 
 }  // namespace star::xbar

@@ -9,10 +9,13 @@
 //   EXPECT_/ASSERT_ {EQ, NE, LT, LE, GT, GE, TRUE, FALSE, NEAR, DOUBLE_EQ}
 //   EXPECT_THROW / EXPECT_NO_THROW / EXPECT_DEATH (POSIX fork-based;
 //   the "regex" argument is matched as a plain substring)
+//   SCOPED_TRACE / testing::Test::HasFatalFailure() / FAIL() / GTEST_SKIP()
 //
 // Semantics follow gtest: EXPECT_* records the failure and continues,
 // ASSERT_* returns from the enclosing function, both support streaming
-// extra context with operator<<.
+// extra context with operator<<. An ASSERT_* failure in a helper returns
+// from the helper only; HasFatalFailure() tells its caller. Every failure
+// prints the messages of the SCOPED_TRACEs in scope, innermost first.
 #pragma once
 
 #include <cmath>
@@ -44,6 +47,10 @@ class Message {
     ss_ << value;
     return *this;
   }
+  Message& operator<<(const Message& other) {
+    ss_ << other.str();
+    return *this;
+  }
   [[nodiscard]] std::string str() const { return ss_.str(); }
 
  private:
@@ -65,6 +72,9 @@ struct Registry {
   }
   std::vector<TestCase> tests;
   bool current_failed = false;
+  bool current_fatal = false;  ///< an ASSERT_* failed in the current test
+  bool current_skipped = false;  ///< the current test ran GTEST_SKIP()
+  std::vector<std::string> traces;  ///< SCOPED_TRACE messages, outermost first
   int failed_tests = 0;
 
   static bool add(std::string suite, std::string name, std::function<void()> body) {
@@ -74,11 +84,19 @@ struct Registry {
 };
 
 inline void ReportFailure(const char* file, int line, const std::string& summary,
-                          const std::string& user_msg) {
-  Registry::get().current_failed = true;
+                          const std::string& user_msg, bool fatal = false) {
+  Registry& reg = Registry::get();
+  reg.current_failed = true;
+  reg.current_fatal = reg.current_fatal || fatal;
   std::printf("%s:%d: Failure\n%s\n", file, line, summary.c_str());
   if (!user_msg.empty()) {
     std::printf("%s\n", user_msg.c_str());
+  }
+  if (!reg.traces.empty()) {
+    std::printf("Google Test trace:\n");
+    for (auto it = reg.traces.rbegin(); it != reg.traces.rend(); ++it) {
+      std::printf("%s\n", it->c_str());
+    }
   }
 }
 
@@ -87,14 +105,44 @@ inline void ReportFailure(const char* file, int line, const std::string& summary
 /// `return` it (gtest's own trick).
 class AssertHelper {
  public:
-  AssertHelper(const char* file, int line, std::string summary)
-      : file_(file), line_(line), summary_(std::move(summary)) {}
-  void operator=(const Message& m) const { ReportFailure(file_, line_, summary_, m.str()); }
+  AssertHelper(const char* file, int line, std::string summary, bool fatal = false)
+      : file_(file), line_(line), summary_(std::move(summary)), fatal_(fatal) {}
+  void operator=(const Message& m) const {
+    ReportFailure(file_, line_, summary_, m.str(), fatal_);
+  }
 
  private:
   const char* file_;
   int line_;
   std::string summary_;
+  bool fatal_;
+};
+
+/// Consumes GTEST_SKIP()'s streamed message; the test stops and reads as
+/// skipped, not failed.
+class SkipHelper {
+ public:
+  SkipHelper(const char* file, int line) : file_(file), line_(line) {}
+  void operator=(const Message& m) const {
+    Registry::get().current_skipped = true;
+    std::printf("%s:%d: Skipped\n%s\n", file_, line_, m.str().c_str());
+  }
+
+ private:
+  const char* file_;
+  int line_;
+};
+
+/// One SCOPED_TRACE: its message is on the trace stack while it lives.
+class ScopedTrace {
+ public:
+  ScopedTrace(const char* file, int line, const std::string& message) {
+    Registry::get().traces.push_back(std::string(file) + ":" + std::to_string(line) +
+                                     ": " + message);
+  }
+  ~ScopedTrace() { Registry::get().traces.pop_back(); }
+  ScopedTrace(const ScopedTrace&) = delete;
+  ScopedTrace& operator=(const ScopedTrace&) = delete;
 };
 
 template <typename T, typename = void>
@@ -219,6 +267,9 @@ class Test {
     TestBody();
     TearDown();
   }
+  /// True once an ASSERT_* has failed in the running test, in whatever
+  /// function it ran.
+  static bool HasFatalFailure() { return internal::Registry::get().current_fatal; }
 };
 
 template <typename T>
@@ -337,6 +388,9 @@ inline int RUN_ALL_TESTS() {
     const std::string full = t.suite + "." + t.name;
     std::printf("[ RUN      ] %s\n", full.c_str());
     reg.current_failed = false;
+    reg.current_fatal = false;
+    reg.current_skipped = false;
+    reg.traces.clear();
     try {
       t.body();
     } catch (const std::exception& e) {
@@ -351,6 +405,8 @@ inline int RUN_ALL_TESTS() {
     if (reg.current_failed) {
       ++reg.failed_tests;
       std::printf("[  FAILED  ] %s\n", full.c_str());
+    } else if (reg.current_skipped) {
+      std::printf("[  SKIPPED ] %s\n", full.c_str());
     } else {
       std::printf("[       OK ] %s\n", full.c_str());
     }
@@ -406,55 +462,68 @@ inline int RUN_ALL_TESTS() {
       ::testing::internal::InstantiateParamSuite<suite>(#prefix, #suite,        \
                                                         (__VA_ARGS__))
 
-// `check` must yield std::unique_ptr<std::string> (null = pass).
-#define GTEST_SHIM_CHECK_(check, fatal_kw)                                      \
+// `check` must yield std::unique_ptr<std::string> (null = pass). `fatal`
+// is false for EXPECT_* (fatal_kw empty) and true for ASSERT_* (fatal_kw
+// `return`).
+#define GTEST_SHIM_CHECK_(check, fatal_kw, fatal)                               \
   GTEST_SHIM_AMBIGUOUS_ELSE_                                                    \
   if (const auto gtest_shim_fail = (check); !gtest_shim_fail)                   \
     ;                                                                           \
   else                                                                          \
     fatal_kw ::testing::internal::AssertHelper(__FILE__, __LINE__,              \
-                                               *gtest_shim_fail) =              \
+                                               *gtest_shim_fail, fatal) =       \
         ::testing::Message()
+#define GTEST_SHIM_EXPECT_(check) GTEST_SHIM_CHECK_(check, , false)
+#define GTEST_SHIM_ASSERT_(check) GTEST_SHIM_CHECK_(check, return, true)
 
-#define GTEST_SHIM_CMP_(a, b, op, fatal_kw)                                     \
-  GTEST_SHIM_CHECK_(                                                            \
-      ::testing::internal::CheckCmp(                                            \
-          (a), (b), [](const auto& x, const auto& y) { return x op y; }, #a,    \
-          #b, #op),                                                             \
-      fatal_kw)
+#define GTEST_SHIM_CMP_(a, b, op)                                               \
+  ::testing::internal::CheckCmp(                                                \
+      (a), (b), [](const auto& x, const auto& y) { return x op y; }, #a, #b, #op)
 
-#define EXPECT_EQ(a, b) GTEST_SHIM_CMP_(a, b, ==, )
-#define EXPECT_NE(a, b) GTEST_SHIM_CMP_(a, b, !=, )
-#define EXPECT_LT(a, b) GTEST_SHIM_CMP_(a, b, <, )
-#define EXPECT_LE(a, b) GTEST_SHIM_CMP_(a, b, <=, )
-#define EXPECT_GT(a, b) GTEST_SHIM_CMP_(a, b, >, )
-#define EXPECT_GE(a, b) GTEST_SHIM_CMP_(a, b, >=, )
-#define ASSERT_EQ(a, b) GTEST_SHIM_CMP_(a, b, ==, return)
-#define ASSERT_NE(a, b) GTEST_SHIM_CMP_(a, b, !=, return)
-#define ASSERT_LT(a, b) GTEST_SHIM_CMP_(a, b, <, return)
-#define ASSERT_LE(a, b) GTEST_SHIM_CMP_(a, b, <=, return)
-#define ASSERT_GT(a, b) GTEST_SHIM_CMP_(a, b, >, return)
-#define ASSERT_GE(a, b) GTEST_SHIM_CMP_(a, b, >=, return)
+#define EXPECT_EQ(a, b) GTEST_SHIM_EXPECT_(GTEST_SHIM_CMP_(a, b, ==))
+#define EXPECT_NE(a, b) GTEST_SHIM_EXPECT_(GTEST_SHIM_CMP_(a, b, !=))
+#define EXPECT_LT(a, b) GTEST_SHIM_EXPECT_(GTEST_SHIM_CMP_(a, b, <))
+#define EXPECT_LE(a, b) GTEST_SHIM_EXPECT_(GTEST_SHIM_CMP_(a, b, <=))
+#define EXPECT_GT(a, b) GTEST_SHIM_EXPECT_(GTEST_SHIM_CMP_(a, b, >))
+#define EXPECT_GE(a, b) GTEST_SHIM_EXPECT_(GTEST_SHIM_CMP_(a, b, >=))
+#define ASSERT_EQ(a, b) GTEST_SHIM_ASSERT_(GTEST_SHIM_CMP_(a, b, ==))
+#define ASSERT_NE(a, b) GTEST_SHIM_ASSERT_(GTEST_SHIM_CMP_(a, b, !=))
+#define ASSERT_LT(a, b) GTEST_SHIM_ASSERT_(GTEST_SHIM_CMP_(a, b, <))
+#define ASSERT_LE(a, b) GTEST_SHIM_ASSERT_(GTEST_SHIM_CMP_(a, b, <=))
+#define ASSERT_GT(a, b) GTEST_SHIM_ASSERT_(GTEST_SHIM_CMP_(a, b, >))
+#define ASSERT_GE(a, b) GTEST_SHIM_ASSERT_(GTEST_SHIM_CMP_(a, b, >=))
 
 #define EXPECT_TRUE(x) \
-  GTEST_SHIM_CHECK_(::testing::internal::CheckBool(static_cast<bool>(x), true, #x), )
+  GTEST_SHIM_EXPECT_(::testing::internal::CheckBool(static_cast<bool>(x), true, #x))
 #define EXPECT_FALSE(x) \
-  GTEST_SHIM_CHECK_(::testing::internal::CheckBool(static_cast<bool>(x), false, #x), )
-#define ASSERT_TRUE(x)                                                          \
-  GTEST_SHIM_CHECK_(::testing::internal::CheckBool(static_cast<bool>(x), true, #x), \
-                    return)
-#define ASSERT_FALSE(x)                                                         \
-  GTEST_SHIM_CHECK_(                                                            \
-      ::testing::internal::CheckBool(static_cast<bool>(x), false, #x), return)
+  GTEST_SHIM_EXPECT_(::testing::internal::CheckBool(static_cast<bool>(x), false, #x))
+#define ASSERT_TRUE(x) \
+  GTEST_SHIM_ASSERT_(::testing::internal::CheckBool(static_cast<bool>(x), true, #x))
+#define ASSERT_FALSE(x) \
+  GTEST_SHIM_ASSERT_(::testing::internal::CheckBool(static_cast<bool>(x), false, #x))
 
 #define EXPECT_NEAR(a, b, tol) \
-  GTEST_SHIM_CHECK_(::testing::internal::CheckNear((a), (b), (tol), #a, #b), )
-#define ASSERT_NEAR(a, b, tol)                                                  \
-  GTEST_SHIM_CHECK_(::testing::internal::CheckNear((a), (b), (tol), #a, #b), return)
+  GTEST_SHIM_EXPECT_(::testing::internal::CheckNear((a), (b), (tol), #a, #b))
+#define ASSERT_NEAR(a, b, tol) \
+  GTEST_SHIM_ASSERT_(::testing::internal::CheckNear((a), (b), (tol), #a, #b))
 #define EXPECT_DOUBLE_EQ(a, b) \
-  GTEST_SHIM_CHECK_(::testing::internal::CheckDoubleEq((a), (b), #a, #b), )
+  GTEST_SHIM_EXPECT_(::testing::internal::CheckDoubleEq((a), (b), #a, #b))
 #define ASSERT_DOUBLE_EQ(a, b) \
-  GTEST_SHIM_CHECK_(::testing::internal::CheckDoubleEq((a), (b), #a, #b), return)
+  GTEST_SHIM_ASSERT_(::testing::internal::CheckDoubleEq((a), (b), #a, #b))
+
+#define FAIL() GTEST_SHIM_ASSERT_(std::make_unique<std::string>("Failed"))
+#define GTEST_SKIP()       \
+  GTEST_SHIM_AMBIGUOUS_ELSE_ \
+  return ::testing::internal::SkipHelper(__FILE__, __LINE__) = ::testing::Message()
+
+#define GTEST_SHIM_CONCAT_IMPL_(a, b) a##b
+#define GTEST_SHIM_CONCAT_(a, b) GTEST_SHIM_CONCAT_IMPL_(a, b)
+/// Any streamable message (a testing::Message included); printed with
+/// every failure while the enclosing scope lives.
+#define SCOPED_TRACE(message)                                                   \
+  const ::testing::internal::ScopedTrace GTEST_SHIM_CONCAT_(gtest_shim_trace_, \
+                                                            __LINE__)(          \
+      __FILE__, __LINE__, (::testing::Message() << (message)).str())
 
 #define GTEST_SHIM_THROW_IMPL_(stmt, extype, fail_expr)                         \
   GTEST_SHIM_AMBIGUOUS_ELSE_                                                    \
@@ -549,12 +618,10 @@ inline std::unique_ptr<std::string> RunDeathTest(const std::function<void()>& bo
 
 }  // namespace testing::internal
 
-#define EXPECT_DEATH(stmt, pattern)                                             \
-  GTEST_SHIM_CHECK_(                                                            \
-      ::testing::internal::RunDeathTest([&] { stmt; }, pattern, #stmt), )
+#define EXPECT_DEATH(stmt, pattern) \
+  GTEST_SHIM_EXPECT_(::testing::internal::RunDeathTest([&] { stmt; }, pattern, #stmt))
 #else
 // No fork(): run nothing and pass vacuously (the three death tests guard
 // abort paths that the THROW tests also cover).
-#define EXPECT_DEATH(stmt, pattern) \
-  GTEST_SHIM_CHECK_(std::unique_ptr<std::string>{}, )
+#define EXPECT_DEATH(stmt, pattern) GTEST_SHIM_EXPECT_(std::unique_ptr<std::string>{})
 #endif

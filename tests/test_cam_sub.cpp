@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <span>
+#include <vector>
 
 #include "hw/tech.hpp"
 #include "util/rng.hpp"
@@ -93,6 +95,41 @@ TEST(CamSub, SubtractAllProducesNonPositiveDiffs) {
       EXPECT_LE(diffs[i], 0);
     }
   }
+}
+
+TEST(CamSub, MissedSearchesNeverLeaveASurvivorAboveTheElectedMax) {
+  // find_max elects the smallest matched row, so even when the true
+  // maximum's search misses, every surviving input sits at or below the
+  // elected max: the pre-clamp difference is never positive and
+  // subtract_all's clamp never changes a value.
+  const auto cs = make_camsub(8);
+  Rng rows_rng(0x5AB);
+  Rng fault_rng(0xFA17);
+  int rows_with_misses = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    std::vector<std::int64_t> xs(static_cast<std::size_t>(rows_rng.uniform_int(1, 40)));
+    for (auto& x : xs) {
+      x = rows_rng.uniform_int(0, 255);
+    }
+    MaxFindResult mf;
+    try {
+      mf = cs.find_max(xs, 0.5, fault_rng);
+    } catch (const SimulationError&) {
+      continue;  // every search missed: nothing to subtract
+    }
+    rows_with_misses += mf.misses > 0 ? 1 : 0;
+    const auto diffs = cs.subtract_all(mf, xs);
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      if (mf.input_rows[i] < 0) {
+        EXPECT_EQ(diffs[i], -cs.rows()) << "trial " << trial << " element " << i;
+        continue;
+      }
+      const std::int64_t pre_clamp = cs.code_at(mf.input_rows[i]) - mf.max_code;
+      EXPECT_LE(pre_clamp, 0) << "trial " << trial << " element " << i;
+      EXPECT_EQ(diffs[i], pre_clamp) << "trial " << trial << " element " << i;
+    }
+  }
+  EXPECT_GT(rows_with_misses, 300);
 }
 
 TEST(CamSub, InputRowsTrackMatchedRows) {

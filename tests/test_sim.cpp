@@ -2,7 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "sim/pipeline_sim.hpp"
 #include "sim/stats.hpp"
@@ -146,6 +150,103 @@ TEST(Histogram, AsciiRenders) {
 TEST(Histogram, RejectsBadRange) {
   EXPECT_THROW(Histogram(1.0, 0.0, 10), InvalidArgument);
   EXPECT_THROW(Histogram(0.0, 1.0, 0), InvalidArgument);
+}
+
+// ---------- the item-granular recurrence, bit for bit ----------
+
+/// The item-granular loop as the simulator ran it with one heap row per
+/// item and std::max: the oracle for the blocked, stack-resident loop.
+PipelineResult rolling_row_simulate(const std::vector<Stage>& stages, std::size_t items,
+                                    const std::vector<double>& service_scale) {
+  const std::size_t k = stages.size();
+  PipelineResult res;
+  res.completion.assign(items, std::vector<double>(k, 0.0));
+  res.stage_busy_s.assign(k, 0.0);
+  res.stage_util.assign(k, 0.0);
+  auto scale = [&](std::size_t i) {
+    return service_scale.empty() ? 1.0 : service_scale[i];
+  };
+  std::vector<double> prev(k, 0.0);
+  std::vector<double> cur(k, 0.0);
+  for (std::size_t i = 0; i < items; ++i) {
+    for (std::size_t s = 0; s < k; ++s) {
+      const double ready_item = (s == 0) ? 0.0 : cur[s - 1];
+      const double ready_stage = (i == 0) ? 0.0 : prev[s];
+      const double t = stages[s].service.as_s() * scale(i);
+      cur[s] = std::max(ready_item, ready_stage) + t;
+      res.stage_busy_s[s] += t;
+    }
+    res.completion[i] = cur;
+    std::swap(prev, cur);
+  }
+  res.makespan = Time::s(prev[k - 1]);
+  const double span = res.makespan.as_s();
+  for (std::size_t s = 0; s < k; ++s) {
+    res.stage_util[s] = span > 0.0 ? res.stage_busy_s[s] / span : 0.0;
+  }
+  return res;
+}
+
+std::uint64_t bits_of(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(PipelineSim, ItemGranularEqualsTheRollingRowLoopBitForBit) {
+  // 1-40 stages cross the stack buffer's edge; the item counts sit on and
+  // around the register block's edges. Half the stage sets draw from three
+  // service times, so the max sees ties; half the runs scale every item.
+  Rng rng(0x51A6E);
+  std::vector<std::size_t> counts{1, 2, 7, 8, 9, 15, 16, 17, 64, 127, 128, 129, 384, 600};
+  for (int extra = 0; extra < 6; ++extra) {
+    counts.push_back(static_cast<std::size_t>(rng.uniform_int(1, 600)));
+  }
+  int cases = 0;
+  for (std::size_t k = 1; k <= 40; ++k) {
+    for (const std::size_t n : counts) {
+      const bool ties = rng.bernoulli(0.5);
+      std::vector<Stage> stages;
+      for (std::size_t s = 0; s < k; ++s) {
+        const double ns = ties ? 10.0 * static_cast<double>(rng.uniform_int(1, 3))
+                               : rng.uniform(0.5, 500.0);
+        stages.push_back(Stage{"s" + std::to_string(s), Time::ns(ns)});
+      }
+      for (const bool scaled : {false, true}) {
+        std::vector<double> scale;
+        if (scaled) {
+          for (std::size_t i = 0; i < n; ++i) {
+            scale.push_back(rng.uniform(0.25, 2.0));
+          }
+        }
+        const std::string where = "k=" + std::to_string(k) + " n=" + std::to_string(n) +
+                                  (scaled ? " scaled" : "");
+        const PipelineResult want = rolling_row_simulate(stages, n, scale);
+        const PipelineResult got = simulate(stages, n, Discipline::kItemGranular, scale);
+        const PipelineResult summary =
+            simulate(stages, n, Discipline::kItemGranular, scale,
+                     SimOptions{.record_completion = false});
+        ASSERT_EQ(bits_of(got.makespan.as_s()), bits_of(want.makespan.as_s())) << where;
+        ASSERT_EQ(bits_of(summary.makespan.as_s()), bits_of(want.makespan.as_s())) << where;
+        EXPECT_TRUE(summary.completion.empty()) << where;
+        for (std::size_t s = 0; s < k; ++s) {
+          ASSERT_EQ(bits_of(got.stage_busy_s[s]), bits_of(want.stage_busy_s[s]))
+              << where << " stage " << s;
+          ASSERT_EQ(bits_of(got.stage_util[s]), bits_of(want.stage_util[s]))
+              << where << " stage " << s;
+          ASSERT_EQ(bits_of(summary.stage_busy_s[s]), bits_of(want.stage_busy_s[s]))
+              << where << " stage " << s;
+          ASSERT_EQ(bits_of(summary.stage_util[s]), bits_of(want.stage_util[s]))
+              << where << " stage " << s;
+        }
+        ASSERT_EQ(got.completion.size(), n) << where;
+        for (std::size_t i = 0; i < n; ++i) {
+          for (std::size_t s = 0; s < k; ++s) {
+            ASSERT_EQ(bits_of(got.completion[i][s]), bits_of(want.completion[i][s]))
+                << where << " item " << i << " stage " << s;
+          }
+        }
+        ++cases;
+      }
+    }
+  }
+  EXPECT_EQ(cases, 40 * 20 * 2);
 }
 
 // Parameterized cross-check: closed form == simulation for many shapes.

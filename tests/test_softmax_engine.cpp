@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
@@ -14,6 +16,7 @@
 #include <vector>
 
 #include "baseline/cmos_softmax.hpp"
+#include "core/accelerator.hpp"
 #include "core/batch_encoder.hpp"
 #include "core/softmax_engine.hpp"
 #include "nn/attention.hpp"
@@ -335,6 +338,167 @@ TEST(SoftmaxEngine, OversizedFormatsFailConfigValidationFirst) {
     expect_config_error([&] { const StarAccelerator acc(cfg); }, "StarAccelerator");
     expect_config_error([&] { const BatchEncoderSim sim(cfg, nn::BertConfig::tiny()); },
                         "BatchEncoderSim");
+  }
+}
+
+// ---------- every format StarConfig accepts ----------
+
+/// Every unsigned format of 4..12 bits: the formats StarConfig accepts.
+std::vector<fxp::QFormat> accepted_formats() {
+  std::vector<fxp::QFormat> formats;
+  for (int bits = 4; bits <= 12; ++bits) {
+    for (int int_bits = 0; int_bits <= bits; ++int_bits) {
+      formats.push_back(fxp::make_unsigned(int_bits, bits - int_bits));
+    }
+  }
+  return formats;
+}
+
+/// The LUT word of magnitude code `mag`, from the paper's construction.
+std::int64_t lut_word(const fxp::QFormat& fmt, int lut_frac_bits, std::int64_t mag) {
+  return static_cast<std::int64_t>(
+      round_half_even(std::exp(-static_cast<double>(mag) * fmt.resolution()) *
+                      std::ldexp(1.0, lut_frac_bits)));
+}
+
+TEST(SoftmaxEngine, ExpTableHoldsEveryMagnitudeWithANonZeroWord) {
+  // A magnitude beyond the exp CAM's rows reads as a zero word, so every
+  // such magnitude's word must round to 0. With 2^(b-1) rows that failed
+  // for narrow formats: a Q2.2 engine read [1.0, -1.0] as [1.0, 0.0].
+  const std::vector<fxp::QFormat> formats = accepted_formats();
+  ASSERT_EQ(formats.size(), 81u);
+  int full_tables = 0;
+  for (const fxp::QFormat& fmt : formats) {
+    const SoftmaxEngine eng(config_for(fmt));
+    const std::int64_t codes = std::int64_t{1} << fmt.total_bits();
+    ASSERT_TRUE(eng.exp_rows() == codes / 2 || eng.exp_rows() == codes) << fmt.name();
+    full_tables += eng.exp_rows() == codes ? 1 : 0;
+    for (std::int64_t mag = eng.exp_rows(); mag < codes; ++mag) {
+      ASSERT_EQ(lut_word(fmt, eng.lut_frac_bits(), mag), 0)
+          << fmt.name() << " magnitude " << mag << " of " << eng.exp_rows() << " rows";
+    }
+    SoftmaxRunState run;
+    const std::vector<double> row{1.0, -1.0};
+    const auto oracle = workload::quantized_softmax(row, fmt, eng.lut_frac_bits());
+    const auto got = run_row(eng, run, row);
+    const double tol = std::ldexp(1.0, -eng.prob_frac_bits()) * 1.5;
+    for (std::size_t i = 0; i < row.size(); ++i) {
+      EXPECT_NEAR(got[i], oracle[i], tol) << fmt.name() << " element " << i;
+    }
+  }
+  // The paper's formats keep half the code space (256 rows at 9 bits).
+  EXPECT_EQ(SoftmaxEngine(config_for(fxp::kCnewsFormat)).exp_rows(), 128);
+  EXPECT_EQ(SoftmaxEngine(config_for(fxp::kMrpcFormat)).exp_rows(), 256);
+  EXPECT_EQ(SoftmaxEngine(config_for(fxp::kColaFormat)).exp_rows(), 64);
+  EXPECT_EQ(full_tables, 41);
+  // The reported case against the oracle's figures.
+  SoftmaxRunState run;
+  const auto q22 =
+      run_row(SoftmaxEngine(config_for(fxp::make_unsigned(2, 2))), run,
+              std::vector<double>{1.0, -1.0});
+  EXPECT_NEAR(q22[0], 0.8834, 1e-3);
+  EXPECT_NEAR(q22[1], 0.1166, 1e-3);
+}
+
+std::uint64_t bits_of(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(SoftmaxCosts, EqualsAFullEnginesFiguresBitForBit) {
+  // StarAccelerator holds SoftmaxCosts and builds no table; its figures
+  // must be the ones a full engine reports, for every accepted format.
+  const xbar::RramDevice devices[] = {xbar::RramDevice::ideal(2),
+                                      xbar::RramDevice::noisy(1)};
+  int configs = 0;
+  for (const fxp::QFormat& fmt : accepted_formats()) {
+    for (const xbar::RramDevice& device : devices) {
+      for (const int max_seq_len : {2, 384, 1024, 4096}) {
+        StarConfig cfg = config_for(fmt);
+        cfg.device = device;
+        cfg.max_seq_len = max_seq_len;
+        const SoftmaxCosts costs(cfg);
+        const SoftmaxEngine eng(cfg);
+        const std::string where = fmt.name() + " max_seq_len " + std::to_string(max_seq_len) +
+                                  " bits/cell " + std::to_string(device.bits_per_cell);
+        ASSERT_EQ(costs.exp_rows(), eng.exp_rows()) << where;
+        ASSERT_EQ(costs.lut_frac_bits(), eng.lut_frac_bits()) << where;
+        ASSERT_EQ(costs.prob_frac_bits(), eng.prob_frac_bits()) << where;
+        ASSERT_EQ(bits_of(costs.area().as_mm2()), bits_of(eng.area().as_mm2())) << where;
+        ASSERT_EQ(bits_of(costs.leakage().as_W()), bits_of(eng.leakage().as_W())) << where;
+        ASSERT_EQ(bits_of(costs.preload_energy().as_J()), bits_of(eng.preload_energy().as_J()))
+            << where;
+        ASSERT_EQ(bits_of(costs.preload_latency().as_s()),
+                  bits_of(eng.preload_latency().as_s()))
+            << where;
+        // The residency layer's per-format bill, priced from another
+        // format's config on the same substrate, is the same image's.
+        StarConfig other = config_for(fxp::kColaFormat);
+        other.device = device;
+        const hw::ProgramCost via_helper = SoftmaxEngine::preload_cost_for(other, fmt);
+        ASSERT_EQ(bits_of(costs.preload_cost().energy.as_J()), bits_of(via_helper.energy.as_J()))
+            << where;
+        ASSERT_EQ(bits_of(costs.preload_cost().latency.as_s()),
+                  bits_of(via_helper.latency.as_s()))
+            << where;
+        ASSERT_TRUE(costs.image_key() == eng.image_key()) << where;
+        for (const int d : {1, 2, 7, max_seq_len}) {
+          const SoftmaxRowStats a = costs.compute_row_stats(d);
+          const SoftmaxRowStats b = eng.compute_row_stats(d);
+          const double fa[] = {a.latency.as_s(),    a.energy.as_J(),     a.t_maxfind.as_s(),
+                               a.t_subtract.as_s(), a.t_exp.as_s(),      a.t_sum.as_s(),
+                               a.t_divide.as_s(),   a.e_maxfind.as_J(),  a.e_subtract.as_J(),
+                               a.e_exp.as_J(),      a.e_sum.as_J(),      a.e_divide.as_J(),
+                               costs.row_latency(d).as_s(), costs.row_energy(d).as_J(),
+                               costs.active_power(d).as_W()};
+          const double fb[] = {b.latency.as_s(),    b.energy.as_J(),     b.t_maxfind.as_s(),
+                               b.t_subtract.as_s(), b.t_exp.as_s(),      b.t_sum.as_s(),
+                               b.t_divide.as_s(),   b.e_maxfind.as_J(),  b.e_subtract.as_J(),
+                               b.e_exp.as_J(),      b.e_sum.as_J(),      b.e_divide.as_J(),
+                               eng.row_latency(d).as_s(), eng.row_energy(d).as_J(),
+                               eng.active_power(d).as_W()};
+          ASSERT_EQ(a.elements, b.elements) << where;
+          for (std::size_t f = 0; f < std::size(fa); ++f) {
+            ASSERT_EQ(bits_of(fa[f]), bits_of(fb[f])) << where << " d " << d << " field " << f;
+          }
+          const hw::CostSheet sa = costs.cost_sheet(d);
+          const hw::CostSheet sb = eng.cost_sheet(d);
+          ASSERT_EQ(sa.items().size(), sb.items().size()) << where;
+          for (std::size_t i = 0; i < sa.items().size(); ++i) {
+            const hw::CostItem& ia = sa.items()[i];
+            const hw::CostItem& ib = sb.items()[i];
+            ASSERT_EQ(ia.name, ib.name) << where;
+            ASSERT_EQ(bits_of(ia.total_area().as_mm2()), bits_of(ib.total_area().as_mm2()))
+                << where << " " << ia.name;
+            ASSERT_EQ(bits_of(ia.total_energy().as_J()), bits_of(ib.total_energy().as_J()))
+                << where << " " << ia.name;
+            ASSERT_EQ(bits_of(ia.total_leakage().as_W()), bits_of(ib.total_leakage().as_W()))
+                << where << " " << ia.name;
+          }
+          ASSERT_EQ(bits_of(sa.latency().as_s()), bits_of(sb.latency().as_s())) << where;
+        }
+        ++configs;
+      }
+    }
+  }
+  EXPECT_EQ(configs, 81 * 2 * 4);
+}
+
+TEST(SoftmaxCosts, ConfigChecksStillThrowFromStarAccelerator) {
+  std::vector<std::pair<const char*, StarConfig>> bad;
+  const auto with = [&](const char* what, auto&& edit) {
+    StarConfig cfg;
+    edit(cfg);
+    bad.emplace_back(what, cfg);
+  };
+  with("signed format", [](StarConfig& c) { c.softmax_format = fxp::make_signed(6, 2); });
+  with("3-bit format", [](StarConfig& c) { c.softmax_format = fxp::make_unsigned(1, 2); });
+  with("13-bit format", [](StarConfig& c) { c.softmax_format = fxp::make_unsigned(9, 4); });
+  with("max_seq_len 1", [](StarConfig& c) { c.max_seq_len = 1; });
+  with("cam_miss_prob 1", [](StarConfig& c) { c.cam_miss_prob = 1.0; });
+  with("no softmax engine", [](StarConfig& c) { c.softmax_engines = 0; });
+  with("g_off above g_on", [](StarConfig& c) { c.device.g_off_us = 2.0 * c.device.g_on_us; });
+  for (const auto& [what, cfg] : bad) {
+    EXPECT_THROW(SoftmaxCosts{cfg}, InvalidArgument) << what;
+    EXPECT_THROW(SoftmaxEngine{cfg}, InvalidArgument) << what;
+    EXPECT_THROW(StarAccelerator{cfg}, InvalidArgument) << what;
   }
 }
 

@@ -1,33 +1,37 @@
 #!/usr/bin/env python3
 """A/B the repository benchmark: a base revision against the working tree.
 
-    python3 tools/ab.py --base REV --workload W --seed S --pairs N [--seconds 20]
+    python3 tools/ab.py --base REV --workload W --seeds S[,S...] --pairs N [--seconds 20]
     python3 tools/ab.py --self-test
 
 Exports the base revision (git archive) and the working tree (tracked and
 untracked, non-ignored files) into a scratch directory, builds each side
 through its own perfbench/run.py with its own CARGO_TARGET_DIR, and runs N
-pairs of untraced runs, alternating which side runs first. One unpaired
-1-second run per side builds it first. Every run must read correct: true
-and failed == 0, and both sides must print the same digest.
+pairs of untraced runs per seed, alternating which side runs first. One
+unpaired 1-second run per side builds it first. Every run must read
+correct: true and failed == 0, and on each seed both sides must print the
+same digest. --seed S is the one-seed spelling of --seeds.
 
-For each end-to-end metric in BENCHMARK.json it prints each side's median
-and quartiles, the median of the per-pair ratios (change / base) and the
-change's wins (ties count for neither), then a verdict:
-  gain          the change wins at least 9 of 10 pairs and the medians differ
-                by more than the base runs' quartile spread;
+For each seed and each end-to-end metric in BENCHMARK.json it prints each
+side's median and quartiles, the median of the per-pair ratios (change /
+base) with a seeded 95% bootstrap interval, and the change's wins (ties
+count for neither), then a verdict:
+  gain          the change wins at least 9 of 10 pairs, the medians differ
+                by more than the base runs' quartile spread, and the
+                interval of the median ratio excludes 1;
   worse         the change's median is worse than the base's by more than
                 the metric's bound;
   unresolved    the runs spread wider than the bound, and not every change
                 run reads better than every base run;
   within bound  otherwise.
-The last line sums up every metric. Exits non-zero if a build or run
-fails, an output is wrong or the digests differ.
+Each seed's block ends with one line that sums up every metric. Exits
+non-zero if a build or run fails, an output is wrong or the digests differ.
 """
 
 import argparse
 import json
 import os
+import random
 import shutil
 import statistics
 import subprocess
@@ -36,6 +40,8 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WARMUP_SECONDS = 1
+BOOTSTRAP_RESAMPLES = 2000
+BOOTSTRAP_SEED = 0xAB  # fixed: the same pairs always give the same interval
 
 
 class RunError(Exception):
@@ -53,6 +59,29 @@ def quartiles(values):
     return q1, med, q3
 
 
+def bootstrap_interval(ratios, resamples=BOOTSTRAP_RESAMPLES, seed=BOOTSTRAP_SEED):
+    """Seeded 95% percentile-bootstrap interval of the median of `ratios`."""
+    rng = random.Random(seed)
+    medians = sorted(statistics.median(rng.choices(ratios, k=len(ratios)))
+                     for _ in range(resamples))
+    return medians[int(0.025 * resamples)], medians[int(0.975 * resamples) - 1]
+
+
+def verdict(wins, pairs, gap, base_iqr, change_iqr, limit, all_better, clear_of_one):
+    """The verdict rule on one metric's summary (see the module docstring).
+
+    gap > 0 when the change's median is better; limit is the bound times
+    the base median; clear_of_one says the ratio interval excludes 1 on the
+    better side."""
+    if 10 * wins >= 9 * pairs and gap > base_iqr and clear_of_one:
+        return "gain"
+    if -gap > limit:
+        return "worse"
+    if max(base_iqr, change_iqr) > limit and not all_better:
+        return "unresolved"
+    return "within bound"
+
+
 def compare(base, change, better, bound):
     """Pairwise comparison of one metric; base[i] and change[i] are pair i."""
     assert len(base) == len(change) and base, "one value per side per pair"
@@ -62,23 +91,18 @@ def compare(base, change, better, bound):
     bq1, bmed, bq3 = quartiles(base)
     cq1, cmed, cq3 = quartiles(change)
     gap = sign * (cmed - bmed)  # > 0: the change's median is better
-    limit = bound * abs(bmed)
     all_better = min(sign * c for c in change) > max(sign * b for b in base)
-    if 10 * wins >= 9 * len(base) and gap > bq3 - bq1:
-        verdict = "gain"
-    elif -gap > limit:
-        verdict = "worse"
-    elif max(bq3 - bq1, cq3 - cq1) > limit and not all_better:
-        verdict = "unresolved"
-    else:
-        verdict = "within bound"
+    lo, hi = bootstrap_interval(ratios) if ratios else (float("nan"), float("nan"))
+    clear_of_one = lo > 1.0 if better == "higher" else hi < 1.0
     return {
         "base": (bq1, bmed, bq3),
         "change": (cq1, cmed, cq3),
         "ratio": statistics.median(ratios) if ratios else float("nan"),
+        "interval": (lo, hi),
         "wins": wins,
         "pairs": len(base),
-        "verdict": verdict,
+        "verdict": verdict(wins, len(base), gap, bq3 - bq1, cq3 - cq1, bound * abs(bmed),
+                           all_better, clear_of_one),
     }
 
 
@@ -87,9 +111,14 @@ def spread(q):
     return "/".join(f"{v:.6g}" for v in q)
 
 
+def interval_text(r):
+    """'[lo, hi]' of a compare() result's ratio interval."""
+    return "[{:.3f}, {:.3f}]".format(*r["interval"])
+
+
 def summary_line(label, results):
-    parts = [f"{name} {r['verdict']} x{r['ratio']:.3f} ({r['wins']}/{r['pairs']})"
-             for name, r in results.items()]
+    parts = [f"{name} {r['verdict']} x{r['ratio']:.3f} {interval_text(r)} "
+             f"({r['wins']}/{r['pairs']})" for name, r in results.items()]
     return f"ab: {label}: " + ", ".join(parts)
 
 
@@ -136,8 +165,26 @@ def self_test():
     apart = compare(ladder, [191.0] * 10, "higher", 0.25)
     expect("wide but apart: no gain", apart["wins"], 10)
     expect("wide but apart", apart["verdict"], "within bound")
+    # The bootstrap interval: seeded, so repeatable; a constant sample's
+    # interval is that constant; a sample spread around 1 keeps 1 inside.
+    spread_ratios = [0.8, 1.3, 0.9, 1.2, 1.0, 1.1, 0.95, 1.05, 0.85, 1.15]
+    expect("interval repeats", bootstrap_interval(spread_ratios),
+           bootstrap_interval(spread_ratios))
+    expect("interval of a constant", bootstrap_interval([1.5] * 10), (1.5, 1.5))
+    lo, hi = bootstrap_interval(spread_ratios)
+    expect("interval around 1", lo < 1.0 < hi, True)
+    expect("interval holds the median", lo <= statistics.median(spread_ratios) <= hi, True)
+    expect("gain: interval", r["interval"], (1.5, 1.5))
+    # A gain needs the interval clear of 1 on the better side, even with
+    # every pair won and the gap outside the base spread.
+    expect("rule: clear interval", verdict(10, 10, 5.0, 1.0, 1.0, 25.0, True, True), "gain")
+    expect("rule: interval holds 1",
+           verdict(10, 10, 5.0, 1.0, 1.0, 25.0, True, False), "within bound")
+    lower = compare(base, [v * 0.5 for v in base], "lower", 0.25)
+    expect("lower is better: gain", lower["verdict"], "gain")
+    expect("lower is better: interval", lower["interval"], (0.5, 0.5))
     expect("summary", summary_line("w seed 1", {"capacity_rps": r}),
-           "ab: w seed 1: capacity_rps gain x1.500 (10/10)")
+           "ab: w seed 1: capacity_rps gain x1.500 [1.500, 1.500] (10/10)")
     failed = [c for c in checks if not c[1]]
     for what, _, got, want in failed:
         print(f"ab self-test: {what}: got {got!r}, want {want!r}")
@@ -189,11 +236,41 @@ def run_once(tree, workload, seed, seconds):
     return {name: m["value"] for name, m in record["metrics"].items()}, digests[0]
 
 
+def run_pairs(trees, workload, seed, pairs, seconds, metric_names, digests):
+    """`pairs` alternating pairs on one seed: {side: {metric: [values]}}."""
+    values = {side: {name: [] for name in metric_names} for side in trees}
+    for pair in range(pairs):
+        order = ("base", "change") if pair % 2 == 0 else ("change", "base")
+        for side in order:
+            metrics, digest = run_once(trees[side], workload, seed, seconds)
+            digests[side].add(digest)
+            for name, vals in values[side].items():
+                vals.append(metrics[name])
+        print(f"ab: seed {seed}: pair {pair + 1}/{pairs} done ({order[0]} first)", flush=True)
+    return values
+
+
+def report(end_to_end, values, label):
+    """One seed's block: a table of every end-to-end metric, then its summary."""
+    results = {}
+    print(f"\n{'metric':14s} {'base q1/med/q3':>36s} {'change q1/med/q3':>36s} "
+          f"{'ratio':>7s} {'95% interval':>16s} {'wins':>6s}  verdict")
+    for m in end_to_end:
+        name = m["name"]
+        r = compare(values["base"][name], values["change"][name], m["better"], m["bound"])
+        results[name] = r
+        print(f"{name:14s} {spread(r['base']):>36s} {spread(r['change']):>36s} "
+              f"{r['ratio']:7.3f} {interval_text(r):>16s} {r['wins']:3d}/{r['pairs']:<2d}  "
+              f"{r['verdict']}")
+    print(summary_line(label, results))
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", help="base revision (any git rev)")
     parser.add_argument("--workload")
-    parser.add_argument("--seed", type=int)
+    parser.add_argument("--seeds", "--seed", dest="seeds",
+                        help="comma-separated seeds, each with its own pairs")
     parser.add_argument("--pairs", type=int)
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--workdir",
@@ -202,11 +279,16 @@ def main():
     args = parser.parse_args()
     if args.self_test:
         return self_test()
-    if None in (args.base, args.workload, args.seed, args.pairs) or args.pairs < 1:
-        parser.error("--base, --workload, --seed and --pairs (>= 1) are required")
+    if None in (args.base, args.workload, args.seeds, args.pairs) or args.pairs < 1:
+        parser.error("--base, --workload, --seeds and --pairs (>= 1) are required")
+    try:
+        seeds = [int(v) for v in args.seeds.split(",")]
+    except ValueError:
+        parser.error(f"--seeds {args.seeds}: expected comma-separated integers")
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
         end_to_end = json.load(f)["end_to_end"]
+    metric_names = [m["name"] for m in end_to_end]
     rev = git("rev-parse", "--short", args.base, capture_output=True,
               text=True).stdout.strip()
     workdir = args.workdir or tempfile.mkdtemp(prefix="star-ab-")
@@ -217,40 +299,24 @@ def main():
     export_worktree(trees["change"])
     print(f"ab: base {rev} and the working tree exported to {workdir}", flush=True)
 
-    values = {side: {m["name"]: [] for m in end_to_end} for side in trees}
-    digests = {side: set() for side in trees}
-    try:
-        for side, tree in trees.items():  # builds each side; not counted
-            digests[side].add(run_once(tree, args.workload, args.seed, WARMUP_SECONDS)[1])
-        for pair in range(args.pairs):
-            order = ("base", "change") if pair % 2 == 0 else ("change", "base")
-            for side in order:
-                metrics, digest = run_once(trees[side], args.workload, args.seed,
-                                           args.seconds)
-                digests[side].add(digest)
-                for name, vals in values[side].items():
-                    vals.append(metrics[name])
-            print(f"ab: pair {pair + 1}/{args.pairs} done ({order[0]} first)", flush=True)
-    except RunError as exc:
-        print(f"ab: {exc}", file=sys.stderr)
-        return 1
-    if len(digests["base"]) != 1 or digests["base"] != digests["change"]:
-        print(f"ab: digests differ: base {sorted(digests['base'])}, "
-              f"change {sorted(digests['change'])}", file=sys.stderr)
-        return 1
-
-    results = {}
-    print(f"\n{'metric':14s} {'base q1/med/q3':>36s} {'change q1/med/q3':>36s} "
-          f"{'ratio':>7s} {'wins':>6s}  verdict")
-    for m in end_to_end:
-        name = m["name"]
-        r = compare(values["base"][name], values["change"][name], m["better"], m["bound"])
-        results[name] = r
-        print(f"{name:14s} {spread(r['base']):>36s} {spread(r['change']):>36s} "
-              f"{r['ratio']:7.3f} {r['wins']:3d}/{r['pairs']:<2d}  {r['verdict']}")
-    label = (f"{args.workload} seed {args.seed}, base {rev}, {args.pairs} pairs x "
-             f"{args.seconds:g} s, digest {digests['base'].pop()} both sides")
-    print(summary_line(label, results))
+    for seed in seeds:
+        digests = {side: set() for side in trees}
+        try:
+            if seed == seeds[0]:
+                for side, tree in trees.items():  # builds each side; not counted
+                    digests[side].add(run_once(tree, args.workload, seed, WARMUP_SECONDS)[1])
+            values = run_pairs(trees, args.workload, seed, args.pairs, args.seconds,
+                               metric_names, digests)
+        except RunError as exc:
+            print(f"ab: {exc}", file=sys.stderr)
+            return 1
+        if len(digests["base"]) != 1 or digests["base"] != digests["change"]:
+            print(f"ab: seed {seed}: digests differ: base {sorted(digests['base'])}, "
+                  f"change {sorted(digests['change'])}", file=sys.stderr)
+            return 1
+        report(end_to_end, values,
+               f"{args.workload} seed {seed}, base {rev}, {args.pairs} pairs x "
+               f"{args.seconds:g} s, digest {digests['base'].pop()} both sides")
     return 0
 
 
