@@ -3,18 +3,24 @@
 // useful for sizing larger experiments.
 #include <benchmark/benchmark.h>
 
+#include <future>
+#include <vector>
+
 #include "baseline/cmos_softmax.hpp"
 #include "baseline/gpu_model.hpp"
 #include "baseline/pipelayer.hpp"
 #include "baseline/retransformer.hpp"
 #include "baseline/softermax.hpp"
 #include "core/accelerator.hpp"
+#include "core/batch_encoder.hpp"
 #include "core/matmul_engine.hpp"
 #include "core/softmax_engine.hpp"
 #include "nn/attention.hpp"
 #include "nn/bert.hpp"
 #include "nn/softmax_ref.hpp"
 #include "nn/workspace.hpp"
+#include "serve/star_server.hpp"
+#include "sim/batch_scheduler.hpp"
 #include "sim/pipeline_sim.hpp"
 #include "util/rng.hpp"
 #include "workload/dataset_profile.hpp"
@@ -333,5 +339,47 @@ void BM_DesignPointReTransformer(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DesignPointReTransformer)->Arg(128);
+
+// A 20,000-request analytic burst through a fresh StarServer on a 3-thread
+// scheduler, over a warm BERT-base model: every request is a CostCache
+// hit, so admission, batch formation, dispatch and completion are what is
+// timed (wall clock, submit of the first request to the last response).
+// Lengths and datasets follow the three datasets' length mix; items
+// processed are requests.
+void BM_StarServerAnalyticBurst(benchmark::State& state) {
+  constexpr std::size_t kBurst = 20000;
+  const core::BatchEncoderSim model((core::StarConfig()), nn::BertConfig::base());
+  const workload::Dataset datasets[] = {workload::Dataset::kCnews,
+                                        workload::Dataset::kMrpc,
+                                        workload::Dataset::kCola};
+  Rng rng(23);
+  std::vector<serve::AnalyticRequest> requests;
+  requests.reserve(kBurst);
+  for (std::size_t i = 0; i < kBurst; ++i) {
+    const workload::Dataset d = datasets[rng.uniform_int(0, 2)];
+    requests.push_back(serve::AnalyticRequest{workload::length_histogram_for(d).sample(rng), d});
+  }
+  for (const serve::AnalyticRequest& r : requests) {
+    (void)model.run_analytic_one(r.seq_len, r.dataset);  // warm every key
+  }
+  serve::ServerOptions opts;
+  opts.max_queue = kBurst;
+  opts.batcher.max_batch = 8;
+  std::vector<std::future<serve::AnalyticResponse>> futures;
+  futures.reserve(kBurst);
+  for (auto _ : state) {
+    sim::BatchScheduler sched(3);
+    serve::StarServer server(model, sched, opts);
+    for (const serve::AnalyticRequest& r : requests) {
+      futures.push_back(server.submit(r));
+    }
+    for (auto& f : futures) {
+      benchmark::DoNotOptimize(f.get());
+    }
+    futures.clear();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kBurst));
+}
+BENCHMARK(BM_StarServerAnalyticBurst)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace

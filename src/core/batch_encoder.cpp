@@ -235,7 +235,21 @@ FunctionalAttentionResult BatchEncoderSim::run_attention_one(
 AttentionRunResult BatchEncoderSim::run_analytic_one(std::int64_t seq_len,
                                                      workload::Dataset dataset,
                                                      ResidencyCharge* charge) const {
-  // Residency FIRST (acquire side effects + hit/miss attribution belong to
+  // Before any residency lookup: a request that is rejected must not
+  // reprogram or evict an image on its way to the error, nor be priced at
+  // a length the engine's counters are not sized for.
+  require(seq_len >= 2 && seq_len <= config().max_seq_len,
+          "run_analytic_one: seq_len must be in [2, config().max_seq_len]");
+  return price_analytic(seq_len, dataset, charge);
+}
+
+AttentionRunResult BatchEncoderSim::price_analytic(std::int64_t seq_len,
+                                                   workload::Dataset dataset,
+                                                   ResidencyCharge* charge) const {
+  // run_attention_layer's own lower bound, checked before the residency
+  // lookup so a refused length leaves the ledger untouched.
+  require(seq_len >= 2, "price_analytic: seq_len must be >= 2");
+  // Residency next (acquire side effects + hit/miss attribution belong to
   // this request), so the cost lookup keys on the warm/cold state the
   // request actually found. The analytic path touches only the dataset's
   // CAM/LUT image — weights live in the functional path's namespace.

@@ -215,9 +215,14 @@ class BatchEncoderSim {
   /// sequence length — the serve hot path, served from the memoized
   /// CostCache (see core/cost_cache.hpp).
   ///
+  /// `seq_len` must be in [2, config().max_seq_len]; anything else throws
+  /// InvalidArgument before the residency lookup, so a rejected request
+  /// leaves the ledger untouched. Past the length check it is
+  /// price_analytic(seq_len, dataset, charge).
+  ///
   /// `dataset` names the softmax CAM/LUT image the analytic request needs
   /// resident; like the functional path it is acquired from the per-sim
-  /// ResidencyManager FIRST, any miss charges programming cost into
+  /// ResidencyManager first, any miss charges programming cost into
   /// `*charge` (pass nullptr to discard), and the cost lookup keys on the
   /// warm/cold state the request found. A warm request (the steady state;
   /// always true for kDefault, installed at construction) composes a zero
@@ -226,6 +231,18 @@ class BatchEncoderSim {
   /// programming bill is composed into latency/energy (the same convention
   /// as EncoderRunResult) and is never memoized.
   [[nodiscard]] AttentionRunResult run_analytic_one(
+      std::int64_t seq_len,
+      workload::Dataset dataset = workload::Dataset::kDefault,
+      ResidencyCharge* charge = nullptr) const;
+
+  /// The analytic bill at any `seq_len` >= 2 (smaller throws
+  /// InvalidArgument before the residency lookup), with run_analytic_one's
+  /// residency and cost-cache semantics but no max_seq_len bound: the
+  /// analytic model extrapolates past the provisioned length. The batch
+  /// replay (serve::simulate_batching) prices a batch at its padded length
+  /// this way, which a bucket edge or a what-if trace may put above
+  /// max_seq_len. A request's own length goes through run_analytic_one.
+  [[nodiscard]] AttentionRunResult price_analytic(
       std::int64_t seq_len,
       workload::Dataset dataset = workload::Dataset::kDefault,
       ResidencyCharge* charge = nullptr) const;

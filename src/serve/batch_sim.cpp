@@ -155,7 +155,7 @@ BatchSimResult simulate_batching(const workload::ArrivalTrace& trace,
     const double marginal =
         cfg.analytic_model != nullptr
             ? cfg.analytic_ticks_per_us *
-                  cfg.analytic_model->run_analytic_one(padded_len)
+                  cfg.analytic_model->price_analytic(padded_len)
                       .latency.as_us()
             : cfg.ticks_per_token * static_cast<double>(padded_len);
     const double service =

@@ -54,12 +54,16 @@ struct BatchSimConfig {
   /// marginal cost is the accelerator's own analytic latency at the billed
   /// padded length instead of the linear per-token proxy:
   ///     service = overhead + take * analytic_ticks_per_us
-  ///                               * run_analytic_one(padded_len).latency_us
+  ///                               * price_analytic(padded_len).latency_us
+  /// Any padded length >= 2 is priced, including one above the model's
+  /// max_seq_len (a bucket edge past it, or a what-if trace): the replay
+  /// bills batches and serves no request, so run_analytic_one's request
+  /// bound does not apply.
   /// The model is shared, not copied; it must outlive the simulation.
   /// Because the replay hits the same few padded lengths millions of times,
   /// this leg runs almost entirely out of the model's memoized CostCache —
   /// the soak that pins cache_hit_rate > 0.99 in BENCH_9. Still
-  /// deterministic: run_analytic_one is a pure analytic figure and the
+  /// deterministic: price_analytic is a pure analytic figure and the
   /// steady-state record is residency-independent.
   const core::BatchEncoderSim* analytic_model = nullptr;
   /// Virtual-ticks per microsecond of modelled accelerator latency (scales

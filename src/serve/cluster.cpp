@@ -132,6 +132,7 @@ Cluster::Cluster(const core::StarConfig& cfg, const nn::BertConfig& bert,
   policy_ = policy ? std::move(policy)
                    : make_route_policy(opts_.policy, opts_.affinity_max_imbalance);
   nodes_.reserve(opts_.num_nodes);
+  snapshots_.reserve(opts_.num_nodes);
   routed_.assign(opts_.num_nodes, 0);
   for (std::size_t i = 0; i < opts_.num_nodes; ++i) {
     Node node;
@@ -164,9 +165,8 @@ const core::BatchEncoderSim& Cluster::node_model(std::size_t i) const {
 Cluster::RouteDecision Cluster::route_and_bill(workload::Dataset dataset,
                                                std::uint64_t payload_bytes,
                                                std::uint64_t response_bytes) {
-  std::vector<NodeSnapshot> snapshots;
-  snapshots.reserve(nodes_.size());
   std::lock_guard<std::mutex> lk(route_mu_);
+  snapshots_.clear();
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     NodeSnapshot s;
     s.node = i;
@@ -181,10 +181,10 @@ Cluster::RouteDecision Cluster::route_and_bill(workload::Dataset dataset,
       s.lut_resident =
           nodes_[i].model->residency().resident(xbar::lut_image_key(fmt));
     }
-    snapshots.push_back(s);
+    snapshots_.push_back(s);
   }
   RouteDecision d;
-  d.node = policy_->route(snapshots);
+  d.node = policy_->route(snapshots_);
   require(d.node < nodes_.size(), "RoutingPolicy: returned node out of range");
   ++routed_[d.node];
   d.transport_us = (opts_.link.latency(payload_bytes) +

@@ -244,6 +244,9 @@ class Cluster {
   std::vector<Node> nodes_;
   std::unique_ptr<RoutingPolicy> policy_;
   mutable std::mutex route_mu_;
+  /// route_and_bill's per-request fleet snapshot, refilled under route_mu_
+  /// (sized once at construction, so routing allocates nothing).
+  std::vector<NodeSnapshot> snapshots_;
   std::vector<std::uint64_t> routed_;
   double transport_energy_uj_ = 0.0;  ///< fleet link energy (router-billed)
 };

@@ -18,7 +18,8 @@ namespace star::serve {
 struct ServerStats {
   std::uint64_t submitted = 0;   ///< submit() calls (including refused ones)
   std::uint64_t admitted = 0;    ///< entered the pending queue
-  std::uint64_t rejected = 0;    ///< refused at admission (kReject / shutdown)
+  std::uint64_t rejected = 0;    ///< refused at admission (kReject, shutdown,
+                                 ///< analytic seq_len out of range)
   std::uint64_t shed = 0;        ///< evicted from the queue (kShedOldest)
   std::uint64_t completed = 0;   ///< future resolved with a value
   std::uint64_t failed = 0;      ///< future resolved with a compute exception
@@ -124,8 +125,13 @@ struct ServerStats {
   double cost_cache_hit_rate = 0.0;
 };
 
-/// Mutable accumulator behind ServerStats. NOT internally synchronised:
-/// StarServer guards every call with its own mutex.
+/// Mutable accumulator behind ServerStats. NOT internally synchronised.
+/// on_done() writes only completion fields (completed/failed, latency sums
+/// and reservoirs, shape, residency and transport sums, and per bucket its
+/// requests and queue-wait sum); every other on_* call writes only
+/// admission and dispatch fields. The two sets are disjoint, which lets
+/// StarServer guard them with two mutexes; a copy or snapshot() must hold
+/// both.
 ///
 /// Memory is bounded for arbitrarily long-lived servers: means come from
 /// exact running sums, while percentiles come from a fixed-size uniform

@@ -1,6 +1,7 @@
 #include "serve/star_server.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -48,28 +49,56 @@ std::size_t StarServer::oldest_head_locked() const {
     }
     // Admission ids are strictly increasing, so the smallest head id is
     // the globally oldest pending request.
-    if (best == queues_.size() || queues_[q].front().id < best_id) {
+    if (best == queues_.size() || queues_[q].front()->id < best_id) {
       best = q;
-      best_id = queues_[q].front().id;
+      best_id = queues_[q].front()->id;
     }
   }
   return best;
 }
 
-template <typename Response, typename ComputeFn>
+template <typename Response, typename Compute>
+class StarServer::Record final : public StarServer::RequestRecord {
+ public:
+  Record(StarServer& server, Compute compute)
+      : server_(server), compute_(std::move(compute)) {}
+
+  std::future<Response> future() { return promise_.get_future(); }
+
+  void run(const BatchContext& ctx) override {
+    const auto started = Clock::now();
+    try {
+      // compute() pre-fills the request-shape and residency fields of
+      // resp.stats; settle() stamps the placement/timing facts.
+      Response resp = compute_();
+      server_.settle(*this, ctx, started, resp.stats, /*ok=*/true);
+      promise_.set_value(std::move(resp));
+    } catch (...) {
+      RequestStats failed;
+      server_.settle(*this, ctx, started, failed, /*ok=*/false);
+      promise_.set_exception(std::current_exception());
+    }
+  }
+
+  void fail(std::exception_ptr e) override { promise_.set_exception(std::move(e)); }
+
+ private:
+  StarServer& server_;
+  std::promise<Response> promise_;
+  Compute compute_;
+};
+
+template <typename Response, typename Compute>
 std::future<Response> StarServer::submit_impl(std::int64_t seq_len,
                                               double transport_us,
-                                              ComputeFn compute) {
-  auto promise = std::make_shared<std::promise<Response>>();
-  std::future<Response> fut = promise->get_future();
+                                              Compute compute) {
+  auto record = std::make_unique<Record<Response, Compute>>(*this, std::move(compute));
+  std::future<Response> fut = record->future();
+  record->seq_len = seq_len;
+  record->transport_us = transport_us;
+  record->enqueued = Clock::now();
 
-  Pending p;
-  p.seq_len = seq_len;
-  p.enqueued = Clock::now();
-  p.fail = [promise](std::exception_ptr e) { promise->set_exception(e); };
-
-  Pending victim;  // shed target; its future is failed outside the lock
-  bool have_victim = false;
+  RecordPtr victim;  // shed target; its future is failed outside the lock
   {
     std::unique_lock<std::mutex> lk(mu_);
     stats_.on_submitted();
@@ -82,12 +111,12 @@ std::future<Response> StarServer::submit_impl(std::int64_t seq_len,
           // Re-stamp: queue_wait measures admission -> dispatch (not the
           // submitter's blocked time) and the batcher's age-out window
           // starts at admission, not at the original submit call.
-          p.enqueued = Clock::now();
+          record->enqueued = Clock::now();
           break;
         case AdmissionPolicy::kReject:
           stats_.on_rejected();
           lk.unlock();
-          promise->set_exception(std::make_exception_ptr(RejectedError(
+          record->fail(std::make_exception_ptr(RejectedError(
               "StarServer: admission queue full (max_queue=" +
               std::to_string(opts_.max_queue) + ", policy=reject)")));
           return fut;
@@ -98,7 +127,6 @@ std::future<Response> StarServer::submit_impl(std::int64_t seq_len,
           victim = std::move(queues_[victim_q].front());
           queues_[victim_q].pop_front();
           stats_.on_shed();
-          have_victim = true;
           break;
         }
       }
@@ -106,69 +134,42 @@ std::future<Response> StarServer::submit_impl(std::int64_t seq_len,
     if (stopping_) {
       stats_.on_rejected();
       lk.unlock();
-      if (have_victim) {
+      if (victim) {
         // Unreachable in practice (shed only happens pre-stop), but never
         // leave a popped request's future unresolved.
-        victim.fail(std::make_exception_ptr(
+        victim->fail(std::make_exception_ptr(
             RejectedError("StarServer: shut down while pending")));
       }
-      promise->set_exception(std::make_exception_ptr(
+      record->fail(std::make_exception_ptr(
           RejectedError("StarServer: submit after shutdown")));
       return fut;
     }
-    p.id = next_request_id_++;
-    const std::uint64_t id = p.id;
-    const auto enqueued = p.enqueued;
-    p.run = [this, promise, compute = std::move(compute), enqueued, id,
-             seq_len, transport_us](const BatchContext& ctx) {
-      const double queue_wait =
-          std::chrono::duration<double>(ctx.dispatched - enqueued).count();
-      const auto t0 = Clock::now();
-      try {
-        // compute() pre-fills the request-shape and residency fields of
-        // resp.stats; only the placement/timing facts are stamped here.
-        Response resp = compute();
-        const double service =
-            std::chrono::duration<double>(Clock::now() - t0).count();
-        resp.stats.request_id = id;
-        resp.stats.batch_id = ctx.batch_id;
-        resp.stats.batch_size = ctx.batch_size;
-        resp.stats.queue_wait_s = queue_wait;
-        resp.stats.service_s = service;
-        resp.stats.seq_len = seq_len;
-        resp.stats.padded_len = ctx.padded_len;
-        resp.stats.bucket = ctx.bucket;
-        resp.stats.node = opts_.node_id;
-        resp.stats.transport_us = transport_us;
-        record_done(resp.stats, /*ok=*/true);
-        promise->set_value(std::move(resp));
-      } catch (...) {
-        const double service =
-            std::chrono::duration<double>(Clock::now() - t0).count();
-        RequestStats failed;
-        failed.request_id = id;
-        failed.batch_id = ctx.batch_id;
-        failed.batch_size = ctx.batch_size;
-        failed.queue_wait_s = queue_wait;
-        failed.service_s = service;
-        failed.seq_len = seq_len;
-        failed.padded_len = ctx.padded_len;
-        failed.bucket = ctx.bucket;
-        failed.node = opts_.node_id;
-        failed.transport_us = transport_us;
-        record_done(failed, /*ok=*/false);
-        promise->set_exception(std::current_exception());
-      }
-    };
+    record->id = next_request_id_++;
     stats_.on_admitted();
-    queues_[opts_.batcher.bucketing.bucket_of(seq_len)].push_back(std::move(p));
+    queues_[opts_.batcher.bucketing.bucket_of(seq_len)].push_back(std::move(record));
     batcher_cv_.notify_one();
   }
-  if (have_victim) {
-    victim.fail(std::make_exception_ptr(ShedError(
+  if (victim) {
+    victim->fail(std::make_exception_ptr(ShedError(
         "StarServer: request shed by a newer arrival (policy=shed-oldest)")));
   }
   return fut;
+}
+
+void StarServer::settle(const RequestRecord& rec, const BatchContext& ctx,
+                        Clock::time_point started, RequestStats& rs, bool ok) {
+  rs.request_id = rec.id;
+  rs.batch_id = ctx.batch_id;
+  rs.batch_size = ctx.batch_size;
+  rs.queue_wait_s = std::chrono::duration<double>(ctx.dispatched - rec.enqueued).count();
+  rs.service_s = std::chrono::duration<double>(Clock::now() - started).count();
+  rs.seq_len = rec.seq_len;
+  rs.padded_len = ctx.padded_len;
+  rs.bucket = ctx.bucket;
+  rs.node = opts_.node_id;
+  rs.transport_us = rec.transport_us;
+  std::lock_guard<std::mutex> lk(done_mu_);
+  stats_.on_done(rs, ok);
 }
 
 std::future<EncoderResponse> StarServer::submit(EncoderRequest req) {
@@ -206,6 +207,22 @@ std::future<AttentionResponse> StarServer::submit(AttentionRequest req) {
 }
 
 std::future<AnalyticResponse> StarServer::submit(AnalyticRequest req) {
+  if (req.seq_len < 2 || req.seq_len > model_.config().max_seq_len) {
+    // Refused before admission, like run_analytic_one's own check: the
+    // length never reaches a queue, a batch's padded length or the token
+    // ledger, and the model never sees it.
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      stats_.on_submitted();
+      stats_.on_rejected();
+    }
+    std::promise<AnalyticResponse> refused;
+    refused.set_exception(std::make_exception_ptr(InvalidArgument(
+        "StarServer: analytic seq_len " + std::to_string(req.seq_len) +
+        " outside [2, max_seq_len=" +
+        std::to_string(model_.config().max_seq_len) + "]")));
+    return refused.get_future();
+  }
   return submit_impl<AnalyticResponse>(req.seq_len, req.transport_us,
                                        [this, req] {
     AnalyticResponse resp;
@@ -218,12 +235,87 @@ std::future<AnalyticResponse> StarServer::submit(AnalyticRequest req) {
   });
 }
 
-void StarServer::batcher_loop() {
+std::size_t StarServer::ready_queue_locked(Clock::time_point now,
+                                           Clock::time_point* next_deadline) const {
+  // A queue is dispatchable once it holds its effective max_batch, once
+  // its head ages out past its effective max_wait window, or on shutdown.
+  // Under kBlock a full ADMISSION queue (total across buckets) also
+  // dispatches — submitters are stalled and no size trigger may ever fire
+  // when max_batch > max_queue. Under kReject/kShedOldest a full queue is
+  // the admission policy's domain, so the per-queue (max_batch, max_wait)
+  // policy is honoured strictly. Deadlines are derived from the CURRENT
+  // heads: kShedOldest may evict a head mid-wait, and the replacement is
+  // owed its own full age-out window. Among several dispatchable queues
+  // the one whose head waited longest wins (FIFO fairness across buckets).
   const LengthBucketing& bucketing = opts_.batcher.bucketing;
-  // Reused across dispatches (cleared, capacity kept): forming a batch on
-  // the steady-state path allocates nothing once capacity reaches the
-  // largest formed batch.
-  std::vector<Pending> formed;
+  const bool admission_full = opts_.admission == AdmissionPolicy::kBlock &&
+                              pending_locked() >= opts_.max_queue;
+  std::size_t best = queues_.size();
+  Clock::time_point earliest = Clock::time_point::max();
+  for (std::size_t q = 0; q < queues_.size(); ++q) {
+    const std::deque<RecordPtr>& queue = queues_[q];
+    if (queue.empty()) {
+      continue;
+    }
+    const auto deadline =
+        queue.front()->enqueued +
+        opts_.batcher.tick * bucketing.max_wait_for(q, opts_.batcher.max_wait_ticks);
+    const bool ready = stopping_ || admission_full ||
+                       queue.size() >= bucketing.max_batch_for(q, opts_.batcher.max_batch) ||
+                       now >= deadline;
+    if (ready) {
+      if (best == queues_.size() || queue.front()->id < queues_[best].front()->id) {
+        best = q;
+      }
+    } else {
+      earliest = std::min(earliest, deadline);
+    }
+  }
+  if (next_deadline != nullptr) {
+    *next_deadline = earliest;
+  }
+  return best;
+}
+
+void StarServer::form_batch_locked(std::size_t q, std::vector<RoundSlot>& round,
+                                   std::vector<BatchContext>& batches) {
+  const LengthBucketing& bucketing = opts_.batcher.bucketing;
+  std::deque<RecordPtr>& queue = queues_[q];
+  const std::size_t max_batch = bucketing.max_batch_for(q, opts_.batcher.max_batch);
+  const std::size_t take = std::min(queue.size(), max_batch);
+  std::int64_t batch_max_len = 0;
+  std::int64_t effective = 0;
+  for (std::size_t i = 0; i < take; ++i) {
+    batch_max_len = std::max(batch_max_len, queue.front()->seq_len);
+    effective += queue.front()->seq_len;
+    round.push_back(RoundSlot{std::move(queue.front()), batches.size()});
+    queue.pop_front();
+  }
+  const std::int64_t padded_len = bucketing.padded_len(q, batch_max_len);
+  // The billed slot width covers every member (LengthBucketing routes a
+  // request only to a bucket whose edge fits it), so the token ledger's
+  // effective <= padded holds per batch by construction.
+  STAR_CONTRACT(padded_len >= batch_max_len,
+                "batcher: billed slot width below the batch's longest member");
+  batches.push_back(BatchContext{next_batch_id_++, take, Clock::now(), padded_len, q});
+  // Token accounting: `take * padded_len` billed slots holding `effective`
+  // real tokens, out of a bucket capacity of max_batch rows at the same
+  // padded width. Padded slots never execute — they exist only in this
+  // accounting.
+  stats_.on_batch(take, q, static_cast<std::uint64_t>(effective),
+                  static_cast<std::uint64_t>(take) * static_cast<std::uint64_t>(padded_len),
+                  static_cast<std::uint64_t>(max_batch) *
+                      static_cast<std::uint64_t>(padded_len));
+}
+
+void StarServer::batcher_loop() {
+  const auto round_batches = static_cast<std::size_t>(sched_.thread_count());
+  // Reused across rounds (cleared, capacity kept): forming a round on the
+  // steady-state path allocates nothing once capacity reaches the largest
+  // round.
+  std::vector<RoundSlot> round;
+  std::vector<BatchContext> batches;
+  batches.reserve(round_batches);
   std::unique_lock<std::mutex> lk(mu_);
   for (;;) {
     batcher_cv_.wait(lk, [&] { return stopping_ || pending_locked() > 0; });
@@ -233,132 +325,50 @@ void StarServer::batcher_loop() {
       }
       continue;
     }
-    // Coalesce per queue: a queue is dispatchable once it holds its
-    // effective max_batch, once its head ages out past its effective
-    // max_wait window, or on shutdown. Under kBlock a full ADMISSION
-    // queue (total across buckets) also dispatches — submitters are
-    // stalled and no size trigger may ever fire when max_batch >
-    // max_queue. Under kReject/kShedOldest a full queue is the admission
-    // policy's domain, so the per-queue (max_batch, max_wait) policy is
-    // honoured strictly. Deadlines are re-derived from the CURRENT heads
-    // each pass: kShedOldest may evict a head mid-wait, and the
-    // replacement is owed its own full age-out window.
-    const auto queue_ready = [&](std::size_t q) {
-      return !queues_[q].empty() &&
-             (stopping_ ||
-              queues_[q].size() >=
-                  bucketing.max_batch_for(q, opts_.batcher.max_batch) ||
-              (opts_.admission == AdmissionPolicy::kBlock &&
-               pending_locked() >= opts_.max_queue));
-    };
-    const auto queue_deadline = [&](std::size_t q) {
-      return queues_[q].front().enqueued +
-             opts_.batcher.tick *
-                 bucketing.max_wait_for(q, opts_.batcher.max_wait_ticks);
-    };
-    const auto any_ready = [&] {
-      if (stopping_) {
-        return true;
-      }
-      for (std::size_t q = 0; q < queues_.size(); ++q) {
-        if (queue_ready(q)) {
-          return true;
-        }
-      }
-      return false;
-    };
-
-    // Pick the dispatch queue: any ready queue, else any aged-out head,
-    // else sleep until the earliest head deadline. Among several
-    // dispatchable queues the one whose head waited longest wins (FIFO
-    // fairness across buckets).
-    std::size_t dispatch_q = queues_.size();
-    while (pending_locked() > 0 && dispatch_q == queues_.size()) {
-      const auto now = Clock::now();
-      std::size_t best = queues_.size();
-      std::uint64_t best_id = 0;
-      Clock::time_point earliest_deadline{};
-      bool have_deadline = false;
-      for (std::size_t q = 0; q < queues_.size(); ++q) {
-        if (queues_[q].empty()) {
-          continue;
-        }
-        const auto deadline = queue_deadline(q);
-        if (queue_ready(q) || now >= deadline) {
-          if (best == queues_.size() || queues_[q].front().id < best_id) {
-            best = q;
-            best_id = queues_[q].front().id;
-          }
-        } else if (!have_deadline || deadline < earliest_deadline) {
-          earliest_deadline = deadline;
-          have_deadline = true;
-        }
-      }
-      if (best != queues_.size()) {
-        dispatch_q = best;
-        break;
-      }
-      if (!have_deadline) {
-        break;  // queues drained while scanning (shed) — outer loop re-waits
-      }
-      batcher_cv_.wait_until(lk, earliest_deadline, any_ready);
-      // Loop re-scans: either a queue became ready, a head aged out, or a
-      // newer-deadline head replaced a shed one.
+    // Sleep until some queue is dispatchable: a queue filling up, the
+    // kBlock bound or shutdown wakes the wait early; otherwise it ends at
+    // the earliest head deadline.
+    auto now = Clock::now();
+    Clock::time_point deadline{};
+    std::size_t q = ready_queue_locked(now, &deadline);
+    while (q == queues_.size() && deadline != Clock::time_point::max()) {
+      // At time_point::min() no head has aged out, so the predicate sees
+      // only the size, kBlock and shutdown triggers; age-outs end the wait
+      // at its deadline.
+      batcher_cv_.wait_until(lk, deadline, [&] {
+        return ready_queue_locked(Clock::time_point::min(), nullptr) != queues_.size();
+      });
+      now = Clock::now();
+      q = ready_queue_locked(now, &deadline);
     }
-    if (dispatch_q == queues_.size()) {
-      continue;
+    if (q == queues_.size()) {
+      continue;  // queues drained while waiting (shed) — re-wait for work
     }
-
-    std::deque<Pending>& queue = queues_[dispatch_q];
-    formed.clear();
-    const std::size_t take = std::min(
-        queue.size(), bucketing.max_batch_for(dispatch_q, opts_.batcher.max_batch));
-    formed.reserve(take);
-    std::int64_t batch_max_len = 0;
-    std::int64_t effective = 0;
-    for (std::size_t i = 0; i < take; ++i) {
-      batch_max_len = std::max(batch_max_len, queue.front().seq_len);
-      effective += queue.front().seq_len;
-      formed.push_back(std::move(queue.front()));
-      queue.pop_front();
-    }
-    const std::int64_t padded_len =
-        bucketing.padded_len(dispatch_q, batch_max_len);
-    // The billed slot width covers every member (LengthBucketing routes a
-    // request only to a bucket whose edge fits it), so the token ledger's
-    // effective <= padded holds per batch by construction.
-    STAR_CONTRACT(padded_len >= batch_max_len,
-                  "batcher: billed slot width below the batch's longest member");
-    const BatchContext ctx{next_batch_id_++, formed.size(), Clock::now(),
-                           padded_len, dispatch_q};
-    // Token accounting: `formed.size() * padded_len` billed slots holding
-    // `effective` real tokens, out of a bucket capacity of max_batch rows
-    // at the same padded width. Padded slots never execute — they exist
-    // only in this accounting.
-    stats_.on_batch(
-        formed.size(), dispatch_q, static_cast<std::uint64_t>(effective),
-        static_cast<std::uint64_t>(formed.size()) *
-            static_cast<std::uint64_t>(padded_len),
-        static_cast<std::uint64_t>(
-            bucketing.max_batch_for(dispatch_q, opts_.batcher.max_batch)) *
-            static_cast<std::uint64_t>(padded_len));
+    // One round: this batch, then whatever else is dispatchable at the
+    // same instant, up to one batch per scheduler thread.
+    do {
+      form_batch_locked(q, round, batches);
+      q = batches.size() < round_batches ? ready_queue_locked(now, nullptr)
+                                         : queues_.size();
+    } while (q != queues_.size());
     batch_in_flight_ = true;
     space_cv_.notify_all();
     lk.unlock();
-    // Jobs catch their own exceptions (into their futures), so the
-    // scheduler never rethrows into the serving loop.
-    sched_.run(formed.size(), [&](std::size_t i) { formed[i].run(ctx); });
+    // Records run, fulfil and free themselves on the workers. Jobs catch
+    // their own exceptions (into their futures), so the scheduler never
+    // rethrows into the serving loop.
+    sched_.run(round.size(), [&](std::size_t i) {
+      const RecordPtr record = std::move(round[i].record);
+      record->run(batches[round[i].batch]);
+    });
+    round.clear();
+    batches.clear();
     lk.lock();
     batch_in_flight_ = false;
     if (pending_locked() == 0) {
       idle_cv_.notify_all();
     }
   }
-}
-
-void StarServer::record_done(const RequestStats& rs, bool ok) {
-  std::lock_guard<std::mutex> lk(mu_);
-  stats_.on_done(rs, ok);
 }
 
 void StarServer::drain() {
@@ -384,16 +394,18 @@ void StarServer::shutdown() {
 
 StatsAccumulator StarServer::stats_accumulator() const {
   std::lock_guard<std::mutex> lk(mu_);
+  std::lock_guard<std::mutex> done(done_mu_);
   return stats_;
 }
 
 ServerStats StarServer::stats() const {
   // Copy the accumulator under the lock; the percentile selects over the
   // latency reservoirs run after release so a polling monitor never stalls
-  // submit()/record_done()/the batcher for two O(n) nth_elements.
+  // submit(), completions or the batcher for two O(n) nth_elements.
   StatsAccumulator copy;
   {
     std::lock_guard<std::mutex> lk(mu_);
+    std::lock_guard<std::mutex> done(done_mu_);
     copy = stats_;
   }
   ServerStats s = copy.snapshot();

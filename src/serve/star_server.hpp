@@ -5,7 +5,12 @@
 //
 //   1. Admission: a bounded pending queue (`max_queue`) with a
 //      backpressure policy — block the submitter, reject the newcomer, or
-//      shed the oldest pending request to make room.
+//      shed the oldest pending request to make room. Each admitted request
+//      is ONE heap record (RequestRecord) that owns the request's promise
+//      and its compute; run(ctx) computes, stamps and fulfils it, fail(e)
+//      fulfils it with an exception (reject, shed, shutdown). Besides the
+//      record, a submit allocates only the promise's shared state and
+//      result slot, plus a queue chunk every 64 pushes.
 //   2. Dynamic batcher: a dedicated thread that coalesces pending requests
 //      into a batch once `max_batch` are waiting, or earlier once the
 //      oldest pending request has aged `max_wait_ticks` ticks — the
@@ -15,23 +20,51 @@
 //      its own effective (max_batch, max_wait) knobs; a formed batch never
 //      mixes buckets and is billed at the bucket's padded length instead
 //      of the batch max (see serve/length_buckets.hpp).
-//   3. Dispatch: each formed batch runs on the caller-supplied
-//      sim::BatchScheduler worker pool; request i of the batch executes
-//      core::BatchEncoderSim::run_*_one with its own derived seed.
+//   3. Dispatch in rounds: once one queue is dispatchable the batcher
+//      forms a ROUND of up to sched.thread_count() batches. Each further
+//      batch comes from the oldest-head queue that is dispatchable at the
+//      same instant under the same rule (full, aged out, the kBlock
+//      admission bound reached, or stopping); one queue may supply several.
+//      Every batch keeps its own BatchContext (id, size, dispatch stamp,
+//      padded length, bucket) and its own on_batch bill, exactly as if it
+//      had been dispatched alone. The round runs as ONE fork-join on the
+//      caller-supplied sim::BatchScheduler (request i executes
+//      core::BatchEncoderSim::run_*_one with its own derived seed), and
+//      the batcher waits for it: dispatch is stop-and-wait per round. With
+//      a 1-thread scheduler a round is one batch — the same loop.
 //
 // Determinism contract: a response payload depends ONLY on (request
-// payload, request run_seed) — never on which batch the request landed in,
-// the batcher policy, or the thread count. Each request executes with
-// engine seed workload::sequence_seed(run_seed, 0), exactly the seed of a
-// solo run_*_batch({input}, sched, run_seed) call, so server responses are
-// bit-identical to solo closed-batch runs. Timing (RequestStats,
-// ServerStats) is wall-clock and placement-dependent by design.
+// payload, request run_seed) — never on which batch or round the request
+// landed in, the batcher policy, or the thread count. Each request
+// executes with engine seed workload::sequence_seed(run_seed, 0), exactly
+// the seed of a solo run_*_batch({input}, sched, run_seed) call, so server
+// responses are bit-identical to solo closed-batch runs. Timing
+// (RequestStats, ServerStats) is wall-clock and placement-dependent by
+// design.
 //
 // Threading: submit()/drain()/stats() are safe from any thread. The
 // scheduler passed in must not be used by anyone else while the server is
 // live (BatchScheduler::run is single-caller; the batcher thread is that
 // caller). Compute exceptions propagate through the request's own future
-// and never affect batchmates or the server loop.
+// and never affect batchmates or the server loop. Two mutexes guard the
+// state, always taken in this order when both are held:
+//
+//   * mu_ (admission and dispatch): the queues, the request and batch id
+//     counters, stopping_/batch_in_flight_, and the ServerStats fields
+//     billed at admission or dispatch — submitted, admitted, rejected,
+//     shed, batches, the occupancy and token ledger, and per bucket its
+//     batches, occupancy and tokens.
+//   * done_mu_ (completion): the fields billed when a request resolves —
+//     completed, failed, the latency sums and reservoirs, the seq_len,
+//     shape, residency and transport sums, and per bucket its requests and
+//     queue-wait sum. Completions therefore never contend with submit()
+//     or the batcher.
+//
+// stats() and stats_accumulator() take mu_ and then done_mu_, so every
+// snapshot (and the cluster's fleet merge) sees one instant and the
+// conservation contracts hold. A request's completion is recorded before
+// its future is fulfilled, so a resolved future is already counted in
+// stats().
 #pragma once
 
 #include <chrono>
@@ -39,10 +72,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <functional>
+#include <exception>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 #include "core/batch_encoder.hpp"
 #include "serve/length_buckets.hpp"
@@ -102,7 +137,9 @@ class StarServer {
   /// Admit one request; the future resolves to the response (or to the
   /// compute/admission exception). Never throws on the submit path itself —
   /// admission failures travel through the future too, so open-loop
-  /// drivers need no try/catch.
+  /// drivers need no try/catch. An analytic seq_len outside
+  /// [2, model().config().max_seq_len] is refused before admission
+  /// (InvalidArgument through the future, counted as rejected).
   [[nodiscard]] std::future<EncoderResponse> submit(EncoderRequest req);
   [[nodiscard]] std::future<AttentionResponse> submit(AttentionRequest req);
   [[nodiscard]] std::future<AnalyticResponse> submit(AnalyticRequest req);
@@ -121,7 +158,10 @@ class StarServer {
   /// which needs the latency reservoirs themselves (see the fleet-merge
   /// notes on StatsAccumulator), not just the snapshot.
   [[nodiscard]] StatsAccumulator stats_accumulator() const;
-  [[nodiscard]] std::size_t pending() const;  ///< queued, not yet dispatched
+  /// Queued, not yet dispatched. Requests of the round in flight are not
+  /// counted: with a multi-thread scheduler that is up to
+  /// thread_count() x max_batch requests.
+  [[nodiscard]] std::size_t pending() const;
   [[nodiscard]] const ServerOptions& options() const { return opts_; }
   [[nodiscard]] const core::BatchEncoderSim& model() const { return model_; }
 
@@ -137,21 +177,55 @@ class StarServer {
     std::size_t bucket = 0;       ///< queue the batch was formed from
   };
 
-  /// A queued request, type-erased: `run` computes and fulfils the future,
-  /// `fail` fulfils it with an exception without running (shed/shutdown).
-  struct Pending {
-    std::uint64_t id = 0;
+  /// One admitted request, type-erased over its response type: the one
+  /// heap record a submit() makes for it (the promise allocates its own
+  /// shared state). The typed record owns the promise and the compute; `run`
+  /// computes, stamps RequestStats, records the completion and fulfils the
+  /// future, `fail` fulfils it with an exception without running
+  /// (reject/shed/shutdown). The fields below are what the batcher reads.
+  struct RequestRecord {
+    RequestRecord() = default;
+    RequestRecord(const RequestRecord&) = delete;
+    RequestRecord& operator=(const RequestRecord&) = delete;
+    virtual ~RequestRecord() = default;
+    virtual void run(const BatchContext& ctx) = 0;
+    virtual void fail(std::exception_ptr e) = 0;
+
+    std::uint64_t id = 0;  ///< admission order
     std::int64_t seq_len = 0;
-    Clock::time_point enqueued{};
-    std::function<void(const BatchContext&)> run;
-    std::function<void(std::exception_ptr)> fail;
+    double transport_us = 0.0;
+    Clock::time_point enqueued{};  ///< admission stamp (age-out + queue wait)
+  };
+  using RecordPtr = std::unique_ptr<RequestRecord>;
+  template <typename Response, typename Compute>
+  class Record;
+
+  /// One request of a formed round and the batch (index into the round's
+  /// contexts) it was formed into.
+  struct RoundSlot {
+    RecordPtr record;
+    std::size_t batch = 0;
   };
 
-  template <typename Response, typename ComputeFn>
+  template <typename Response, typename Compute>
   std::future<Response> submit_impl(std::int64_t seq_len, double transport_us,
-                                    ComputeFn compute);
+                                    Compute compute);
   void batcher_loop();
-  void record_done(const RequestStats& rs, bool ok);
+  /// The dispatchable queue (full, kBlock bound reached, stopping, or head
+  /// aged out at `now`) whose head waited longest; queues_.size() when
+  /// none is. `next_deadline`, when given, receives the earliest age-out
+  /// deadline among the non-dispatchable queues (time_point::max() when
+  /// there is none).
+  [[nodiscard]] std::size_t ready_queue_locked(
+      Clock::time_point now, Clock::time_point* next_deadline) const;
+  /// Move one batch off queue `q` into `round`, append its context to
+  /// `batches` and bill it (StatsAccumulator::on_batch).
+  void form_batch_locked(std::size_t q, std::vector<RoundSlot>& round,
+                         std::vector<BatchContext>& batches);
+  /// Stamp the placement and timing facts of `rec` into `rs` and record
+  /// its completion; shared by a record's success and failure branches.
+  void settle(const RequestRecord& rec, const BatchContext& ctx,
+              Clock::time_point started, RequestStats& rs, bool ok);
   [[nodiscard]] std::size_t pending_locked() const;
   /// The queue whose head has been waiting longest (by admission id);
   /// queues_.size() when everything is empty.
@@ -161,18 +235,21 @@ class StarServer {
   sim::BatchScheduler& sched_;
   const ServerOptions opts_;
 
-  mutable std::mutex mu_;
+  mutable std::mutex mu_;       ///< admission + dispatch (see file comment)
+  mutable std::mutex done_mu_;  ///< completion accounting; after mu_
   std::condition_variable batcher_cv_;  ///< work arrived / shutdown
   std::condition_variable space_cv_;    ///< queue space freed (kBlock)
   std::condition_variable idle_cv_;     ///< fully drained (drain())
   /// One FIFO per batcher queue (pad-to-max: exactly one; bucketed: one
   /// per bucket + the overflow queue). The admission bound `max_queue`
   /// applies to the TOTAL across queues.
-  std::vector<std::deque<Pending>> queues_;
+  std::vector<std::deque<RecordPtr>> queues_;
   bool stopping_ = false;
   bool batch_in_flight_ = false;
   std::uint64_t next_request_id_ = 0;
   std::uint64_t next_batch_id_ = 0;
+  /// Split by writer: on_done under done_mu_, every other call under mu_
+  /// (the two touch disjoint fields; see StatsAccumulator).
   StatsAccumulator stats_;
 
   std::mutex join_mu_;   ///< serialises shutdown()'s join

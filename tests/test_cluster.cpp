@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <future>
 #include <map>
@@ -32,6 +33,7 @@
 #include "serve/server_stats.hpp"
 #include "serve/star_server.hpp"
 #include "sim/batch_scheduler.hpp"
+#include "util/alloc_counter.hpp"
 #include "util/status.hpp"
 #include "workload/arrival_trace.hpp"
 #include "workload/dataset_profile.hpp"
@@ -238,6 +240,59 @@ TEST(Cluster, SingleNodeClusterDelegatesBitIdenticallyToPlainServer) {
   // Trivial merge: the fleet percentile of one node IS that node's.
   EXPECT_DOUBLE_EQ(cs.queue_wait_p99_s, cs.per_node[0].queue_wait_p99_s);
   EXPECT_DOUBLE_EQ(cs.service_p99_s, cs.per_node[0].service_p99_s);
+}
+
+TEST(Cluster, SubmitAllocatesNothingBeyondItsNodeServer) {
+  if (!util::alloc_audit_enabled()) {
+    GTEST_SKIP() << "allocation audit not compiled in (Debug or -DSTAR_AUDIT=ON)";
+  }
+  // Parked queues (no size trigger reached, a 100 s age-out) make the
+  // submitter's allocations deterministic: the same pushes into the same
+  // kind of queue. Routing — the fleet snapshot, the policy, the transport
+  // bill, the residency probe of a non-default dataset — must add none.
+  constexpr std::size_t kSubmits = 1000;
+  serve::ServerOptions parked;
+  parked.max_queue = 4 * kSubmits;
+  parked.batcher.max_batch = 4 * kSubmits;
+  parked.batcher.max_wait_ticks = 1000;
+  parked.batcher.tick = std::chrono::microseconds(100000);
+  const auto request = [](std::size_t i) {
+    return serve::AnalyticRequest{
+        static_cast<std::int64_t>(8 + i % 32),
+        i % 2 == 0 ? workload::Dataset::kDefault : workload::Dataset::kCnews};
+  };
+  std::vector<std::future<serve::AnalyticResponse>> futs;
+  futs.reserve(kSubmits);
+
+  std::uint64_t server_allocs = 0;
+  {
+    // A model of its own: shutdown serves the parked CNEWS requests, which
+    // program that image into the model's residency cache.
+    const core::BatchEncoderSim model(tiny_cfg(), kBert);
+    sim::BatchScheduler sched(1);
+    serve::StarServer server(model, sched, parked);
+    const util::AllocCounter counter;
+    for (std::size_t i = 0; i < kSubmits; ++i) {
+      futs.push_back(server.submit(request(i)));
+    }
+    server_allocs = counter.allocations();
+  }
+  futs.clear();
+
+  serve::ClusterOptions opts = cluster_opts(1, 1, serve::RoutePolicyKind::kAffinity);
+  opts.server = parked;
+  opts.link = hw::HostLink::host_default();
+  serve::Cluster cluster(tiny_cfg(), kBert, opts);
+  const util::AllocCounter counter;
+  for (std::size_t i = 0; i < kSubmits; ++i) {
+    futs.push_back(cluster.submit(request(i)));
+  }
+  const std::uint64_t cluster_allocs = counter.allocations();
+  cluster.shutdown();
+  for (auto& fut : futs) {
+    fut.get();
+  }
+  EXPECT_EQ(cluster_allocs, server_allocs);
 }
 
 // ---------- conservation laws ----------

@@ -21,6 +21,7 @@
 #include "serve/star_server.hpp"
 #include "sim/batch_scheduler.hpp"
 #include "util/contract.hpp"
+#include "util/status.hpp"
 #include "workload/arrival_trace.hpp"
 #include "workload/dataset_profile.hpp"
 #include "workload/trace_gen.hpp"
@@ -273,6 +274,41 @@ TEST(CostCache, BatchSimAnalyticServiceModelDeterministicAndCached) {
   EXPECT_EQ(stats.lookups, first.stats.batches + again.stats.batches);
   EXPECT_EQ(stats.bypasses, 0u);
   EXPECT_GT(stats.hit_rate(), 0.9);
+}
+
+TEST(CostCache, BatchSimPricesPaddedLengthsAboveMaxSeqLen) {
+  // Every request fits the model (max_seq_len 256), but the one bucket
+  // pads to 512. The replay bills each batch at 512 — a length
+  // run_analytic_one refuses as a request — and completes.
+  const BatchEncoderSim model(tiny_cfg(), kBert);
+  constexpr std::int64_t kEdge = 512;
+  ASSERT_GT(kEdge, model.config().max_seq_len);
+  EXPECT_THROW((void)model.run_analytic_one(kEdge), InvalidArgument);
+
+  constexpr std::size_t kArrivals = 200;
+  std::vector<std::int64_t> lens;
+  for (std::size_t i = 0; i < kArrivals; ++i) {
+    lens.push_back(static_cast<std::int64_t>(16 + (i * 37) % 241));  // 16..256
+  }
+  workload::BurstShape burst;
+  burst.mean_inter_arrival_ticks = 1.0;
+  const auto trace =
+      workload::ArrivalTrace::generate_burst(kArrivals, burst, 0xBA7C4ED);
+
+  serve::BatchSimConfig cfg;
+  cfg.bucketing = serve::LengthBucketing::bucketed({kEdge});
+  cfg.batch_overhead_ticks = 0.0;
+  cfg.analytic_model = &model;
+  const auto result = serve::simulate_batching(trace, lens, cfg);
+  EXPECT_EQ(result.served, kArrivals);
+  EXPECT_EQ(result.stats.padded_tokens,
+            kArrivals * static_cast<std::uint64_t>(kEdge));
+
+  // Zero overhead: the busy time is one edge-length bill per request.
+  const double per_request = model.price_analytic(kEdge).latency.as_us();
+  EXPECT_GT(per_request, 0.0);
+  EXPECT_NEAR(result.busy_ticks, static_cast<double>(kArrivals) * per_request,
+              1e-9 * result.busy_ticks);
 }
 
 // ---------- stats surfacing through the serve layer ----------

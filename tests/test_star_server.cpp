@@ -9,16 +9,23 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <future>
+#include <iterator>
+#include <map>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "core/batch_encoder.hpp"
 #include "serve/request.hpp"
 #include "serve/star_server.hpp"
 #include "sim/batch_scheduler.hpp"
+#include "util/alloc_counter.hpp"
 #include "util/status.hpp"
 #include "workload/trace_gen.hpp"
+#include "xbar/residency.hpp"
 
 namespace star {
 namespace {
@@ -212,6 +219,76 @@ TEST(StarServer, AnalyticVariantMatchesDirectRun) {
     EXPECT_DOUBLE_EQ(resp.result.energy.as_J(), direct.energy.as_J());
     EXPECT_DOUBLE_EQ(resp.result.power.as_W(), direct.power.as_W());
   }
+}
+
+TEST(StarServer, HostileAnalyticLengthsRejectedBeforeResidency) {
+  // A length outside [2, max_seq_len] is refused before the dataset's LUT
+  // image is acquired: no lookup, no miss, no programming bill, and no
+  // worker time spent pricing a length the counters are not sized for.
+  core::StarConfig cfg = tiny_cfg();
+  cfg.residency_capacity = 4;
+  const core::BatchEncoderSim model(cfg, kBert);
+  const auto ledger = [&] { return model.residency().stats(); };
+  const auto same_ledger = [](const xbar::ResidencyStats& a,
+                              const xbar::ResidencyStats& b) {
+    return a.lookups == b.lookups && a.hits == b.hits && a.misses == b.misses &&
+           a.evictions == b.evictions &&
+           a.programming.latency.as_s() == b.programming.latency.as_s() &&
+           a.programming.energy.as_J() == b.programming.energy.as_J();
+  };
+  const std::int64_t max_len = cfg.max_seq_len;
+  const std::int64_t hostile[] = {0, 1, -7, max_len + 1, 100000, 100000000};
+
+  const xbar::ResidencyStats before = ledger();
+  for (const std::int64_t len : hostile) {
+    EXPECT_THROW((void)model.run_analytic_one(len, workload::Dataset::kCnews),
+                 InvalidArgument)
+        << "seq_len " << len;
+    EXPECT_TRUE(same_ledger(ledger(), before)) << "seq_len " << len;
+  }
+
+  // Through the server the refusal comes at submit(), before admission:
+  // the length never joins a queue, so it cannot set a batchmate's padded
+  // length or bill the token ledger.
+  sim::BatchScheduler sched(2);
+  serve::ServerOptions opts;
+  opts.batcher.max_batch = 2;
+  opts.batcher.max_wait_ticks = 20;
+  opts.batcher.tick = std::chrono::milliseconds(1);
+  serve::StarServer server(model, sched, opts);
+  for (const std::int64_t len : hostile) {
+    auto fut = server.submit(serve::AnalyticRequest{len, workload::Dataset::kCnews});
+    EXPECT_THROW(fut.get(), InvalidArgument) << "seq_len " << len;
+    EXPECT_TRUE(same_ledger(ledger(), before)) << "seq_len " << len;
+  }
+  EXPECT_EQ(server.pending(), 0u);
+
+  // Admitted, the hostile request would fill a batch of two with the valid
+  // one behind it and bill both at 10^8 tokens. Refused, it leaves the
+  // longest admissible length to age out alone at its own padded length
+  // (paying the image's one cold miss).
+  auto hostile_fut =
+      server.submit(serve::AnalyticRequest{100000000, workload::Dataset::kCnews});
+  auto served_fut =
+      server.submit(serve::AnalyticRequest{max_len, workload::Dataset::kCnews});
+  EXPECT_THROW(hostile_fut.get(), InvalidArgument);
+  const serve::AnalyticResponse served = served_fut.get();
+  EXPECT_EQ(served.stats.seq_len, max_len);
+  EXPECT_EQ(served.stats.batch_size, 1u);
+  EXPECT_EQ(served.stats.padded_len, max_len);
+  EXPECT_EQ(served.stats.lut_misses, 1u);
+  EXPECT_EQ(ledger().lookups, before.lookups + 1);
+
+  server.drain();
+  const serve::ServerStats stats = server.stats();
+  EXPECT_EQ(stats.submitted, std::size(hostile) + 2);
+  EXPECT_EQ(stats.rejected, std::size(hostile) + 1);
+  EXPECT_EQ(stats.admitted, 1u);
+  EXPECT_EQ(stats.completed, 1u);
+  EXPECT_EQ(stats.failed, 0u);
+  EXPECT_EQ(stats.batches, 1u);
+  EXPECT_EQ(stats.effective_tokens, static_cast<std::uint64_t>(max_len));
+  EXPECT_EQ(stats.padded_tokens, static_cast<std::uint64_t>(max_len));
 }
 
 // ---------- admission control ----------
@@ -478,6 +555,190 @@ TEST(StarServer, RequestStatsDescribeBatchPlacement) {
     EXPECT_GE(resp.stats.queue_wait_s, 0.0);
     EXPECT_GE(resp.stats.service_s, 0.0);
   }
+}
+
+// ---------- dispatch rounds ----------
+
+/// A mixed-length burst from two submitter threads through a bucketed
+/// server, then drain(). One dispatch round forms up to thread_count()
+/// batches, yet every batch must still obey the batching rule on its own:
+/// grouped by batch_id, the responses' RequestStats show each batch's true
+/// size, its bucket's cap, and — for a partial batch — a member that waited
+/// out its bucket's age-out window.
+class ServerRounds : public ::testing::TestWithParam<int> {};
+
+TEST_P(ServerRounds, EveryBatchKeepsTheBatchingRule) {
+  const int threads = GetParam();
+  const auto& model = shared_model();
+  constexpr std::size_t kSubmitters = 2;
+  constexpr std::size_t kPerSubmitter = 150;
+  serve::ServerOptions opts;
+  // Above the burst: the kBlock admission bound never dispatches, so a
+  // partial batch can only be an aged-out head.
+  opts.max_queue = 4 * kSubmitters * kPerSubmitter;
+  opts.batcher.max_batch = 4;
+  opts.batcher.max_wait_ticks = 3;
+  opts.batcher.tick = std::chrono::microseconds(200);
+  opts.batcher.bucketing = serve::LengthBucketing::bucketed({16, 48});
+  opts.batcher.bucketing.buckets[0].max_batch = 3;
+  opts.batcher.bucketing.buckets[1].max_wait_ticks = 0;
+  const serve::LengthBucketing& bucketing = opts.batcher.bucketing;
+  sim::BatchScheduler sched(threads);
+  serve::StarServer server(model, sched, opts);
+
+  std::vector<std::future<serve::AnalyticResponse>> futs[kSubmitters];
+  {
+    std::vector<std::thread> submitters;
+    for (std::size_t t = 0; t < kSubmitters; ++t) {
+      submitters.emplace_back([&, t] {
+        for (std::size_t i = 0; i < kPerSubmitter; ++i) {
+          // Lengths 2..128 in a scrambled order: all three queues fill.
+          const auto len = static_cast<std::int64_t>(2 + (i * 37 + t * 11) % 127);
+          futs[t].push_back(server.submit(serve::AnalyticRequest{len}));
+        }
+      });
+    }
+    for (auto& th : submitters) {
+      th.join();
+    }
+  }
+  server.drain();
+  const serve::ServerStats st = server.stats();
+  ASSERT_EQ(st.completed, kSubmitters * kPerSubmitter);
+
+  std::map<std::uint64_t, std::vector<serve::RequestStats>> by_batch;
+  for (auto& per_thread : futs) {
+    for (auto& fut : per_thread) {
+      const serve::RequestStats rs = fut.get().stats;
+      by_batch[rs.batch_id].push_back(rs);
+    }
+  }
+  ASSERT_EQ(by_batch.size(), st.batches);
+  std::uint64_t expected_id = 0;
+  std::size_t members = 0;
+  for (const auto& [id, group] : by_batch) {
+    EXPECT_EQ(id, expected_id++) << "batch ids must run 0..batches-1";
+    const std::size_t bucket = group.front().bucket;
+    const std::size_t cap = bucketing.max_batch_for(bucket, opts.batcher.max_batch);
+    EXPECT_EQ(group.size(), group.front().batch_size) << "batch " << id;
+    EXPECT_LE(group.size(), cap) << "batch " << id;
+    double oldest_wait = 0.0;
+    for (const serve::RequestStats& rs : group) {
+      EXPECT_EQ(rs.bucket, bucket) << "batch " << id << " mixes queues";
+      EXPECT_EQ(rs.batch_size, group.size()) << "batch " << id;
+      oldest_wait = std::max(oldest_wait, rs.queue_wait_s);
+    }
+    if (group.size() < cap) {
+      // Same integer-nanosecond -> seconds conversion as queue_wait_s.
+      const double window =
+          std::chrono::duration<double>(
+              std::chrono::nanoseconds(
+                  opts.batcher.tick *
+                  bucketing.max_wait_for(bucket, opts.batcher.max_wait_ticks)))
+              .count();
+      EXPECT_GE(oldest_wait, window)
+          << "partial batch " << id << " of bucket " << bucket
+          << " dispatched before its head aged out";
+    }
+    members += group.size();
+  }
+  EXPECT_EQ(members, st.completed);
+}
+
+INSTANTIATE_TEST_SUITE_P(SchedulerThreads, ServerRounds, ::testing::Values(3, 1));
+
+// ---------- submit-path allocations ----------
+
+TEST(StarServerAllocations, WarmAnalyticSubmitStaysWithinBudget) {
+  if (!util::alloc_audit_enabled()) {
+    GTEST_SKIP() << "allocation audit not compiled in (Debug or -DSTAR_AUDIT=ON)";
+  }
+  // One request record (promise + compute), the promise's shared state
+  // and result slot, and a share of a queue chunk: about three allocations
+  // on the submitting thread. The old promise-in-shared_ptr plus two
+  // std::function closures cost about five.
+  const auto& model = shared_model();
+  constexpr std::size_t kSubmits = 1000;
+  const std::int64_t lens[] = {8, 24, 40, 72, 128};
+  sim::BatchScheduler sched(3);
+  serve::ServerOptions opts;
+  opts.max_queue = 2 * kSubmits;
+  serve::StarServer server(model, sched, opts);
+  std::vector<std::future<serve::AnalyticResponse>> futs;
+  futs.reserve(kSubmits);
+  for (const std::int64_t len : lens) {  // warm every cost-cache key
+    futs.push_back(server.submit(serve::AnalyticRequest{len}));
+  }
+  for (auto& fut : futs) {
+    fut.get();
+  }
+  futs.clear();
+
+  const util::AllocCounter counter;
+  for (std::size_t i = 0; i < kSubmits; ++i) {
+    futs.push_back(server.submit(serve::AnalyticRequest{lens[i % std::size(lens)]}));
+  }
+  const std::uint64_t allocs = counter.allocations();
+  for (auto& fut : futs) {
+    fut.get();
+  }
+  EXPECT_LE(static_cast<double>(allocs) / kSubmits, 3.5)
+      << allocs << " allocations over " << kSubmits << " submits";
+}
+
+// ---------- concurrent stats ----------
+
+TEST(StarServer, StatsSnapshotsStayConservedDuringABurst) {
+  // A poller reads both stats views throughout a burst while completions
+  // are recorded under their own mutex; every snapshot must still be one
+  // instant of the ledger.
+  const auto& model = shared_model();
+  constexpr std::size_t kBurst = 5000;
+  sim::BatchScheduler sched(3);
+  serve::ServerOptions opts;
+  opts.max_queue = kBurst;
+  opts.batcher.bucketing = serve::LengthBucketing::bucketed({32});
+  serve::StarServer server(model, sched, opts);
+
+  // Checked on the poller and tallied, so every assertion runs on the
+  // test's own thread.
+  const auto conserved = [](const serve::ServerStats& s) {
+    std::uint64_t bucket_requests = 0;
+    for (const auto& b : s.per_bucket) {
+      bucket_requests += b.requests;
+    }
+    return s.completed + s.failed + s.shed <= s.admitted &&
+           s.admitted <= s.submitted && bucket_requests == s.completed + s.failed;
+  };
+  std::atomic<bool> done{false};
+  std::size_t polls = 0;
+  std::size_t broken = 0;
+  std::thread poller([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      broken += conserved(server.stats()) ? 0 : 1;
+      broken += conserved(server.stats_accumulator().snapshot()) ? 0 : 1;
+      ++polls;
+    }
+  });
+  std::vector<std::future<serve::AnalyticResponse>> futs;
+  futs.reserve(kBurst);
+  for (std::size_t i = 0; i < kBurst; ++i) {
+    futs.push_back(server.submit(
+        serve::AnalyticRequest{static_cast<std::int64_t>(2 + (i * 13) % 127)}));
+  }
+  server.drain();
+  done.store(true, std::memory_order_release);
+  poller.join();
+  for (auto& fut : futs) {
+    fut.get();
+  }
+  EXPECT_GT(polls, 0u);
+  EXPECT_EQ(broken, 0u) << "of " << polls << " polls";
+  const serve::ServerStats st = server.stats();
+  EXPECT_TRUE(conserved(st));
+  EXPECT_EQ(st.completed, kBurst);
+  EXPECT_EQ(st.admitted, kBurst);
+  EXPECT_EQ(st.submitted, kBurst);
 }
 
 // ---------- percentile / StatsAccumulator edge cases ----------
