@@ -15,9 +15,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <future>
 #include <map>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -701,6 +704,189 @@ TEST(BatchSim, PerBucketWaitsReflectPerBucketWaitOverrides) {
   ASSERT_GT(slow.requests, 0u);
   EXPECT_LT(fast.batch_occupancy_mean, slow.batch_occupancy_mean);
   EXPECT_LE(fast.queue_wait_mean_s, slow.queue_wait_mean_s);
+}
+
+// ---------- golden replay ----------
+//
+// The replay's figures pinned against recorded values, not against a
+// second implementation: tests/golden/batch_replay.csv holds one row per
+// cell, doubles written with %.17g so the comparison is bitwise. On a
+// mismatch or a missing file the test prints every computed row in the
+// file's format. There is no switch that rewrites the file: changing it is
+// a change of the batching rule and needs a stated reason.
+
+const char* const kReplayGolden = STAR_TEST_GOLDEN_DIR "/batch_replay.csv";
+const char* const kReplayHeader =
+    "cell,served,batches,effective_tokens,padded_tokens,capacity_tokens,"
+    "makespan_ticks,busy_ticks,utilization,queue_wait_mean,queue_wait_p99,"
+    "service_mean,service_p99,occupancy_mean,occupancy_max,"
+    "per_bucket(requests:batches:effective:padded:queue_wait_mean)";
+
+std::string exact(double x) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", x);
+  return buf;
+}
+
+std::string replay_row(const std::string& cell, const serve::BatchSimResult& r) {
+  const serve::ServerStats& s = r.stats;
+  std::string row = cell;
+  for (const std::string& field :
+       {std::to_string(r.served), std::to_string(s.batches),
+        std::to_string(s.effective_tokens), std::to_string(s.padded_tokens),
+        std::to_string(s.capacity_tokens), exact(r.makespan_ticks),
+        exact(r.busy_ticks), exact(r.utilization), exact(s.queue_wait_mean_s),
+        exact(s.queue_wait_p99_s), exact(s.service_mean_s),
+        exact(s.service_p99_s), exact(s.batch_occupancy_mean),
+        std::to_string(s.batch_occupancy_max)}) {
+    row += ',' + field;
+  }
+  row += ',';
+  for (std::size_t q = 0; q < s.per_bucket.size(); ++q) {
+    const auto& b = s.per_bucket[q];
+    row += (q == 0 ? "" : " ") + std::to_string(b.requests) + ':' +
+           std::to_string(b.batches) + ':' + std::to_string(b.effective_tokens) +
+           ':' + std::to_string(b.padded_tokens) + ':' + exact(b.queue_wait_mean_s);
+  }
+  return row;
+}
+
+/// The replay grid: pad-to-max, bucketed and per-bucket overrides over
+/// burst, Poisson and uniform traces; one cell past the latency reservoir
+/// (its p99 comes from the sampled reservoir) and one on the analytic
+/// service model.
+std::vector<std::string> replay_rows() {
+  using serve::LengthBucketing;
+  const auto mixed = workload::length_histogram_for(workload::Dataset::kDefault);
+  const auto mrpc = workload::length_histogram_for(workload::Dataset::kMrpc);
+  const auto cola = workload::length_histogram_for(workload::Dataset::kCola);
+  const auto cnews = workload::length_histogram_for(workload::Dataset::kCnews);
+  workload::BurstShape backlog;
+  backlog.mean_inter_arrival_ticks = 0.4;
+  const auto burst = [](std::size_t n, const workload::BurstShape& shape,
+                        std::uint64_t seed) {
+    return workload::ArrivalTrace::generate_burst(n, shape, seed);
+  };
+  const auto poisson = [](std::size_t n, double mean, std::uint64_t seed) {
+    return workload::ArrivalTrace::generate(n, workload::ArrivalProcess::kPoisson,
+                                            mean, seed);
+  };
+  const auto uniform = [](std::size_t n, double mean, std::uint64_t seed) {
+    return workload::ArrivalTrace::generate(n, workload::ArrivalProcess::kUniform,
+                                            mean, seed);
+  };
+  const auto config = [](const LengthBucketing& bucketing, std::size_t max_batch,
+                         std::uint32_t max_wait) {
+    serve::BatchSimConfig cfg;
+    cfg.max_batch = max_batch;
+    cfg.max_wait_ticks = max_wait;
+    cfg.bucketing = bucketing;
+    return cfg;
+  };
+  std::vector<std::string> rows;
+  const auto run = [&](const std::string& cell, const workload::ArrivalTrace& trace,
+                       const std::vector<std::int64_t>& lens,
+                       const serve::BatchSimConfig& cfg) {
+    rows.push_back(replay_row(cell, serve::simulate_batching(trace, lens, cfg)));
+  };
+
+  std::vector<std::int64_t> hist_edges;
+  for (const auto& bin : mixed.bins) {
+    hist_edges.push_back(bin.len);
+  }
+  auto overrides = LengthBucketing::bucketed({32, 64, 128});
+  overrides.buckets[0].max_batch = 16;
+  overrides.buckets[0].max_wait_ticks = 1;
+  overrides.buckets[1].max_batch = 2;
+  overrides.buckets[2].max_wait_ticks = 0;
+  auto split_waits = LengthBucketing::bucketed({16, 64});
+  split_waits.buckets[0].max_wait_ticks = 0;
+  split_waits.buckets[1].max_wait_ticks = 500;
+  auto short_fast = LengthBucketing::bucketed({16, 48});
+  short_fast.buckets[0].max_batch = 3;
+  short_fast.buckets[0].max_wait_ticks = 12;
+  short_fast.buckets[1].max_wait_ticks = 0;
+  std::vector<std::int64_t> alternating;
+  for (int i = 0; i < 2000; ++i) {
+    alternating.push_back(i % 2 == 0 ? 8 : 32);
+  }
+
+  run("ptm/burst/mrpc/b8w8", burst(5000, {}, 0x777),
+      workload::sample_lengths(mrpc, 5000, 0x1234),
+      config(LengthBucketing::pad_to_max(), 8, 8));
+  run("ptm/poisson/mixed/b4w2", poisson(20000, 1.0, 0x99),
+      workload::sample_lengths(mixed, 20000, 0xC0DE),
+      config(LengthBucketing::pad_to_max(), 4, 2));
+  run("ptm/uniform/cola/b1w0", uniform(4000, 0.3, 0x42),
+      workload::sample_lengths(cola, 4000, 0xF00),
+      config(LengthBucketing::pad_to_max(), 1, 0));
+  {
+    auto cfg = config(LengthBucketing::pad_to_max(), 16, 39);
+    cfg.batch_overhead_ticks = 0.0;
+    cfg.ticks_per_token = 0.02;
+    run("ptm/uniform/cnews/b16w39/no-overhead", uniform(6000, 2.0, 0x5),
+        workload::sample_lengths(cnews, 6000, 0x6), cfg);
+  }
+  run("bkt/burst/mixed/hist-edges/backlog", burst(20000, backlog, 0x8),
+      workload::sample_lengths(mixed, 20000, 0xBEEF),
+      config(LengthBucketing::bucketed(hist_edges), 8, 8));
+  run("bkt/poisson/mixed/16-32-64-128-256", poisson(20000, 1.0, 0x99),
+      workload::sample_lengths(mixed, 20000, 0xC0DE),
+      config(LengthBucketing::bucketed({16, 32, 64, 128, 256}), 8, 8));
+  run("bkt/uniform/cola/48-96", uniform(4000, 0.3, 0x42),
+      workload::sample_lengths(cola, 4000, 0xF00),
+      config(LengthBucketing::bucketed({48, 96}), 8, 8));
+  {
+    auto cfg = config(split_waits, 8, 8);
+    cfg.ticks_per_token = 0.001;
+    run("ovr/uniform/alternating/16w0-64w500", uniform(2000, 5.0, 0x33),
+        alternating, cfg);
+  }
+  run("ovr/poisson/mixed/32b16w1-64b2-128w0", poisson(20000, 0.5, 0x51),
+      workload::sample_lengths(mixed, 20000, 0x52), config(overrides, 6, 5));
+  run("ovr/burst/mrpc/16b3w12-48w0", burst(10000, {}, 0x61),
+      workload::sample_lengths(mrpc, 10000, 0x62), config(short_fast, 4, 3));
+  run("large/bkt/burst/mixed/64-128-256/backlog", burst(100000, backlog, 0x71),
+      workload::sample_lengths(mixed, 100000, 0x72),
+      config(LengthBucketing::bucketed({64, 128, 256}), 8, 4));
+  {
+    workload::BurstShape shape;
+    shape.mean_inter_arrival_ticks = 1.0;
+    auto cfg = config(LengthBucketing::bucketed({32, 64, 128}), 8, 8);
+    cfg.analytic_model = &shared_model();
+    cfg.analytic_ticks_per_us = 0.5;
+    run("analytic/bkt/burst/mixed/32-64-128", burst(2000, shape, 0xBA7C4ED),
+        workload::sample_lengths(mixed, 2000, 0xCAC4E), cfg);
+  }
+  return rows;
+}
+
+TEST(BatchSim, MatchesGoldenReplay) {
+  std::vector<std::string> golden;
+  {
+    std::ifstream in(kReplayGolden);
+    std::string line;
+    std::getline(in, line);  // header
+    while (std::getline(in, line)) {
+      if (!line.empty()) {
+        golden.push_back(line);
+      }
+    }
+  }
+  const std::vector<std::string> got = replay_rows();
+  EXPECT_FALSE(golden.empty()) << "missing or empty golden file: " << kReplayGolden;
+  EXPECT_EQ(got.size(), golden.size()) << "cell count differs";
+  bool same = got.size() == golden.size();
+  for (std::size_t i = 0; i < got.size() && i < golden.size(); ++i) {
+    EXPECT_EQ(got[i], golden[i]) << "row " << i;
+    same = same && got[i] == golden[i];
+  }
+  if (!same) {
+    std::printf("computed rows:\n%s\n", kReplayHeader);
+    for (const std::string& row : got) {
+      std::printf("%s\n", row.c_str());
+    }
+  }
 }
 
 // ---------- bounded multi-threaded soak (TSan target) ----------
