@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <limits>
 
 #include "core/batch_encoder.hpp"
+#include "serve/batch_policy.hpp"
 #include "util/contract.hpp"
 #include "util/status.hpp"
 
@@ -22,16 +22,6 @@ void BatchSimConfig::validate() const {
   bucketing.validate();
 }
 
-namespace {
-
-struct SimPending {
-  double arrival = 0.0;
-  std::int64_t seq_len = 0;
-  std::uint64_t id = 0;
-};
-
-}  // namespace
-
 BatchSimResult simulate_batching(const workload::ArrivalTrace& trace,
                                  const std::vector<std::int64_t>& seq_lens,
                                  const BatchSimConfig& cfg) {
@@ -42,7 +32,7 @@ BatchSimResult simulate_batching(const workload::ArrivalTrace& trace,
     require(len >= 1, "simulate_batching: seq_lens must be >= 1");
   }
   if constexpr (contracts_enabled()) {
-    // The replay's event loop (arrivals admit before equal-tick dispatches,
+    // The event loop below (arrivals admit before equal-tick dispatches,
     // head age-out windows) assumes the documented ArrivalTrace invariant.
     // A hand-built trace can violate it; audit before simulating.
     for (std::size_t i = 1; i < trace.size(); ++i) {
@@ -52,143 +42,78 @@ BatchSimResult simulate_batching(const workload::ArrivalTrace& trace,
     }
   }
 
-  const std::size_t num_queues = cfg.bucketing.num_queues();
-  std::vector<std::deque<SimPending>> queues(num_queues);
-
+  struct Pending {
+    double enqueued = 0.0;  ///< arrival tick
+    std::int64_t seq_len = 0;
+    std::uint64_t id = 0;
+  };
+  using Policy = BatchPolicy<Pending, double>;
   StatsAccumulator acc;
-  {
-    std::vector<std::int64_t> edges;
-    edges.reserve(num_queues);
-    for (std::size_t q = 0; q < num_queues; ++q) {
-      edges.push_back(cfg.bucketing.edge_of(q));
-    }
-    acc.configure_buckets(std::move(edges));
-  }
+  Policy policy(cfg.bucketing, cfg.max_batch, cfg.max_wait_ticks, 1.0, acc);
+  std::vector<Pending> members;
 
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  double engine_free = 0.0;
+  double now = 0.0;
+  double engine_free = 0.0;  // never falls, so it ends as the makespan
   double busy = 0.0;
-  double makespan = 0.0;
   std::uint64_t served = 0;
   std::size_t next_arrival = 0;
-  std::size_t pending = 0;
-
-  // A queue's trigger time: the instant its policy wants a dispatch —
-  // head age-out, or the moment the queue FILLED (the arrival of its
-  // max_batch-th member, never earlier: the batch must not dispatch before
-  // its own members exist). The dispatch itself additionally waits for the
-  // engine.
-  const auto trigger_of = [&](std::size_t q) {
-    if (queues[q].empty()) {
-      return kInf;
-    }
-    const std::size_t cap = cfg.bucketing.max_batch_for(q, cfg.max_batch);
-    double t = queues[q].front().arrival +
-               static_cast<double>(
-                   cfg.bucketing.max_wait_for(q, cfg.max_wait_ticks));
-    if (queues[q].size() >= cap) {
-      t = std::min(t, queues[q][cap - 1].arrival);
-    }
-    return t;
-  };
-
-  while (next_arrival < trace.size() || pending > 0) {
-    // Earliest dispatch across queues; oldest head breaks ties so bucket
-    // fairness matches the live batcher.
-    std::size_t best_q = num_queues;
-    double best_dispatch = kInf;
-    std::uint64_t best_id = 0;
-    for (std::size_t q = 0; q < num_queues; ++q) {
-      if (queues[q].empty()) {
-        continue;
-      }
-      const double dispatch = std::max(trigger_of(q), engine_free);
-      if (dispatch < best_dispatch ||
-          (dispatch == best_dispatch && queues[q].front().id < best_id)) {
-        best_q = q;
-        best_dispatch = dispatch;
-        best_id = queues[q].front().id;
-      }
-    }
-
-    // Admit every arrival at or before the decided dispatch instant FIRST:
-    // an arrival can fill a queue and advance (never delay) its trigger,
-    // and arrivals-before-dispatch at the same tick is the deterministic
-    // tie rule. With no dispatchable queue, admit the next arrival.
-    if (next_arrival < trace.size() &&
-        trace.arrival_ticks[next_arrival] <= best_dispatch) {
-      SimPending p;
-      p.arrival = trace.arrival_ticks[next_arrival];
-      p.seq_len = seq_lens[next_arrival];
-      p.id = next_arrival;
+  for (;;) {
+    // The next dispatch: now if a queue is ready, else at the earliest
+    // age-out deadline; never before the engine is free.
+    const Policy::Next due = policy.next(now, /*force=*/false);
+    const double at = std::max(
+        due.queue != Policy::kNone ? now : due.deadline.value_or(kInf), engine_free);
+    // Arrivals at or before that instant admit first: one can fill a queue
+    // and bring the dispatch forward.
+    if (next_arrival < trace.size() && trace.arrival_ticks[next_arrival] <= at) {
+      now = trace.arrival_ticks[next_arrival];
       acc.on_submitted();
       acc.on_admitted();
-      queues[cfg.bucketing.bucket_of(p.seq_len)].push_back(p);
-      ++pending;
+      policy.admit(Pending{now, seq_lens[next_arrival], /*id=*/0});  // admit stamps it
       ++next_arrival;
       continue;
     }
-    if (best_q == num_queues) {
-      break;  // unreachable: pending > 0 implies a non-empty queue
+    if (policy.empty()) {
+      break;
     }
-
-    std::deque<SimPending>& queue = queues[best_q];
-    const std::size_t cap = cfg.bucketing.max_batch_for(best_q, cfg.max_batch);
-    const std::size_t take = std::min(queue.size(), cap);
-    std::int64_t batch_max_len = 0;
-    std::int64_t effective = 0;
-    std::vector<SimPending> formed;
-    formed.reserve(take);
-    for (std::size_t i = 0; i < take; ++i) {
-      batch_max_len = std::max(batch_max_len, queue.front().seq_len);
-      effective += queue.front().seq_len;
-      formed.push_back(queue.front());
-      queue.pop_front();
-    }
-    pending -= take;
-
-    const std::int64_t padded_len =
-        cfg.bucketing.padded_len(best_q, batch_max_len);
+    now = at;
+    const std::size_t q = policy.next(now, /*force=*/false).queue;
+    members.clear();
+    const Policy::Formed batch =
+        policy.form(q, [&](const Pending& p) { members.push_back(p); });
     // STAR-calibrated service when an analytic model is attached (cached —
     // repeated padded lengths are O(1) CostCache hits), linear token proxy
     // otherwise.
     const double marginal =
         cfg.analytic_model != nullptr
             ? cfg.analytic_ticks_per_us *
-                  cfg.analytic_model->price_analytic(padded_len)
+                  cfg.analytic_model->price_analytic(batch.padded_len)
                       .latency.as_us()
-            : cfg.ticks_per_token * static_cast<double>(padded_len);
+            : cfg.ticks_per_token * static_cast<double>(batch.padded_len);
     const double service =
-        cfg.batch_overhead_ticks + static_cast<double>(take) * marginal;
-    const double finish = best_dispatch + service;
-
-    acc.on_batch(take, best_q, static_cast<std::uint64_t>(effective),
-                 static_cast<std::uint64_t>(take) *
-                     static_cast<std::uint64_t>(padded_len),
-                 static_cast<std::uint64_t>(cap) *
-                     static_cast<std::uint64_t>(padded_len));
-    for (const SimPending& p : formed) {
+        cfg.batch_overhead_ticks + static_cast<double>(batch.size) * marginal;
+    for (const Pending& p : members) {
       RequestStats rs;
       rs.request_id = p.id;
-      rs.batch_size = take;
-      rs.queue_wait_s = best_dispatch - p.arrival;  // ticks, not seconds
+      rs.batch_size = batch.size;
+      rs.queue_wait_s = now - p.enqueued;  // ticks, not seconds
       rs.service_s = service;
       rs.seq_len = p.seq_len;
-      rs.padded_len = padded_len;
-      rs.bucket = best_q;
+      rs.padded_len = batch.padded_len;
+      rs.bucket = q;
       acc.on_done(rs, /*ok=*/true);
     }
-    served += take;
+    served += batch.size;
     busy += service;
-    engine_free = finish;
-    makespan = std::max(makespan, finish);
+    engine_free = now + service;
   }
 
   BatchSimResult result;
   result.stats = acc.snapshot();
-  result.makespan_ticks = makespan;
+  result.makespan_ticks = engine_free;
   result.busy_ticks = busy;
-  result.utilization = makespan > 0.0 ? busy / makespan : 0.0;
+  result.utilization = engine_free > 0.0 ? busy / engine_free : 0.0;
   result.served = served;
   return result;
 }

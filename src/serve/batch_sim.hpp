@@ -1,24 +1,25 @@
-// Deterministic virtual-time replay of the dynamic batcher policy.
+// Deterministic virtual-time replay of the dynamic batcher.
 //
 // StarServer's batcher runs on wall-clock time, so its formed batches (and
 // therefore its occupancy/waste accounting) vary run to run with scheduler
-// jitter. This simulator replays the SAME (max_batch, max_wait,
-// LengthBucketing) policy against an ArrivalTrace in virtual time with an
-// analytic service model, making batch formation a pure function of
-// (trace, lengths, config). That is what the 10^6-arrival soak sections of
-// bench_batched_encoder and tests/test_length_bucketing.cpp run: big enough
-// to exercise the steady state, deterministic enough for CI to pin
-// "bucketed waste < pad-to-max waste" as an exact, reproducible relation.
+// jitter. This simulator runs the same serve::BatchPolicy — the one copy of
+// the (max_batch, max_wait, LengthBucketing) rule, serve/batch_policy.hpp —
+// against an ArrivalTrace in virtual ticks with an analytic service model,
+// making batch formation a pure function of (trace, lengths, config). That
+// is what the 10^6-arrival soak sections of bench_batched_encoder and
+// tests/test_length_bucketing.cpp run: big enough to exercise the steady
+// state, deterministic enough for CI to pin "bucketed waste < pad-to-max
+// waste" as an exact, reproducible relation.
 //
-// Model: one engine, one batcher. A queue becomes dispatchable when it
-// holds its effective max_batch or when its head has aged max_wait ticks;
-// a dispatch occupies the engine for
+// Model: one engine, one batcher, as a discrete-event loop over the
+// policy. The next dispatch is due now if a queue is dispatchable, else at
+// the earliest head age-out; it never starts before the engine is free.
+// Arrivals at or before that instant admit first, and each dispatch forms
+// one batch (a StarServer round on a 1-thread scheduler). A dispatch
+// occupies the engine for
 //     service = batch_overhead_ticks + ticks_per_token * B * P
 // ticks (B = formed size, P = padded length — padding is billed, which is
-// exactly the cost model that makes padding waste mean something). Arrivals
-// admit before any dispatch at the same instant, and among simultaneously
-// dispatchable queues the oldest head wins — both rules mirror the live
-// batcher and make ties deterministic.
+// exactly the cost model that makes padding waste mean something).
 //
 // The result reuses ServerStats with TICKS in the seconds-named latency
 // fields (queue_wait_mean_s etc.); the token-occupancy block is denominated

@@ -1,5 +1,7 @@
 #include "serve/length_buckets.hpp"
 
+#include <limits>
+
 #include "util/status.hpp"
 
 namespace star::serve {
@@ -18,8 +20,11 @@ void LengthBucketing::validate() const {
     require(b.edge >= 2, "LengthBucketing: bucket edges must be >= 2");
     require(b.edge > prev,
             "LengthBucketing: bucket edges must be strictly increasing");
-    require(b.max_wait_ticks >= -1,
-            "LengthBucketing: max_wait_ticks must be >= -1 (-1 = inherit)");
+    require(b.max_wait_ticks >= -1 &&
+                b.max_wait_ticks <=
+                    std::int64_t{std::numeric_limits<std::uint32_t>::max()},
+            "LengthBucketing: max_wait_ticks must be in [-1, 2^32 - 1] "
+            "(-1 = inherit)");
     prev = b.edge;
   }
 }

@@ -47,9 +47,10 @@ struct LengthBucket {
   std::int64_t edge = 0;
   /// Per-bucket dispatch-size cap; 0 inherits the policy-wide max_batch.
   std::size_t max_batch = 0;
-  /// Per-bucket age-out window; -1 inherits the policy-wide
-  /// max_wait_ticks. Short buckets usually want a SHORT window (they fill
-  /// fast and their requests are latency-cheap), long buckets a longer one.
+  /// Per-bucket age-out window, at most 2^32 - 1 ticks; -1 inherits the
+  /// policy-wide max_wait_ticks. Short buckets usually want a SHORT window
+  /// (they fill fast and their requests are latency-cheap), long buckets a
+  /// longer one.
   std::int64_t max_wait_ticks = -1;
 };
 

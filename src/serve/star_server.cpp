@@ -1,60 +1,41 @@
 #include "serve/star_server.hpp"
 
-#include <algorithm>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "util/contract.hpp"
 #include "util/status.hpp"
 
 namespace star::serve {
 
+namespace {
+
+ServerOptions validated(ServerOptions opts) {
+  require(opts.max_queue >= 1, "StarServer: max_queue must be >= 1");
+  require(opts.batcher.max_batch >= 1, "StarServer: max_batch must be >= 1");
+  require(opts.batcher.tick.count() >= 0,
+          "StarServer: tick duration must be non-negative");
+  opts.batcher.bucketing.validate();
+  return opts;
+}
+
+}  // namespace
+
 StarServer::StarServer(const core::BatchEncoderSim& model,
                        sim::BatchScheduler& sched, ServerOptions opts)
-    : model_(model), sched_(sched), opts_(opts) {
-  require(opts_.max_queue >= 1, "StarServer: max_queue must be >= 1");
-  require(opts_.batcher.max_batch >= 1, "StarServer: max_batch must be >= 1");
-  require(opts_.batcher.tick.count() >= 0,
-          "StarServer: tick duration must be non-negative");
-  opts_.batcher.bucketing.validate();
-  const std::size_t num_queues = opts_.batcher.bucketing.num_queues();
-  queues_.resize(num_queues);
-  std::vector<std::int64_t> edges;
-  edges.reserve(num_queues);
-  for (std::size_t q = 0; q < num_queues; ++q) {
-    edges.push_back(opts_.batcher.bucketing.edge_of(q));
-  }
-  stats_.configure_buckets(std::move(edges));
-  batcher_ = std::thread([this] { batcher_loop(); });
-}
+    : model_(model),
+      sched_(sched),
+      opts_(validated(std::move(opts))),
+      policy_(opts_.batcher.bucketing, opts_.batcher.max_batch,
+              opts_.batcher.max_wait_ticks, opts_.batcher.tick, stats_),
+      batcher_([this] { batcher_loop(); }) {}
 
 StarServer::~StarServer() { shutdown(); }
 
-std::size_t StarServer::pending_locked() const {
-  std::size_t total = 0;
-  for (const auto& q : queues_) {
-    total += q.size();
-  }
-  return total;
-}
-
-std::size_t StarServer::oldest_head_locked() const {
-  std::size_t best = queues_.size();
-  std::uint64_t best_id = 0;
-  for (std::size_t q = 0; q < queues_.size(); ++q) {
-    if (queues_[q].empty()) {
-      continue;
-    }
-    // Admission ids are strictly increasing, so the smallest head id is
-    // the globally oldest pending request.
-    if (best == queues_.size() || queues_[q].front()->id < best_id) {
-      best = q;
-      best_id = queues_[q].front()->id;
-    }
-  }
-  return best;
+bool StarServer::force_locked() const {
+  return stopping_ || (opts_.admission == AdmissionPolicy::kBlock &&
+                       policy_.size() >= opts_.max_queue);
 }
 
 template <typename Response, typename Compute>
@@ -102,11 +83,11 @@ std::future<Response> StarServer::submit_impl(std::int64_t seq_len,
   {
     std::unique_lock<std::mutex> lk(mu_);
     stats_.on_submitted();
-    if (!stopping_ && pending_locked() >= opts_.max_queue) {
+    if (!stopping_ && policy_.size() >= opts_.max_queue) {
       switch (opts_.admission) {
         case AdmissionPolicy::kBlock:
           space_cv_.wait(lk, [&] {
-            return stopping_ || pending_locked() < opts_.max_queue;
+            return stopping_ || policy_.size() < opts_.max_queue;
           });
           // Re-stamp: queue_wait measures admission -> dispatch (not the
           // submitter's blocked time) and the batcher's age-out window
@@ -123,9 +104,7 @@ std::future<Response> StarServer::submit_impl(std::int64_t seq_len,
         case AdmissionPolicy::kShedOldest: {
           // Shed the GLOBALLY oldest pending request, whatever bucket it
           // waits in — admission control is a server-wide property.
-          const std::size_t victim_q = oldest_head_locked();
-          victim = std::move(queues_[victim_q].front());
-          queues_[victim_q].pop_front();
+          victim = policy_.evict();
           stats_.on_shed();
           break;
         }
@@ -144,9 +123,8 @@ std::future<Response> StarServer::submit_impl(std::int64_t seq_len,
           RejectedError("StarServer: submit after shutdown")));
       return fut;
     }
-    record->id = next_request_id_++;
     stats_.on_admitted();
-    queues_[opts_.batcher.bucketing.bucket_of(seq_len)].push_back(std::move(record));
+    policy_.admit(std::move(record));
     batcher_cv_.notify_one();
   }
   if (victim) {
@@ -235,79 +213,6 @@ std::future<AnalyticResponse> StarServer::submit(AnalyticRequest req) {
   });
 }
 
-std::size_t StarServer::ready_queue_locked(Clock::time_point now,
-                                           Clock::time_point* next_deadline) const {
-  // A queue is dispatchable once it holds its effective max_batch, once
-  // its head ages out past its effective max_wait window, or on shutdown.
-  // Under kBlock a full ADMISSION queue (total across buckets) also
-  // dispatches — submitters are stalled and no size trigger may ever fire
-  // when max_batch > max_queue. Under kReject/kShedOldest a full queue is
-  // the admission policy's domain, so the per-queue (max_batch, max_wait)
-  // policy is honoured strictly. Deadlines are derived from the CURRENT
-  // heads: kShedOldest may evict a head mid-wait, and the replacement is
-  // owed its own full age-out window. Among several dispatchable queues
-  // the one whose head waited longest wins (FIFO fairness across buckets).
-  const LengthBucketing& bucketing = opts_.batcher.bucketing;
-  const bool admission_full = opts_.admission == AdmissionPolicy::kBlock &&
-                              pending_locked() >= opts_.max_queue;
-  std::size_t best = queues_.size();
-  Clock::time_point earliest = Clock::time_point::max();
-  for (std::size_t q = 0; q < queues_.size(); ++q) {
-    const std::deque<RecordPtr>& queue = queues_[q];
-    if (queue.empty()) {
-      continue;
-    }
-    const auto deadline =
-        queue.front()->enqueued +
-        opts_.batcher.tick * bucketing.max_wait_for(q, opts_.batcher.max_wait_ticks);
-    const bool ready = stopping_ || admission_full ||
-                       queue.size() >= bucketing.max_batch_for(q, opts_.batcher.max_batch) ||
-                       now >= deadline;
-    if (ready) {
-      if (best == queues_.size() || queue.front()->id < queues_[best].front()->id) {
-        best = q;
-      }
-    } else {
-      earliest = std::min(earliest, deadline);
-    }
-  }
-  if (next_deadline != nullptr) {
-    *next_deadline = earliest;
-  }
-  return best;
-}
-
-void StarServer::form_batch_locked(std::size_t q, std::vector<RoundSlot>& round,
-                                   std::vector<BatchContext>& batches) {
-  const LengthBucketing& bucketing = opts_.batcher.bucketing;
-  std::deque<RecordPtr>& queue = queues_[q];
-  const std::size_t max_batch = bucketing.max_batch_for(q, opts_.batcher.max_batch);
-  const std::size_t take = std::min(queue.size(), max_batch);
-  std::int64_t batch_max_len = 0;
-  std::int64_t effective = 0;
-  for (std::size_t i = 0; i < take; ++i) {
-    batch_max_len = std::max(batch_max_len, queue.front()->seq_len);
-    effective += queue.front()->seq_len;
-    round.push_back(RoundSlot{std::move(queue.front()), batches.size()});
-    queue.pop_front();
-  }
-  const std::int64_t padded_len = bucketing.padded_len(q, batch_max_len);
-  // The billed slot width covers every member (LengthBucketing routes a
-  // request only to a bucket whose edge fits it), so the token ledger's
-  // effective <= padded holds per batch by construction.
-  STAR_CONTRACT(padded_len >= batch_max_len,
-                "batcher: billed slot width below the batch's longest member");
-  batches.push_back(BatchContext{next_batch_id_++, take, Clock::now(), padded_len, q});
-  // Token accounting: `take * padded_len` billed slots holding `effective`
-  // real tokens, out of a bucket capacity of max_batch rows at the same
-  // padded width. Padded slots never execute — they exist only in this
-  // accounting.
-  stats_.on_batch(take, q, static_cast<std::uint64_t>(effective),
-                  static_cast<std::uint64_t>(take) * static_cast<std::uint64_t>(padded_len),
-                  static_cast<std::uint64_t>(max_batch) *
-                      static_cast<std::uint64_t>(padded_len));
-}
-
 void StarServer::batcher_loop() {
   const auto round_batches = static_cast<std::size_t>(sched_.thread_count());
   // Reused across rounds (cleared, capacity kept): forming a round on the
@@ -318,39 +223,40 @@ void StarServer::batcher_loop() {
   batches.reserve(round_batches);
   std::unique_lock<std::mutex> lk(mu_);
   for (;;) {
-    batcher_cv_.wait(lk, [&] { return stopping_ || pending_locked() > 0; });
-    if (pending_locked() == 0) {
-      if (stopping_) {
-        return;
-      }
-      continue;
+    batcher_cv_.wait(lk, [&] { return stopping_ || !policy_.empty(); });
+    if (policy_.empty()) {
+      return;  // stopping, nothing left
     }
     // Sleep until some queue is dispatchable: a queue filling up, the
     // kBlock bound or shutdown wakes the wait early; otherwise it ends at
     // the earliest head deadline.
     auto now = Clock::now();
-    Clock::time_point deadline{};
-    std::size_t q = ready_queue_locked(now, &deadline);
-    while (q == queues_.size() && deadline != Clock::time_point::max()) {
+    Policy::Next due = policy_.next(now, force_locked());
+    while (due.queue == Policy::kNone && due.deadline) {
       // At time_point::min() no head has aged out, so the predicate sees
       // only the size, kBlock and shutdown triggers; age-outs end the wait
       // at its deadline.
-      batcher_cv_.wait_until(lk, deadline, [&] {
-        return ready_queue_locked(Clock::time_point::min(), nullptr) != queues_.size();
+      batcher_cv_.wait_until(lk, *due.deadline, [&] {
+        return policy_.next(Clock::time_point::min(), force_locked()).queue !=
+               Policy::kNone;
       });
       now = Clock::now();
-      q = ready_queue_locked(now, &deadline);
+      due = policy_.next(now, force_locked());
     }
-    if (q == queues_.size()) {
+    if (due.queue == Policy::kNone) {
       continue;  // queues drained while waiting (shed) — re-wait for work
     }
     // One round: this batch, then whatever else is dispatchable at the
     // same instant, up to one batch per scheduler thread.
     do {
-      form_batch_locked(q, round, batches);
-      q = batches.size() < round_batches ? ready_queue_locked(now, nullptr)
-                                         : queues_.size();
-    } while (q != queues_.size());
+      const Policy::Formed formed = policy_.form(due.queue, [&](RecordPtr record) {
+        round.push_back(RoundSlot{std::move(record), batches.size()});
+      });
+      batches.push_back(BatchContext{next_batch_id_++, formed.size, Clock::now(),
+                                     formed.padded_len, due.queue});
+      due = batches.size() < round_batches ? policy_.next(now, force_locked())
+                                           : Policy::Next{};
+    } while (due.queue != Policy::kNone);
     batch_in_flight_ = true;
     space_cv_.notify_all();
     lk.unlock();
@@ -365,7 +271,7 @@ void StarServer::batcher_loop() {
     batches.clear();
     lk.lock();
     batch_in_flight_ = false;
-    if (pending_locked() == 0) {
+    if (policy_.empty()) {
       idle_cv_.notify_all();
     }
   }
@@ -373,7 +279,7 @@ void StarServer::batcher_loop() {
 
 void StarServer::drain() {
   std::unique_lock<std::mutex> lk(mu_);
-  idle_cv_.wait(lk, [&] { return pending_locked() == 0 && !batch_in_flight_; });
+  idle_cv_.wait(lk, [&] { return policy_.empty() && !batch_in_flight_; });
 }
 
 void StarServer::shutdown() {
@@ -424,7 +330,7 @@ ServerStats StarServer::stats() const {
 
 std::size_t StarServer::pending() const {
   std::lock_guard<std::mutex> lk(mu_);
-  return pending_locked();
+  return policy_.size();
 }
 
 }  // namespace star::serve

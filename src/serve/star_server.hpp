@@ -11,27 +11,26 @@
 //      fulfils it with an exception (reject, shed, shutdown). Besides the
 //      record, a submit allocates only the promise's shared state and
 //      result slot, plus a queue chunk every 64 pushes.
-//   2. Dynamic batcher: a dedicated thread that coalesces pending requests
-//      into a batch once `max_batch` are waiting, or earlier once the
-//      oldest pending request has aged `max_wait_ticks` ticks — the
-//      classic (max batch, max wait) serving policy. With length-bucketed
-//      batching enabled (BatcherPolicy::bucketing) requests are first
-//      partitioned by sequence length into per-bucket queues, each with
-//      its own effective (max_batch, max_wait) knobs; a formed batch never
+//   2. Dynamic batcher: a dedicated thread that runs serve::BatchPolicy
+//      (serve/batch_policy.hpp) on steady_clock time — the same rule the
+//      virtual-time replay runs. A queue dispatches once it holds its
+//      `max_batch`, once its head has aged `max_wait_ticks` ticks, on
+//      shutdown, or under kBlock once the admission bound is reached. With
+//      length-bucketed batching (BatcherPolicy::bucketing) each bucket is
+//      its own queue with its own effective knobs; a formed batch never
 //      mixes buckets and is billed at the bucket's padded length instead
 //      of the batch max (see serve/length_buckets.hpp).
 //   3. Dispatch in rounds: once one queue is dispatchable the batcher
-//      forms a ROUND of up to sched.thread_count() batches. Each further
-//      batch comes from the oldest-head queue that is dispatchable at the
-//      same instant under the same rule (full, aged out, the kBlock
-//      admission bound reached, or stopping); one queue may supply several.
-//      Every batch keeps its own BatchContext (id, size, dispatch stamp,
-//      padded length, bucket) and its own on_batch bill, exactly as if it
-//      had been dispatched alone. The round runs as ONE fork-join on the
-//      caller-supplied sim::BatchScheduler (request i executes
-//      core::BatchEncoderSim::run_*_one with its own derived seed), and
-//      the batcher waits for it: dispatch is stop-and-wait per round. With
-//      a 1-thread scheduler a round is one batch — the same loop.
+//      forms a ROUND of up to sched.thread_count() batches, each from the
+//      oldest-head queue dispatchable at the same instant; one queue may
+//      supply several. Every batch keeps its own BatchContext (id, size,
+//      dispatch stamp, padded length, bucket) and its own on_batch bill,
+//      exactly as if it had been dispatched alone. The round runs as ONE
+//      fork-join on the caller-supplied sim::BatchScheduler (request i
+//      executes core::BatchEncoderSim::run_*_one with its own derived
+//      seed), and the batcher waits for it: dispatch is stop-and-wait per
+//      round. With a 1-thread scheduler a round is one batch — the same
+//      loop.
 //
 // Determinism contract: a response payload depends ONLY on (request
 // payload, request run_seed) — never on which batch or round the request
@@ -49,11 +48,11 @@
 // and never affect batchmates or the server loop. Two mutexes guard the
 // state, always taken in this order when both are held:
 //
-//   * mu_ (admission and dispatch): the queues, the request and batch id
-//     counters, stopping_/batch_in_flight_, and the ServerStats fields
-//     billed at admission or dispatch — submitted, admitted, rejected,
-//     shed, batches, the occupancy and token ledger, and per bucket its
-//     batches, occupancy and tokens.
+//   * mu_ (admission and dispatch): the policy (queues and admission ids),
+//     the batch id counter, stopping_/batch_in_flight_, and the ServerStats
+//     fields billed at admission or dispatch — submitted, admitted,
+//     rejected, shed, batches, the occupancy and token ledger, and per
+//     bucket its batches, occupancy and tokens.
 //   * done_mu_ (completion): the fields billed when a request resolves —
 //     completed, failed, the latency sums and reservoirs, the seq_len,
 //     shape, residency and transport sums, and per bucket its requests and
@@ -71,7 +70,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <future>
 #include <memory>
@@ -80,6 +78,7 @@
 #include <vector>
 
 #include "core/batch_encoder.hpp"
+#include "serve/batch_policy.hpp"
 #include "serve/length_buckets.hpp"
 #include "serve/request.hpp"
 #include "serve/server_stats.hpp"
@@ -182,7 +181,8 @@ class StarServer {
   /// shared state). The typed record owns the promise and the compute; `run`
   /// computes, stamps RequestStats, records the completion and fulfils the
   /// future, `fail` fulfils it with an exception without running
-  /// (reject/shed/shutdown). The fields below are what the batcher reads.
+  /// (reject/shed/shutdown). The fields below are what the batching policy
+  /// reads; it stamps `id` at admission.
   struct RequestRecord {
     RequestRecord() = default;
     RequestRecord(const RequestRecord&) = delete;
@@ -197,6 +197,7 @@ class StarServer {
     Clock::time_point enqueued{};  ///< admission stamp (age-out + queue wait)
   };
   using RecordPtr = std::unique_ptr<RequestRecord>;
+  using Policy = BatchPolicy<RecordPtr, Clock::time_point>;
   template <typename Response, typename Compute>
   class Record;
 
@@ -211,25 +212,15 @@ class StarServer {
   std::future<Response> submit_impl(std::int64_t seq_len, double transport_us,
                                     Compute compute);
   void batcher_loop();
-  /// The dispatchable queue (full, kBlock bound reached, stopping, or head
-  /// aged out at `now`) whose head waited longest; queues_.size() when
-  /// none is. `next_deadline`, when given, receives the earliest age-out
-  /// deadline among the non-dispatchable queues (time_point::max() when
-  /// there is none).
-  [[nodiscard]] std::size_t ready_queue_locked(
-      Clock::time_point now, Clock::time_point* next_deadline) const;
-  /// Move one batch off queue `q` into `round`, append its context to
-  /// `batches` and bill it (StatsAccumulator::on_batch).
-  void form_batch_locked(std::size_t q, std::vector<RoundSlot>& round,
-                         std::vector<BatchContext>& batches);
   /// Stamp the placement and timing facts of `rec` into `rs` and record
   /// its completion; shared by a record's success and failure branches.
   void settle(const RequestRecord& rec, const BatchContext& ctx,
               Clock::time_point started, RequestStats& rs, bool ok);
-  [[nodiscard]] std::size_t pending_locked() const;
-  /// The queue whose head has been waiting longest (by admission id);
-  /// queues_.size() when everything is empty.
-  [[nodiscard]] std::size_t oldest_head_locked() const;
+  /// Every non-empty queue dispatches on shutdown, and under kBlock once
+  /// the admission bound stalls submitters (no size trigger fires when
+  /// max_batch > max_queue); under kReject/kShedOldest a full queue is the
+  /// admission policy's domain.
+  [[nodiscard]] bool force_locked() const;
 
   const core::BatchEncoderSim& model_;
   sim::BatchScheduler& sched_;
@@ -240,17 +231,15 @@ class StarServer {
   std::condition_variable batcher_cv_;  ///< work arrived / shutdown
   std::condition_variable space_cv_;    ///< queue space freed (kBlock)
   std::condition_variable idle_cv_;     ///< fully drained (drain())
-  /// One FIFO per batcher queue (pad-to-max: exactly one; bucketed: one
-  /// per bucket + the overflow queue). The admission bound `max_queue`
-  /// applies to the TOTAL across queues.
-  std::vector<std::deque<RecordPtr>> queues_;
   bool stopping_ = false;
   bool batch_in_flight_ = false;
-  std::uint64_t next_request_id_ = 0;
   std::uint64_t next_batch_id_ = 0;
   /// Split by writer: on_done under done_mu_, every other call under mu_
   /// (the two touch disjoint fields; see StatsAccumulator).
   StatsAccumulator stats_;
+  /// The per-bucket queues and the batching rule; the admission bound
+  /// `max_queue` applies to its total size. Bills stats_ (declared first).
+  Policy policy_;
 
   std::mutex join_mu_;   ///< serialises shutdown()'s join
   std::thread batcher_;  ///< last member: starts after all state exists

@@ -8,12 +8,15 @@
 // admitted request is served exactly once; per-bucket sums equal totals),
 // the degenerate-bucket equivalences (empty bucket list == pad-to-max
 // exactly), deterministic token accounting under full-batch formation, the
-// virtual-time batching simulator (serve/batch_sim.hpp), and a bounded
-// multi-threaded soak that the CI TSan job runs race-detection over.
+// batching rule itself in virtual time (serve/batch_policy.hpp), the
+// virtual-time replay (serve/batch_sim.hpp) against its golden figures,
+// and a bounded multi-threaded soak that the CI TSan job runs
+// race-detection over.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -25,6 +28,7 @@
 #include <vector>
 
 #include "core/batch_encoder.hpp"
+#include "serve/batch_policy.hpp"
 #include "serve/batch_sim.hpp"
 #include "serve/length_buckets.hpp"
 #include "serve/request.hpp"
@@ -126,6 +130,11 @@ TEST(LengthBucketing, ValidateRejectsMalformedEdges) {
   bad_wait.mode = serve::BatchingMode::kLengthBucketed;
   bad_wait.buckets.push_back(serve::LengthBucket{16, 0, -2});
   EXPECT_THROW(bad_wait.validate(), InvalidArgument);
+  // A window past the uint32 tick count would wrap (2^32 reads as 0).
+  bad_wait.buckets.back().max_wait_ticks = std::int64_t{1} << 32;
+  EXPECT_THROW(bad_wait.validate(), InvalidArgument);
+  bad_wait.buckets.back().max_wait_ticks = (std::int64_t{1} << 32) - 1;
+  EXPECT_NO_THROW(bad_wait.validate());
 }
 
 TEST(LengthBucketing, PerBucketKnobsInheritGlobalsViaSentinels) {
@@ -211,6 +220,147 @@ TEST(LengthBucketingStats, OutOfLayoutBucketFoldsIntoLastSlot) {
   ASSERT_EQ(s.per_bucket.size(), 2u);
   EXPECT_EQ(s.per_bucket[1].batches, 1u);  // folded, not dropped
   EXPECT_EQ(s.per_bucket[1].effective_tokens, s.effective_tokens);
+}
+
+// ---------- BatchPolicy in virtual time: no threads, no clock ----------
+
+struct Item {
+  double enqueued = 0.0;
+  std::int64_t seq_len = 0;
+  std::uint64_t id = 0;
+};
+using Policy = serve::BatchPolicy<Item, double>;
+constexpr std::size_t kNone = Policy::kNone;
+
+Item item_at(double t, std::int64_t seq_len) { return Item{t, seq_len, 0}; }
+
+std::vector<std::uint64_t> form_ids(Policy& policy, std::size_t q) {
+  std::vector<std::uint64_t> ids;
+  (void)policy.form(q, [&](const Item& it) { ids.push_back(it.id); });
+  return ids;
+}
+
+TEST(BatchPolicy, OldestHeadWinsAcrossBuckets) {
+  serve::StatsAccumulator stats;
+  Policy policy(serve::LengthBucketing::bucketed({16}), 4, 5, 1.0, stats);
+  policy.admit(item_at(0.0, 40));  // overflow queue 1
+  policy.admit(item_at(1.0, 8));   // queue 0
+  // Both heads have aged out at t = 6; queue 1's was admitted first.
+  EXPECT_EQ(policy.next(6.0, false).queue, 1u);
+  EXPECT_EQ(form_ids(policy, 1), (std::vector<std::uint64_t>{0}));
+  EXPECT_EQ(policy.next(6.0, false).queue, 0u);
+}
+
+TEST(BatchPolicy, SizeTriggerFiresBeforeTheDeadline) {
+  serve::StatsAccumulator stats;
+  Policy policy(serve::LengthBucketing::pad_to_max(), 2, 100, 1.0, stats);
+  policy.admit(item_at(0.0, 8));
+  const Policy::Next waiting = policy.next(1.0, false);
+  EXPECT_EQ(waiting.queue, kNone);
+  EXPECT_EQ(waiting.deadline, 100.0);
+  policy.admit(item_at(1.0, 8));
+  EXPECT_EQ(policy.next(1.0, false).queue, 0u);
+}
+
+TEST(BatchPolicy, AgeOutFiresExactlyAtTheDeadline) {
+  serve::StatsAccumulator stats;
+  // A window of 4 ticks of 0.5: the head admitted at 1.0 ages out at 3.0.
+  Policy policy(serve::LengthBucketing::pad_to_max(), 8, 4, 0.5, stats);
+  policy.admit(item_at(1.0, 8));
+  const Policy::Next early = policy.next(std::nextafter(3.0, 0.0), false);
+  EXPECT_EQ(early.queue, kNone);
+  EXPECT_EQ(early.deadline, 3.0);
+  EXPECT_EQ(policy.next(3.0, false).queue, 0u);
+}
+
+TEST(BatchPolicy, ForceMakesEveryNonEmptyQueueReady) {
+  serve::StatsAccumulator stats;
+  Policy policy(serve::LengthBucketing::bucketed({16, 32}), 8, 100, 1.0, stats);
+  policy.admit(item_at(0.0, 20));  // queue 1
+  policy.admit(item_at(1.0, 8));   // queue 0; queue 2 stays empty
+  EXPECT_EQ(policy.next(2.0, false).queue, kNone);
+  const Policy::Next forced = policy.next(2.0, true);
+  EXPECT_EQ(forced.queue, 1u);
+  EXPECT_FALSE(forced.deadline);  // no queue is left waiting
+  (void)form_ids(policy, 1);
+  EXPECT_EQ(policy.next(2.0, true).queue, 0u);
+  (void)form_ids(policy, 0);
+  EXPECT_EQ(policy.next(2.0, true).queue, kNone);  // empty queues never are
+  EXPECT_TRUE(policy.empty());
+}
+
+TEST(BatchPolicy, NextDeadlineIgnoresReadyQueues) {
+  auto bucketing = serve::LengthBucketing::bucketed({16});
+  bucketing.buckets[0].max_batch = 2;
+  bucketing.buckets[0].max_wait_ticks = 3;
+  serve::StatsAccumulator stats;
+  Policy policy(bucketing, 8, 10, 1.0, stats);
+  policy.admit(item_at(0.0, 8));
+  policy.admit(item_at(1.0, 8));   // queue 0 full; its head's deadline is 3
+  policy.admit(item_at(2.0, 40));  // overflow head ages out at 12
+  const Policy::Next due = policy.next(2.0, false);
+  EXPECT_EQ(due.queue, 0u);
+  EXPECT_EQ(due.deadline, 12.0);
+}
+
+TEST(BatchPolicy, OneInstantTakesSeveralBatchesFromAFullQueueThenStops) {
+  serve::StatsAccumulator stats;
+  Policy policy(serve::LengthBucketing::pad_to_max(), 2, 10, 1.0, stats);
+  for (int i = 0; i < 5; ++i) {
+    policy.admit(item_at(i, 8));
+  }
+  std::vector<std::vector<std::uint64_t>> batches;
+  for (Policy::Next due = policy.next(4.0, false); due.queue != kNone;
+       due = policy.next(4.0, false)) {
+    batches.push_back(form_ids(policy, due.queue));
+  }
+  EXPECT_EQ(batches, (std::vector<std::vector<std::uint64_t>>{{0, 1}, {2, 3}}));
+  EXPECT_EQ(policy.size(), 1u);
+  // The leftover head (admitted at 4) waits its own full window.
+  EXPECT_EQ(policy.next(4.0, false).deadline, 14.0);
+}
+
+TEST(BatchPolicy, EvictPicksTheGloballyOldestEntry) {
+  serve::StatsAccumulator stats;
+  Policy policy(serve::LengthBucketing::bucketed({16}), 8, 10, 1.0, stats);
+  policy.admit(item_at(0.0, 40));  // queue 1
+  policy.admit(item_at(1.0, 8));   // queue 0
+  policy.admit(item_at(2.0, 40));  // queue 1
+  EXPECT_EQ(policy.evict().id, 0u);
+  EXPECT_EQ(policy.evict().id, 1u);
+  EXPECT_EQ(policy.evict().id, 2u);
+  EXPECT_TRUE(policy.empty());
+}
+
+TEST(BatchPolicy, FormBillsTheBatchAtItsPaddedLength) {
+  serve::StatsAccumulator stats;
+  Policy policy(serve::LengthBucketing::bucketed({16}), 4, 10, 1.0, stats);
+  for (const std::int64_t len : {3, 9, 12, 20, 33}) {
+    policy.admit(item_at(static_cast<double>(len), len));
+  }
+  std::vector<std::uint64_t> ids;
+  const Policy::Formed edge =
+      policy.form(0, [&](const Item& it) { ids.push_back(it.id); });
+  EXPECT_EQ(ids, (std::vector<std::uint64_t>{0, 1, 2}));  // admission order
+  EXPECT_EQ(edge.size, 3u);
+  EXPECT_EQ(edge.padded_len, 16);  // the bucket edge
+  const Policy::Formed overflow = policy.form(1, [](const Item&) {});
+  EXPECT_EQ(overflow.size, 2u);
+  EXPECT_EQ(overflow.padded_len, 33);  // its own batch max
+
+  // on_batch(take, q, effective, take x padded, cap x padded) per batch,
+  // into the layout the policy declared.
+  const serve::ServerStats s = stats.snapshot();
+  ASSERT_EQ(s.per_bucket.size(), 2u);
+  EXPECT_EQ(s.per_bucket[0].edge, 16);
+  EXPECT_EQ(s.per_bucket[1].edge, 0);
+  EXPECT_EQ(s.batches, 2u);
+  EXPECT_EQ(s.batch_occupancy_max, 3u);
+  EXPECT_EQ(s.per_bucket[0].effective_tokens, 3u + 9 + 12);
+  EXPECT_EQ(s.per_bucket[0].padded_tokens, 3u * 16);
+  EXPECT_EQ(s.per_bucket[1].effective_tokens, 20u + 33);
+  EXPECT_EQ(s.per_bucket[1].padded_tokens, 2u * 33);
+  EXPECT_EQ(s.capacity_tokens, 4u * 16 + 4u * 33);
 }
 
 // ---------- live server: payload equivalence ----------

@@ -1,4 +1,4 @@
-// Tests for the generic stage-pipeline simulator and statistics helpers.
+// Tests for the generic stage-pipeline simulator.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,8 +9,6 @@
 #include <vector>
 
 #include "sim/pipeline_sim.hpp"
-#include "sim/stats.hpp"
-#include "util/math.hpp"
 #include "util/rng.hpp"
 #include "util/status.hpp"
 
@@ -92,64 +90,6 @@ TEST(PipelineSim, RejectsBadArguments) {
   EXPECT_THROW(simulate({}, 5, Discipline::kItemGranular), InvalidArgument);
   EXPECT_THROW(simulate(three_stages(), 5, Discipline::kItemGranular, {1.0}),
                InvalidArgument);
-}
-
-// ---------- stats ----------
-
-TEST(RunningStats, MatchesDirectComputation) {
-  Rng rng(8);
-  RunningStats st;
-  std::vector<double> xs;
-  for (int i = 0; i < 5000; ++i) {
-    xs.push_back(rng.normal(3.0, 2.0));
-    st.add(xs.back());
-  }
-  EXPECT_EQ(st.count(), xs.size());
-  EXPECT_NEAR(st.mean(), mean(xs), 1e-9);
-  EXPECT_NEAR(st.stddev(), stddev(xs), 1e-9);
-  EXPECT_DOUBLE_EQ(st.min(), *std::min_element(xs.begin(), xs.end()));
-  EXPECT_DOUBLE_EQ(st.max(), *std::max_element(xs.begin(), xs.end()));
-}
-
-TEST(RunningStats, EmptyIsZero) {
-  RunningStats st;
-  EXPECT_EQ(st.count(), 0u);
-  EXPECT_DOUBLE_EQ(st.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(st.stddev(), 0.0);
-}
-
-TEST(Histogram, QuantilesOfUniform) {
-  Histogram h(0.0, 1.0, 100);
-  Rng rng(12);
-  for (int i = 0; i < 100000; ++i) {
-    h.add(rng.uniform());
-  }
-  EXPECT_NEAR(h.quantile(0.5), 0.5, 0.02);
-  EXPECT_NEAR(h.quantile(0.9), 0.9, 0.02);
-  EXPECT_EQ(h.total(), 100000u);
-}
-
-TEST(Histogram, OutOfRangeClampsToEdges) {
-  Histogram h(0.0, 1.0, 10);
-  h.add(-5.0);
-  h.add(5.0);
-  EXPECT_EQ(h.bins().front(), 1u);
-  EXPECT_EQ(h.bins().back(), 1u);
-}
-
-TEST(Histogram, AsciiRenders) {
-  Histogram h(0.0, 1.0, 10);
-  for (int i = 0; i < 100; ++i) {
-    h.add(0.55);
-  }
-  const std::string s = h.ascii(20);
-  EXPECT_EQ(s.size(), 20u);
-  EXPECT_NE(s.find('@'), std::string::npos);
-}
-
-TEST(Histogram, RejectsBadRange) {
-  EXPECT_THROW(Histogram(1.0, 0.0, 10), InvalidArgument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), InvalidArgument);
 }
 
 // ---------- the item-granular recurrence, bit for bit ----------
