@@ -901,10 +901,84 @@ std::string replay_row(const std::string& cell, const serve::BatchSimResult& r) 
   return row;
 }
 
+/// The 10^6-arrival soak of `bench_batched_encoder --length-dist mixed
+/// --soak-arrivals 1000000`: a bursty trace offered at twice the full-batch
+/// service rate over the mixed length histogram, max_batch 8, max_wait 8
+/// ticks, replayed under pad-to-max and under auto edges (one bucket per
+/// histogram bin).
+struct Soak {
+  workload::LengthHistogram hist;
+  workload::ArrivalTrace trace;
+  std::vector<std::int64_t> lens;
+  serve::BatchSimConfig pad_to_max;
+  serve::BatchSimConfig bucketed;
+};
+
+const Soak& soak() {
+  static const Soak s = [] {
+    constexpr std::uint64_t kSeed = 0xBA7C4ED;
+    constexpr std::size_t kArrivals = 1000000;
+    Soak out;
+    out.hist = workload::length_histogram_for(workload::Dataset::kDefault);
+    serve::BatchSimConfig cfg;
+    cfg.max_batch = 8;
+    cfg.max_wait_ticks = 8;
+    workload::BurstShape shape;
+    shape.mean_inter_arrival_ticks =
+        0.5 * (cfg.batch_overhead_ticks / static_cast<double>(cfg.max_batch) +
+               cfg.ticks_per_token * out.hist.mean_len());
+    out.trace = workload::ArrivalTrace::generate_burst(kArrivals, shape, kSeed);
+    out.lens = workload::sample_lengths(out.hist, kArrivals, kSeed ^ 0x50AC);
+    std::vector<std::int64_t> edges;
+    for (const auto& bin : out.hist.bins) {
+      edges.push_back(bin.len);
+    }
+    out.pad_to_max = cfg;
+    out.pad_to_max.bucketing = serve::LengthBucketing::pad_to_max();
+    out.bucketed = cfg;
+    out.bucketed.bucketing = serve::LengthBucketing::bucketed(edges);
+    return out;
+  }();
+  return s;
+}
+
+/// The bucketed soak on the STAR-calibrated service model of the bench's
+/// model (default StarConfig, tiny BERT), with the cost-cache ledger of the
+/// replay alone. Every length the soak pads to is priced first, so each
+/// lookup of the replay finds a warm entry; ticks_per_us scales the
+/// analytic latency at the histogram mean to the linear model's cost there.
+struct CalibratedSoak {
+  serve::BatchSimResult result;
+  core::CostCacheStats ledger;
+};
+
+const CalibratedSoak& calibrated_soak() {
+  static const CalibratedSoak s = [] {
+    const Soak& base = soak();
+    const core::BatchEncoderSim model(core::StarConfig{}, kBert, 0xB127,
+                                      kBert.layers);
+    serve::BatchSimConfig cfg = base.bucketed;
+    cfg.analytic_model = &model;
+    const auto mean_len = static_cast<std::int64_t>(base.hist.mean_len());
+    cfg.analytic_ticks_per_us = cfg.ticks_per_token *
+                                static_cast<double>(mean_len) /
+                                model.run_analytic_one(mean_len).latency.as_us();
+    for (const auto& bin : base.hist.bins) {
+      (void)model.price_analytic(bin.len);
+    }
+    model.cost_cache().reset_stats();
+    CalibratedSoak out;
+    out.result = serve::simulate_batching(base.trace, base.lens, cfg);
+    out.ledger = model.cost_cache().stats();
+    return out;
+  }();
+  return s;
+}
+
 /// The replay grid: pad-to-max, bucketed and per-bucket overrides over
 /// burst, Poisson and uniform traces; one cell past the latency reservoir
-/// (its p99 comes from the sampled reservoir) and one on the analytic
-/// service model.
+/// (its p99 comes from the sampled reservoir), one on the analytic service
+/// model, and the three 10^6-arrival soak cells.
 std::vector<std::string> replay_rows() {
   using serve::LengthBucketing;
   const auto mixed = workload::length_histogram_for(workload::Dataset::kDefault);
@@ -1008,6 +1082,11 @@ std::vector<std::string> replay_rows() {
     run("analytic/bkt/burst/mixed/32-64-128", burst(2000, shape, 0xBA7C4ED),
         workload::sample_lengths(mixed, 2000, 0xCAC4E), cfg);
   }
+  run("soak/ptm/burst/mixed/b8w8", soak().trace, soak().lens, soak().pad_to_max);
+  run("soak/bkt/burst/mixed/hist-edges/b8w8", soak().trace, soak().lens,
+      soak().bucketed);
+  rows.push_back(replay_row("soak/calibrated/bkt/burst/mixed/hist-edges/b8w8",
+                            calibrated_soak().result));
   return rows;
 }
 
@@ -1037,6 +1116,19 @@ TEST(BatchSim, MatchesGoldenReplay) {
       std::printf("%s\n", row.c_str());
     }
   }
+}
+
+TEST(BatchSim, CalibratedSoakServesEveryLookupFromTheWarmCache) {
+  // One cost-cache lookup per dispatched batch, each a hit: the soak pads
+  // only to lengths priced before the replay. A cold cache would take one
+  // miss per distinct padded length (12 here).
+  const CalibratedSoak& s = calibrated_soak();
+  EXPECT_EQ(s.ledger.lookups, 125007u);
+  EXPECT_EQ(s.ledger.lookups, s.result.stats.batches);
+  EXPECT_EQ(s.ledger.hits, s.ledger.lookups);
+  EXPECT_EQ(s.ledger.misses, 0u);
+  EXPECT_EQ(s.ledger.bypasses, 0u);
+  EXPECT_EQ(s.ledger.hit_rate(), 1.0);
 }
 
 // ---------- bounded multi-threaded soak (TSan target) ----------
