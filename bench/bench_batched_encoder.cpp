@@ -1,157 +1,52 @@
-// Batched encoder throughput, closed-loop and served.
+// Batched encoder figures that are pure functions of the flags.
 //
-// Part 1 (closed batch): B independent sequences through one encoder layer
-// (STAR crossbar softmax) composed from run_encoder_one under the
-// documented per-sequence seed rule, reporting seq/s vs. thread count and
-// verifying byte-identity against the sequential reference — the
-// determinism contract of sim::BatchScheduler.
+// No part reads a clock, so two runs with the same flags print the same
+// bytes. Host throughput and latency of the serving paths (closed batches,
+// StarServer, Cluster, residency churn, the cost cache, the arena hot
+// path) are measured by perfbench (perfbench/, BENCHMARK.json), with
+// warm-up, repeats and bounds.
 //
-// Part 2 (server mode): the same sequences submitted individually to
-// serve::StarServer along a seeded open-loop arrival trace (Poisson
-// inter-arrivals at ~2x the measured closed-batch service rate, so the
-// admission queue actually queues). Reports throughput, mean/p99 queueing
-// latency and batch occupancy, and verifies every response is bit-identical
-// to a solo closed-batch run of the same request.
+// Encoder stack: the analytic multi-layer stack model at --layers depth
+// and --seqlen tokens — per-layer latency/energy breakdown plus the
+// vector- vs operand-grained stack makespans and the closed-form speedup
+// check (core::EncoderStackModel).
 //
-// Part 3 (encoder stack): the analytic multi-layer stack model at the same
-// depth the functional runs use — per-layer latency/energy breakdown plus
-// the vector- vs operand-grained stack makespans and the closed-form
-// speedup check (core::EncoderStackModel).
+// Sharded crossbar tiles: the analytic sharded MatMul engine at the
+// paper's BERT-base geometry — one encoder layer with the tile grid split
+// over --shards crossbar shards (explicit H-tree interconnect) versus the
+// monolithic K=1 engine: shard speedup, interconnect time and link energy
+// (core::ShardedMatmulEngine).
 //
-// Part 4 (sharded crossbar tiles): the analytic sharded MatMul engine at
-// the paper's BERT-base geometry — one encoder layer with the tile grid
-// split over --shards crossbar shards (explicit H-tree interconnect)
-// versus the monolithic K=1 engine: shard_speedup, interconnect time and
-// link energy (core::ShardedMatmulEngine).
+// Batching soak: --soak-arrivals synthetic arrivals on a bursty
+// inhomogeneous-Poisson trace, lengths drawn from --length-dist, replayed
+// in virtual time (serve::simulate_batching) under pad-to-max and under
+// length buckets (--buckets), with streaming (bounded-memory) stats. The
+// same replay runs the bucketed soak once more on the STAR-calibrated
+// service model, whose every padded length is priced before the replay so
+// each lookup hits the model's core::CostCache.
+// tests/golden/batch_replay.csv pins the soak of `--length-dist mixed
+// --soak-arrivals 1000000` bit for bit.
 //
-// Part 5 (device residency, with --mixed-datasets): the same open-loop
-// serve shape but with requests cycling the CNEWS/MRPC/CoLA softmax
-// formats, so the LUT/CAM image cache actually churns: the ServerStats
-// residency counters (lut_hits/lut_misses, weight misses under
-// --residency-cap pressure) and the modelled reprogramming time become
-// nonzero while every response stays bit-identical to its solo reference
-// (datasets are accounting-only by construction).
-//
-// Part 6 (length-aware serving, with --length-dist != fixed): requests
-// drawn from a per-dataset length histogram served twice LIVE — once under
-// the pad-to-max baseline, once length-bucketed (--buckets) — every
-// response bit-identical to its solo reference under BOTH policies, with
-// the token-level occupancy split (effective vs padded vs capacity) showing
-// what bucketing buys. Always followed by a deterministic virtual-time SOAK
-// (serve::simulate_batching): ~10^6 synthetic arrivals on a bursty
-// inhomogeneous-Poisson trace replayed through both policies with streaming
-// (bounded-memory) stats, so the bucketed-vs-pad-to-max waste relation is
-// an exact, reproducible number CI can pin.
-//
-// Part 7 (cluster serving, --nodes > 1): the same open-loop request stream
-// pushed through serve::Cluster — N full node instances behind one
-// submit() front end — once per routing policy (round-robin, least-loaded,
-// affinity), every response still bit-identical to its solo reference
-// (routing is scheduling/accounting-only). Reports the fleet-merged wait
-// p99 per policy, the hw::HostLink transport bill, wall-clock scaling
-// efficiency vs a 1-node run of the same trace, and a deterministic
-// sequential mixed-dataset pass that pins the affinity-vs-round-robin cold
-// LUT-miss comparison (the number CI asserts on).
-//
-// Part 8 (analytic cost cache): the serve hot path's steady state — the
-// same few padded lengths looked up over and over. --analytic-requests
-// analytic requests drawn from the length histogram run twice: once
-// through the raw per-request analytic composition (stream_cost +
-// softmax-preload math, no memo table) and once through run_analytic_one,
-// which serves steady-state repeats from core::CostCache. Reports both
-// req/s figures, the cache speedup and the hit/miss ledger, then re-runs
-// the bucketed virtual-time soak with the STAR-calibrated (cached) service
-// model so the hit rate is exercised at 10^6-lookup scale.
-//
-// Part 9 (allocation-free functional hot path): the arena-backed
-// run_encoder_one_into serve kernel measured three ways — against the
-// allocating nn:: reference chain in-process (functional_arena_speedup),
-// as warm multi-round throughput at the serve thread count
-// (functional_rps), and under the operator-new audit where available
-// (allocs_per_warm_request; the zero-allocation invariant CI pins on
-// Debug/-DSTAR_AUDIT=ON cells — -1 when the build has no instrumentation).
-//
-// Flags (see --help): --threads, --batch, --seqlen, --layers, --shards,
-// --mixed-datasets, --residency-cap, --length-dist, --buckets,
-// --soak-arrivals, --nodes, --nodes-sweep, --route-policy,
-// --analytic-requests, --csv.
-// The last stdout line is a one-line JSON summary for BENCH_*.json
-// tracking, validated by CI (`tail -n 1 | python3 -m json.tool`).
-// Wall-clock speedup tracks the physical cores of the host (a
-// single-core container converges to ~1x; correctness is still exercised).
-#include <chrono>
+// Flags (see --help): --seqlen, --layers, --shards, --length-dist,
+// --buckets, --soak-arrivals.
 #include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
+#include <exception>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/batch_encoder.hpp"
+#include "core/encoder_model.hpp"
 #include "core/encoder_stack.hpp"
-#include "core/softmax_engine.hpp"
-#include "nn/workspace.hpp"
 #include "serve/batch_sim.hpp"
-#include "util/alloc_counter.hpp"
-#include "serve/cluster.hpp"
-#include "serve/star_server.hpp"
+#include "serve/length_buckets.hpp"
 #include "util/argparse.hpp"
-#include "util/contract.hpp"
-#include "util/csv.hpp"
-#include "util/table.hpp"
 #include "workload/arrival_trace.hpp"
 #include "workload/dataset_profile.hpp"
-#include "workload/trace_gen.hpp"
 
 namespace {
-
-double run_seconds(const std::function<void()>& fn) {
-  const auto t0 = std::chrono::steady_clock::now();
-  fn();
-  const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(t1 - t0).count();
-}
-
-// Closed batch via the documented composition rule: batch index i runs
-// with engine seed workload::sequence_seed(run_seed, i) (what the retired
-// run_*_batch shims did).
-std::vector<star::nn::Tensor> encoder_batch(
-    const star::core::BatchEncoderSim& model,
-    const std::vector<star::nn::Tensor>& inputs,
-    star::sim::BatchScheduler& sched, std::uint64_t run_seed,
-    std::int64_t num_layers, std::int64_t num_shards) {
-  return sched.map<star::nn::Tensor>(inputs.size(), [&](std::size_t i) {
-    return model.run_encoder_one(inputs[i],
-                                 star::workload::sequence_seed(run_seed, i),
-                                 num_layers, num_shards);
-  });
-}
-
-// The CSV lands next to the binary (the build tree), never the source
-// tree; --csv overrides.
-std::string default_csv_path(const char* argv0) {
-  std::string path(argv0 != nullptr ? argv0 : "");
-  const std::size_t slash = path.find_last_of('/');
-  if (slash == std::string::npos) {
-    return "bench_batched_encoder.csv";
-  }
-  return path.substr(0, slash + 1) + "bench_batched_encoder.csv";
-}
-
-bool byte_identical(const std::vector<star::nn::Tensor>& a,
-                    const std::vector<star::nn::Tensor>& b) {
-  if (a.size() != b.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (!star::nn::Tensor::bit_identical(a[i], b[i])) {
-      return false;
-    }
-  }
-  return true;
-}
 
 // "auto" = one bucket per histogram bin length (zero intra-bucket padding
 // for traffic drawn from that histogram); otherwise a comma-separated
@@ -193,29 +88,16 @@ int main(int argc, char** argv) {
 
   const nn::BertConfig bert = nn::BertConfig::tiny();
   util::ArgParser args("bench_batched_encoder",
-                       "Batched encoder throughput: closed batch, open-loop "
-                       "serving, analytic stack/shard models and the device "
-                       "residency cache.");
-  args.add_int("threads", 0, "worker threads (0 = sweep 1,2,4,8)", 0, INT_MAX);
-  args.add_int("batch", 32, "sequences per closed batch / served trace", 1,
-               INT_MAX);
+                       "Analytic encoder-stack and sharded-tile figures and "
+                       "the virtual-time batching soak; no figure reads a "
+                       "clock.");
   args.add_int("seqlen", 48, "tokens per sequence", 2, INT_MAX);
-  args.add_int("layers", bert.layers, "chained encoder layers per sequence", 1,
+  args.add_int("layers", bert.layers, "encoder layers in the stack model", 1,
                INT_MAX);
-  args.add_int("shards", 1,
-               "crossbar shards (1 = monolithic; serve parts only validate "
-               "admission — sharding is payload-invariant)",
-               1, 256);
-  args.add_flag("mixed-datasets",
-                "serve a mixed CNEWS/MRPC/CoLA trace so the LUT/CAM image "
-                "cache takes real misses");
-  args.add_int("residency-cap", 0,
-               "resident-image capacity of the residency cache (0 = "
-               "unbounded; small values force eviction churn)",
-               0, INT_MAX);
+  args.add_int("shards", 1, "crossbar shards (1 = monolithic)", 1, 256);
   args.add_string("length-dist", "fixed",
-                  "request-length distribution for the length-aware serve + "
-                  "soak sections (fixed = every request --seqlen tokens)",
+                  "request-length distribution of the soak (fixed = every "
+                  "request --seqlen tokens)",
                   {"fixed", "cnews", "mrpc", "cola", "mixed"});
   args.add_string("buckets", "auto",
                   "bucket edges for length-bucketed batching: 'auto' (one "
@@ -223,42 +105,19 @@ int main(int argc, char** argv) {
   args.add_int("soak-arrivals", 1000000,
                "synthetic arrivals in the deterministic batching soak", 1000,
                INT_MAX);
-  args.add_int("nodes", 4,
-               "cluster node (chip) instances for the cluster-serving "
-               "section (1 = skip the multi-node comparison, report "
-               "single-node figures)",
-               1, 64);
-  args.add_string("nodes-sweep", "",
-                  "comma list of node counts (e.g. 1,2,4,8) to sweep the "
-                  "selected routing policy over, emitting per-count "
-                  "scaling_efficiency and wait p99 into the JSON summary "
-                  "(empty = skip)");
-  args.add_string("route-policy", "rr",
-                  "routing policy the scaling-efficiency pair runs under "
-                  "(all three are always swept for the per-policy report)",
-                  {"rr", "least-loaded", "affinity"});
-  args.add_int("analytic-requests", 20000,
-               "requests in the analytic cost-cache measurement loops", 1000,
-               INT_MAX);
-  args.add_string("csv", "",
-                  "CSV output path (default: bench_batched_encoder.csv next "
-                  "to the binary)");
   args.parse(argc, argv);
 
-  const long threads_flag = args.get_int("threads");
-  const auto batch = static_cast<std::size_t>(args.get_int("batch"));
   const auto seq_len = static_cast<std::size_t>(args.get_int("seqlen"));
   const auto num_layers = static_cast<std::int64_t>(args.get_int("layers"));
   const auto num_shards = static_cast<std::int64_t>(args.get_int("shards"));
-  const bool mixed_datasets = args.get_flag("mixed-datasets");
   const std::string length_dist = args.get_string("length-dist");
-  const bool mixed_lengths = length_dist != "fixed";
   constexpr std::uint64_t kSeed = 0xBA7C4ED;
 
-  // The length dimension: the histogram traffic is drawn from, and the
-  // bucket edges the length-bucketed policy pads to. With --length-dist
-  // fixed the histogram degenerates to a point mass at --seqlen (auto
-  // buckets = the single edge seq_len, so both policies coincide).
+  // The length dimension: the histogram the soak's lengths are drawn from,
+  // and the bucket edges the length-bucketed policy pads to. With
+  // --length-dist fixed the histogram degenerates to a point mass at
+  // --seqlen (auto buckets = the single edge seq_len, so both policies
+  // coincide).
   const workload::LengthHistogram length_hist = [&] {
     if (length_dist == "cnews") {
       return workload::length_histogram_for(workload::Dataset::kCnews);
@@ -272,8 +131,7 @@ int main(int argc, char** argv) {
     if (length_dist == "mixed") {
       return workload::length_histogram_for(workload::Dataset::kDefault);
     }
-    return workload::LengthHistogram::fixed(
-        static_cast<std::int64_t>(args.get_int("seqlen")));
+    return workload::LengthHistogram::fixed(static_cast<std::int64_t>(seq_len));
   }();
   const std::vector<std::int64_t> bucket_edges =
       parse_bucket_edges(args.get_string("buckets"), length_hist);
@@ -282,7 +140,6 @@ int main(int argc, char** argv) {
 
   core::StarConfig cfg;
   cfg.num_shards = static_cast<int>(num_shards);  // provision K shards
-  cfg.residency_capacity = static_cast<int>(args.get_int("residency-cap"));
   // Fail fast on a --shards value the matmul geometries cannot feed (e.g.
   // kRow needs K <= the inner dim of every matmul: the tiny config's
   // score/context stages bound K at min(d_head, seqlen), BERT-base at 64).
@@ -299,291 +156,17 @@ int main(int argc, char** argv) {
                  static_cast<long long>(num_shards), e.what());
     return 2;
   }
-  const core::BatchEncoderSim model(cfg, bert, 0xB127, num_layers);
-  const auto inputs = workload::embedding_batch(
-      batch, seq_len, static_cast<std::size_t>(bert.d_model), 1.0, kSeed);
 
-  std::printf("Batched encoder simulation: B=%zu sequences, L=%zu, "
-              "d_model=%lld, %lld-layer stacks (host reports %u hardware "
-              "threads)\n\n",
-              batch, seq_len, static_cast<long long>(bert.d_model),
+  std::printf("Batched encoder analytic figures: L=%zu, d_model=%lld, "
+              "%lld-layer stacks, %lld shards\n",
+              seq_len, static_cast<long long>(bert.d_model),
               static_cast<long long>(num_layers),
-              std::thread::hardware_concurrency());
+              static_cast<long long>(num_shards));
 
-  // --- Part 1: closed-batch sweep -----------------------------------------
-  // Sequential reference (threads = 1) — the bit-exactness baseline.
-  // Warmed up like every threaded row, so the speedup column compares
-  // steady-state against steady-state.
-  sim::BatchScheduler seq_sched(1);
-  std::vector<nn::Tensor> reference;
-  reference = encoder_batch(model, inputs, seq_sched, 0x5EED, num_layers, num_shards);
-  const double t_seq = run_seconds([&] {
-    reference = encoder_batch(model, inputs, seq_sched, 0x5EED, num_layers, num_shards);
-  });
-
-  const std::vector<int> thread_sweep =
-      threads_flag > 0 ? std::vector<int>{static_cast<int>(threads_flag)}
-                       : std::vector<int>{1, 2, 4, 8};
-  // The thread count server mode runs at — and the sweep row the JSON
-  // summary's closed-batch figure is taken from, so the record compares
-  // like with like.
-  const int serve_threads =
-      threads_flag > 0 ? static_cast<int>(threads_flag) : 4;
-
-  TablePrinter table({"threads", "time (ms)", "seq/s", "speedup", "bit-identical"});
-  const std::string csv_path = args.get_string("csv").empty()
-                                   ? default_csv_path(argv[0])
-                                   : args.get_string("csv");
-  CsvWriter csv(csv_path);
-  csv.header({"threads", "time_ms", "seq_per_s", "speedup", "identical"});
-
-  bool all_identical = true;
-  double closed_seq_per_s = 0.0;
-  for (const int threads : thread_sweep) {
-    sim::BatchScheduler sched(threads);
-    std::vector<nn::Tensor> out;
-    // Warm-up run so pool spin-up is not billed to the measurement.
-    out = encoder_batch(model, inputs, sched, 0x5EED, num_layers, num_shards);
-    const double t = run_seconds(
-        [&] { out = encoder_batch(model, inputs, sched, 0x5EED, num_layers, num_shards); });
-    const bool identical = byte_identical(out, reference);
-    all_identical = all_identical && identical;
-    const double seq_per_s = static_cast<double>(batch) / t;
-    if (threads == serve_threads) {
-      closed_seq_per_s = seq_per_s;
-    }
-    table.add_row({std::to_string(threads), TablePrinter::num(t * 1e3, 1),
-                   TablePrinter::num(seq_per_s, 1),
-                   TablePrinter::num(t_seq / t, 2) + "x",
-                   identical ? "yes" : "NO"});
-    csv.row({std::to_string(threads), CsvWriter::num(t * 1e3),
-             CsvWriter::num(seq_per_s), CsvWriter::num(t_seq / t),
-             identical ? "1" : "0"});
-  }
-  table.print();
-
-  // --- Part 9: allocation-free functional hot path ------------------------
-  // 9a: in-process arena-vs-legacy. The legacy side is the allocating nn::
-  // reference chain (fresh tensors, per-head dense slices) driven through
-  // the engine's row adapter over a fresh run state — exactly what
-  // run_encoder_one used to execute; the arena side is run_encoder_one_into
-  // with one caller-owned workspace and a reused output tensor. Same seeds,
-  // so both sides also cross-check bit-identity against Part 1's reference
-  // outputs.
-  const auto legacy_chain = [&](std::size_t i) {
-    core::SoftmaxRunState run(workload::sequence_seed(0x5EED, i));
-    core::SoftmaxEngineRowRef softmax(model.softmax_engine(), run);
-    nn::Tensor x =
-        nn::encoder_layer_forward(inputs[i], model.layer_weights(0), softmax);
-    for (std::int64_t l = 1; l < num_layers; ++l) {
-      x = nn::encoder_layer_forward(x, model.layer_weights(l), softmax);
-    }
-    return x;
-  };
-  core::EncoderWorkspace hot_ws;
-  nn::Tensor hot_out;
-  const auto arena_pass = [&] {
-    for (std::size_t i = 0; i < batch; ++i) {
-      model.run_encoder_one_into(inputs[i], workload::sequence_seed(0x5EED, i),
-                                 hot_out, num_layers, num_shards,
-                                 workload::Dataset::kDefault, nullptr, &hot_ws);
-    }
-  };
-  // Identity first (untimed), then multi-round timing: one batch pass is
-  // milliseconds, so a single sample would be scheduler noise, and the
-  // bit_identical sweep must not be billed to the legacy side.
-  bool hot_identical = true;
-  for (std::size_t i = 0; i < batch; ++i) {
-    hot_identical =
-        hot_identical && nn::Tensor::bit_identical(legacy_chain(i), reference[i]);
-  }
-  constexpr std::size_t kCompareRounds = 16;
-  const double t_legacy = run_seconds([&] {
-    for (std::size_t r = 0; r < kCompareRounds; ++r) {
-      for (std::size_t i = 0; i < batch; ++i) {
-        (void)legacy_chain(i);
-      }
-    }
-  }) / static_cast<double>(kCompareRounds);
-  arena_pass();  // warm-up: size the arena/scratch, settle residency hits
-  const double t_arena = run_seconds([&] {
-    for (std::size_t r = 0; r < kCompareRounds; ++r) {
-      arena_pass();
-    }
-  }) / static_cast<double>(kCompareRounds);
-  hot_identical =
-      hot_identical && nn::Tensor::bit_identical(hot_out, reference[batch - 1]);
-  all_identical = all_identical && hot_identical;
-  const double functional_arena_speedup = t_legacy / t_arena;
-
-  // 9b: warm serve-shaped throughput — multi-round closed batches at the
-  // serve thread count on the pooled (one-workspace-per-worker) path.
-  constexpr std::size_t kHotRounds = 16;
-  sim::BatchScheduler hot_sched(serve_threads);
-  std::vector<nn::Tensor> hot_batch_out =
-      encoder_batch(model, inputs, hot_sched, 0x5EED, num_layers, num_shards);
-  const double t_hot = run_seconds([&] {
-    for (std::size_t r = 0; r < kHotRounds; ++r) {
-      hot_batch_out =
-          encoder_batch(model, inputs, hot_sched, 0x5EED, num_layers, num_shards);
-    }
-  });
-  all_identical = all_identical && byte_identical(hot_batch_out, reference);
-  const double functional_rps =
-      static_cast<double>(kHotRounds * batch) / t_hot;
-
-  // 9c: the zero-allocation invariant, measured where the operator-new
-  // audit is compiled in (Debug / -DSTAR_AUDIT=ON, never under a
-  // sanitizer). -1 marks "not instrumented" so CI only asserts on cells
-  // whose number is real.
-  double allocs_per_warm_request = -1.0;
-  if (util::alloc_audit_enabled()) {
-    constexpr std::size_t kAuditReqs = 8;
-    const util::AllocCounter counter;
-    for (std::size_t i = 0; i < kAuditReqs; ++i) {
-      model.run_encoder_one_into(inputs[i % batch],
-                                 workload::sequence_seed(0x5EED, i), hot_out,
-                                 num_layers, num_shards,
-                                 workload::Dataset::kDefault, nullptr, &hot_ws);
-    }
-    allocs_per_warm_request = static_cast<double>(counter.allocations()) /
-                              static_cast<double>(kAuditReqs);
-  }
-
-  std::printf("\nFunctional hot path (arena workspaces, %lld layers):\n",
-              static_cast<long long>(num_layers));
-  std::printf("  legacy chain      %.1f seq/s (allocating nn:: reference)\n",
-              static_cast<double>(batch) / t_legacy);
-  std::printf("  arena kernel      %.1f seq/s single-thread (speedup %.2fx), "
-              "bit-identical %s\n",
-              static_cast<double>(batch) / t_arena, functional_arena_speedup,
-              hot_identical ? "yes" : "NO (BUG)");
-  std::printf("  warm throughput   %.1f seq/s at %d threads (%zu rounds)\n",
-              functional_rps, serve_threads, kHotRounds);
-  if (allocs_per_warm_request >= 0.0) {
-    std::printf("  heap allocations  %.2f per warm request (audited)\n",
-                allocs_per_warm_request);
-  } else {
-    std::printf("  heap allocations  not instrumented in this build "
-                "(Debug / -DSTAR_AUDIT=ON measures)\n");
-  }
-
-  // --- Part 2: open-loop server mode --------------------------------------
-  // Offered load ~2x the sequential service rate so the batcher actually
-  // coalesces and the admission queue actually queues (one tick = 1 us).
-  const double service_us_per_seq = 1e6 * t_seq / static_cast<double>(batch);
-  const double mean_inter_arrival_us = service_us_per_seq / 2.0;
-  const auto trace = workload::ArrivalTrace::generate(
-      batch, workload::ArrivalProcess::kPoisson, mean_inter_arrival_us, kSeed);
-
-  // Solo references: what each individual request must reproduce
-  // bit-for-bit regardless of the batch it lands in.
-  std::vector<nn::Tensor> solo_refs;
-  solo_refs.reserve(batch);
-  for (std::size_t i = 0; i < batch; ++i) {
-    solo_refs.push_back(model.run_encoder_one(
-        inputs[i], workload::sequence_seed(kSeed + i, 0), num_layers,
-        num_shards));
-  }
-
-  // Scope the residency-manager counters to the serve run: parts 1 and the
-  // solo references above already cycled images through the cache (visibly
-  // so under --residency-cap), and the Part-5 report pairs the manager's
-  // energy/eviction figures with the server's time figures — they must
-  // describe the same workload.
-  model.residency().reset_stats();
-
-  sim::BatchScheduler serve_sched(serve_threads);
-  serve::ServerOptions opts;
-  opts.max_queue = batch;  // block policy: throttle, never drop
-  opts.batcher.max_batch = 8;
-  opts.batcher.max_wait_ticks = 2;
-  opts.batcher.tick = std::chrono::microseconds(
-      static_cast<long>(mean_inter_arrival_us) + 1);
-  serve::StarServer server(model, serve_sched, opts);
-
-  // Mixed-dataset traffic cycles the three paper formats so consecutive
-  // requests demand different CAM/LUT images — the serve-side cache churn
-  // the residency layer prices. Datasets are accounting-only, so the solo
-  // references above stay valid verbatim.
-  constexpr workload::Dataset kMixedCycle[] = {workload::Dataset::kCnews,
-                                               workload::Dataset::kMrpc,
-                                               workload::Dataset::kCola};
-  const auto dataset_of = [&](std::size_t i) {
-    return mixed_datasets ? kMixedCycle[i % 3] : workload::Dataset::kDefault;
-  };
-
-  std::vector<std::future<serve::EncoderResponse>> futs;
-  futs.reserve(batch);
-  const auto serve_t0 = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < batch; ++i) {
-    const auto due = serve_t0 + std::chrono::microseconds(static_cast<long>(
-                                    trace.arrival_ticks[i]));
-    std::this_thread::sleep_until(due);
-    futs.push_back(server.submit(serve::EncoderRequest{
-        inputs[i], kSeed + i, num_layers, num_shards, dataset_of(i)}));
-  }
-  bool served_identical = true;
-  for (std::size_t i = 0; i < futs.size(); ++i) {
-    served_identical = served_identical &&
-                       nn::Tensor::bit_identical(futs[i].get().output,
-                                                 solo_refs[i]);
-  }
-  const double serve_wall = std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() - serve_t0)
-                                .count();
-  all_identical = all_identical && served_identical;
-  const auto stats = server.stats();
-  const double server_seq_per_s = static_cast<double>(batch) / serve_wall;
-
-  std::printf("\nServer mode (open loop, Poisson arrivals, %d threads, "
-              "max_batch=%zu):\n", serve_threads, opts.batcher.max_batch);
-  std::printf("  throughput        %.1f seq/s (%zu requests in %.1f ms)\n",
-              server_seq_per_s, batch, serve_wall * 1e3);
-  std::printf("  queue wait        mean %.3f ms, p99 %.3f ms\n",
-              stats.queue_wait_mean_s * 1e3, stats.queue_wait_p99_s * 1e3);
-  std::printf("  service           mean %.3f ms, p99 %.3f ms\n",
-              stats.service_mean_s * 1e3, stats.service_p99_s * 1e3);
-  std::printf("  batch occupancy   mean %.2f, max %zu (%llu batches)\n",
-              stats.batch_occupancy_mean, stats.batch_occupancy_max,
-              static_cast<unsigned long long>(stats.batches));
-  std::printf("  responses bit-identical to solo closed-batch runs: %s\n",
-              served_identical ? "yes" : "NO (BUG)");
-
-  // --- Part 5: device residency (LUT/CAM image cache) ---------------------
-  // Accounting of the serve run above: with --mixed-datasets the rotating
-  // formats take cold LUT-image misses (and --residency-cap can force
-  // weight eviction churn on top); single-dataset traffic is all hits —
-  // the warm cache recovers the legacy free-programming model exactly.
-  const auto residency = model.residency().stats();
-  const std::string cap_label =
-      cfg.residency_capacity == 0 ? "unbounded"
-                                  : std::to_string(cfg.residency_capacity);
-  std::printf("\nDevice residency (%s traffic, capacity %s):\n",
-              mixed_datasets ? "mixed CNEWS/MRPC/CoLA" : "single-dataset",
-              cap_label.c_str());
-  std::printf("  LUT images        %llu hits, %llu misses\n",
-              static_cast<unsigned long long>(stats.lut_hits),
-              static_cast<unsigned long long>(stats.lut_misses));
-  std::printf("  weight images     %llu hits, %llu misses (%llu evictions "
-              "during serve)\n",
-              static_cast<unsigned long long>(stats.weight_hits),
-              static_cast<unsigned long long>(stats.weight_misses),
-              static_cast<unsigned long long>(residency.evictions));
-  std::printf("  reprogramming     %.3f us modelled (%.3f uJ), %.2f%% of "
-              "service time\n",
-              stats.programming_us_total,
-              residency.programming.energy.as_uJ(),
-              100.0 * stats.programming_time_share);
-  std::printf("  model-load bill   %.3f us / %.3f uJ (one-time, at "
-              "construction)\n",
-              model.initial_programming_cost().latency.as_us(),
-              model.initial_programming_cost().energy.as_uJ());
-
-  // --- Part 3: analytic multi-layer stack model ---------------------------
-  // The hardware-time view of the same depth: what the vector-grained
-  // inter-layer overlap buys over a stack that barriers at every layer
-  // boundary, plus the per-layer breakdown behind it.
+  // --- Encoder stack model -------------------------------------------------
+  // The hardware-time view of the stack: what the vector-grained inter-layer
+  // overlap buys over a stack that barriers at every layer boundary, plus
+  // the per-layer breakdown behind it.
   const core::EncoderStackModel stack_model(cfg);
   const auto stack = stack_model.run_encoder_stack(
       bert, static_cast<std::int64_t>(seq_len), num_layers);
@@ -603,11 +186,10 @@ int main(int argc, char** argv) {
               stack.energy.as_uJ(), stack.power.as_mW(),
               stack.softmax_stage_util);
 
-  // --- Part 4: sharded crossbar tiles (analytic, BERT-base geometry) ------
+  // --- Sharded crossbar tiles (analytic, BERT-base geometry) ---------------
   // Sharding is measured at the paper's geometry (768-wide projections,
-  // 3072-wide FFN) where the tile grids are big enough for the shard-local
-  // accumulation trees to beat the monolithic one; the tiny functional
-  // config above only validates admission.
+  // 3072-wide FFN), where the tile grids are big enough for the shard-local
+  // accumulation trees to beat the monolithic one.
   const nn::BertConfig bert_base = nn::BertConfig::base();
   const std::int64_t shard_seq_len = 128;
   core::StarConfig mono_cfg;  // K = 1 baseline
@@ -617,9 +199,6 @@ int main(int argc, char** argv) {
   const core::EncoderModel shard_model(shard_cfg);
   const auto mono_layer = mono_model.run_encoder_layer(bert_base, shard_seq_len);
   const auto shard_layer = shard_model.run_encoder_layer(bert_base, shard_seq_len);
-  const double shard_speedup = mono_layer.latency / shard_layer.latency;
-  const double interconnect_us = shard_layer.interconnect_latency.as_us();
-
   std::printf("\nSharded crossbar tiles (analytic, BERT-base, L=%lld, "
               "policy=%s):\n",
               static_cast<long long>(shard_seq_len),
@@ -629,84 +208,19 @@ int main(int argc, char** argv) {
   std::printf("  K=%lld shards     latency %.3f us, energy %.3f uJ "
               "(speedup %.3fx)\n",
               static_cast<long long>(num_shards), shard_layer.latency.as_us(),
-              shard_layer.energy.as_uJ(), shard_speedup);
+              shard_layer.energy.as_uJ(), mono_layer.latency / shard_layer.latency);
   std::printf("  interconnect      %.3f us merge time, %.3f uJ link traffic\n",
-              interconnect_us, shard_layer.interconnect_energy.as_uJ());
+              shard_layer.interconnect_latency.as_us(),
+              shard_layer.interconnect_energy.as_uJ());
 
-  // --- Part 6: length-aware serving ---------------------------------------
-  // 6a (live, --length-dist != fixed): the same variable-length requests
-  // served under BOTH padding policies; payloads must be bit-identical to
-  // solo references under both (bucketing is scheduling/accounting-only),
-  // while the token-occupancy split separates the policies.
-  double live_ptm_waste = 0.0, live_bkt_waste = 0.0;
-  double live_ptm_eff = 0.0, live_bkt_eff = 0.0;
-  if (mixed_lengths) {
-    const auto lens = workload::sample_lengths(length_hist, batch, kSeed ^ 0x11);
-    std::vector<nn::Tensor> var_inputs;
-    std::vector<nn::Tensor> var_refs;
-    var_inputs.reserve(batch);
-    var_refs.reserve(batch);
-    for (std::size_t i = 0; i < batch; ++i) {
-      var_inputs.push_back(workload::embedding_batch(
-          1, static_cast<std::size_t>(lens[i]),
-          static_cast<std::size_t>(bert.d_model), 1.0, kSeed + 7000 + i)[0]);
-      var_refs.push_back(model.run_encoder_one(
-          var_inputs.back(), workload::sequence_seed(kSeed + 7000 + i, 0),
-          num_layers, num_shards));
-    }
-    const auto var_trace = workload::ArrivalTrace::generate(
-        batch, workload::ArrivalProcess::kPoisson, mean_inter_arrival_us,
-        kSeed ^ 0x22);
-
-    serve::LengthBucketing policies[2];
-    policies[0] = serve::LengthBucketing::pad_to_max();
-    policies[1] = serve::LengthBucketing::bucketed(bucket_edges);
-    std::printf("\nLength-aware serving (live, dist=%s, %zu requests):\n",
-                length_dist.c_str(), batch);
-    for (int p = 0; p < 2; ++p) {
-      serve::ServerOptions var_opts = opts;
-      var_opts.batcher.bucketing = policies[p];
-      sim::BatchScheduler var_sched(serve_threads);
-      serve::StarServer var_server(model, var_sched, var_opts);
-      std::vector<std::future<serve::EncoderResponse>> var_futs;
-      var_futs.reserve(batch);
-      const auto var_t0 = std::chrono::steady_clock::now();
-      for (std::size_t i = 0; i < batch; ++i) {
-        std::this_thread::sleep_until(
-            var_t0 + std::chrono::microseconds(
-                         static_cast<long>(var_trace.arrival_ticks[i])));
-        var_futs.push_back(var_server.submit(serve::EncoderRequest{
-            var_inputs[i], kSeed + 7000 + i, num_layers, num_shards}));
-      }
-      bool policy_identical = true;
-      for (std::size_t i = 0; i < var_futs.size(); ++i) {
-        policy_identical =
-            policy_identical &&
-            nn::Tensor::bit_identical(var_futs[i].get().output, var_refs[i]);
-      }
-      all_identical = all_identical && policy_identical;
-      const auto var_stats = var_server.stats();
-      (p == 0 ? live_ptm_waste : live_bkt_waste) = var_stats.padding_waste;
-      (p == 0 ? live_ptm_eff : live_bkt_eff) = var_stats.effective_occupancy;
-      std::printf("  %-14s occupancy eff %.3f / padded %.3f, waste %.3f, "
-                  "%llu batches, bit-identical %s\n",
-                  serve::to_string(policies[p].mode),
-                  var_stats.effective_occupancy, var_stats.padded_occupancy,
-                  var_stats.padding_waste,
-                  static_cast<unsigned long long>(var_stats.batches),
-                  policy_identical ? "yes" : "NO (BUG)");
-    }
-  }
-
-  // 6b (soak): deterministic virtual-time replay of both policies over the
-  // SAME bursty ~10^6-arrival trace. Streaming (bounded-memory) stats;
-  // exactly reproducible, so the waste relation below is CI-pinnable.
-  workload::BurstShape burst;
-  // Offered load ~2x the full-batch service rate so queues stay backlogged
-  // and batch formation (not arrival starvation) decides occupancy.
+  // --- Batching soak (virtual time) ----------------------------------------
+  // Both policies replay the SAME bursty trace, offered at ~2x the
+  // full-batch service rate so queues stay backlogged and batch formation
+  // (not arrival starvation) decides occupancy.
   serve::BatchSimConfig soak_cfg;
-  soak_cfg.max_batch = opts.batcher.max_batch;
+  soak_cfg.max_batch = 8;
   soak_cfg.max_wait_ticks = 8;
+  workload::BurstShape burst;
   burst.mean_inter_arrival_ticks =
       0.5 * (soak_cfg.batch_overhead_ticks /
                  static_cast<double>(soak_cfg.max_batch) +
@@ -722,13 +236,36 @@ int main(int argc, char** argv) {
   const auto soak_ptm = serve::simulate_batching(soak_trace, soak_lens, ptm_cfg);
   const auto soak_bkt = serve::simulate_batching(soak_trace, soak_lens, bkt_cfg);
 
+  // The calibrated soak: the bucketed replay with each batch priced by the
+  // model's analytic latency at its padded length, ticks_per_us normalised
+  // so the mean service cost matches the linear model's at the histogram
+  // mean (same backlog regime). Every length the soak pads to (its bucket
+  // edge, or the length itself past the last edge) is priced first, so
+  // the ledger below is the replay's alone and every lookup hits.
+  const core::BatchEncoderSim model(cfg, bert, 0xB127, num_layers);
+  serve::BatchSimConfig cache_soak_cfg = bkt_cfg;
+  cache_soak_cfg.analytic_model = &model;
+  const auto mean_len = static_cast<std::int64_t>(length_hist.mean_len());
+  cache_soak_cfg.analytic_ticks_per_us =
+      soak_cfg.ticks_per_token * static_cast<double>(mean_len) /
+      model.price_analytic(mean_len).latency.as_us();
+  const serve::LengthBucketing& buckets = bkt_cfg.bucketing;
+  for (const auto& bin : length_hist.bins) {
+    (void)model.price_analytic(
+        buckets.padded_len(buckets.bucket_of(bin.len), bin.len));
+  }
+  model.cost_cache().reset_stats();
+  const auto soak_cache =
+      serve::simulate_batching(soak_trace, soak_lens, cache_soak_cfg);
+  const auto soak_cache_stats = model.cost_cache().stats();
+
   std::printf("\nBatching soak (virtual time, burst arrivals, dist=%s, "
               "%zu arrivals, mean len %.1f):\n",
               length_dist.c_str(), soak_arrivals, length_hist.mean_len());
   const auto print_soak = [&](const char* label,
                               const serve::BatchSimResult& r) {
-    std::printf("  %-14s occupancy eff %.3f / padded %.3f, waste %.3f, "
-                "%llu batches, wait mean %.1f p99 %.1f ticks, util %.3f\n",
+    std::printf("  %-14s occupancy eff %.6f / padded %.6f, waste %.6f, "
+                "%llu batches, wait mean %.1f p99 %.4f ticks, util %.3f\n",
                 label, r.stats.effective_occupancy, r.stats.padded_occupancy,
                 r.stats.padding_waste,
                 static_cast<unsigned long long>(r.stats.batches),
@@ -737,7 +274,7 @@ int main(int argc, char** argv) {
   };
   print_soak("pad-to-max", soak_ptm);
   print_soak("bucketed", soak_bkt);
-  if (mixed_lengths) {
+  if (length_dist != "fixed") {
     std::printf("  per bucket (bucketed):");
     for (const auto& b : soak_bkt.stats.per_bucket) {
       if (b.requests == 0) {
@@ -749,365 +286,10 @@ int main(int argc, char** argv) {
     }
     std::printf("\n");
   }
-
-  // --- Part 7: cluster serving (serve::Cluster) ---------------------------
-  // The same open-loop stream as Part 2, fanned across --nodes full node
-  // instances by each routing policy in turn. Responses must stay
-  // bit-identical to the SAME solo references (routing never touches the
-  // payload); what separates the policies is the fleet-merged tail and the
-  // residency churn. Transport is the hw::HostLink board fabric, so every
-  // request also carries a nonzero modelled front-end hop.
-  const auto num_nodes = static_cast<std::size_t>(args.get_int("nodes"));
-  const std::string route_policy = args.get_string("route-policy");
-  const serve::RoutePolicyKind selected_policy =
-      *serve::parse_route_policy(route_policy);
-
-  // Bursty open-loop traffic (square-wave flash crowds at the same overall
-  // offered load as Part 2): the fleet sees queue-depth contrast, which is
-  // what separates least-loaded/affinity from blind round-robin.
-  workload::BurstShape cluster_burst;
-  cluster_burst.mean_inter_arrival_ticks = mean_inter_arrival_us;
-  cluster_burst.period_ticks = 8.0 * mean_inter_arrival_us;
-  const auto cluster_trace = workload::ArrivalTrace::generate_burst(
-      batch, cluster_burst, kSeed ^ 0x70);
-
-  struct ClusterRun {
-    double wall_s = 0.0;
-    bool identical = true;
-    serve::ClusterStats stats;
-  };
-  const auto run_cluster = [&](serve::RoutePolicyKind policy,
-                               std::size_t nodes) {
-    serve::ClusterOptions copts;
-    copts.num_nodes = nodes;
-    copts.threads_per_node = serve_threads;
-    copts.policy = policy;
-    copts.server = opts;
-    copts.link = hw::HostLink::host_default();
-    copts.stack_depth = num_layers;
-    serve::Cluster cluster(cfg, bert, copts);
-    std::vector<std::future<serve::EncoderResponse>> cfuts;
-    cfuts.reserve(batch);
-    const auto t0 = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < batch; ++i) {
-      std::this_thread::sleep_until(
-          t0 + std::chrono::microseconds(
-                   static_cast<long>(cluster_trace.arrival_ticks[i])));
-      cfuts.push_back(cluster.submit(serve::EncoderRequest{
-          inputs[i], kSeed + i, num_layers, num_shards, dataset_of(i)}));
-    }
-    ClusterRun run;
-    for (std::size_t i = 0; i < cfuts.size(); ++i) {
-      run.identical = run.identical &&
-                      nn::Tensor::bit_identical(cfuts[i].get().output,
-                                                solo_refs[i]);
-    }
-    run.wall_s = std::chrono::duration<double>(
-                     std::chrono::steady_clock::now() - t0)
-                     .count();
-    cluster.shutdown();
-    run.stats = cluster.stats();
-    return run;
-  };
-
-  constexpr serve::RoutePolicyKind kPolicies[] = {
-      serve::RoutePolicyKind::kRoundRobin,
-      serve::RoutePolicyKind::kLeastLoaded,
-      serve::RoutePolicyKind::kAffinity,
-  };
-  std::printf("\nCluster serving (%zu nodes x %d threads, host-link "
-              "transport, %zu requests):\n",
-              num_nodes, serve_threads, batch);
-  ClusterRun policy_runs[3];
-  bool cluster_identical = true;
-  for (int p = 0; p < 3; ++p) {
-    policy_runs[p] = run_cluster(kPolicies[p], num_nodes);
-    const auto& r = policy_runs[p];
-    cluster_identical = cluster_identical && r.identical;
-    std::printf("  %-14s %.1f seq/s, wait p99 %.3f ms, transport mean "
-                "%.3f us, lut misses %llu, imbalance %.2f, bit-identical "
-                "%s\n",
-                serve::to_string(kPolicies[p]),
-                static_cast<double>(batch) / r.wall_s,
-                r.stats.queue_wait_p99_s * 1e3, r.stats.transport_us_mean,
-                static_cast<unsigned long long>(r.stats.lut_misses),
-                r.stats.routing_imbalance, r.identical ? "yes" : "NO (BUG)");
-  }
-  all_identical = all_identical && cluster_identical;
-
-  // Scaling efficiency: the selected policy's N-node run against a 1-node
-  // run of the SAME trace, (tput_N / tput_1) / N. Wall-clock: on a
-  // single-core host this converges to ~1/N — correctness (and the JSON
-  // contract) is still exercised.
-  const int selected_idx = selected_policy == serve::RoutePolicyKind::kRoundRobin
-                               ? 0
-                               : selected_policy == serve::RoutePolicyKind::kLeastLoaded
-                                     ? 1
-                                     : 2;
-  const ClusterRun& selected_run = policy_runs[selected_idx];
-  const ClusterRun solo_node =
-      num_nodes == 1 ? selected_run : run_cluster(selected_policy, 1);
-  all_identical = all_identical && solo_node.identical;
-  const double tput_n = static_cast<double>(batch) / selected_run.wall_s;
-  const double tput_1 = static_cast<double>(batch) / solo_node.wall_s;
-  const double scaling_efficiency =
-      tput_n / (tput_1 * static_cast<double>(num_nodes));
-  std::printf("  scaling           %.1f -> %.1f seq/s at %zu nodes "
-              "(efficiency %.3f, policy %s)\n",
-              tput_1, tput_n, num_nodes, scaling_efficiency,
-              route_policy.c_str());
-
-  // Node-count sweep (--nodes-sweep): the selected policy replayed over the
-  // same trace at each count, each point's efficiency anchored to the same
-  // 1-node baseline as the headline figure above. Emitted as a JSON array
-  // so BENCH_<pr>.json carries the whole scaling trajectory, not one point.
-  std::string nodes_sweep_json = "[]";
-  const std::string nodes_sweep_spec = args.get_string("nodes-sweep");
-  if (!nodes_sweep_spec.empty()) {
-    std::vector<std::size_t> sweep_counts;
-    std::size_t pos = 0;
-    while (pos <= nodes_sweep_spec.size()) {
-      std::size_t comma = nodes_sweep_spec.find(',', pos);
-      if (comma == std::string::npos) {
-        comma = nodes_sweep_spec.size();
-      }
-      const std::string tok = nodes_sweep_spec.substr(pos, comma - pos);
-      char* end = nullptr;
-      const long long v = std::strtoll(tok.c_str(), &end, 10);
-      if (tok.empty() || end == tok.c_str() || *end != '\0' || v < 1 || v > 64) {
-        std::fprintf(stderr, "--nodes-sweep: malformed count '%s' in '%s'\n",
-                     tok.c_str(), nodes_sweep_spec.c_str());
-        return 2;
-      }
-      sweep_counts.push_back(static_cast<std::size_t>(v));
-      pos = comma + 1;
-    }
-    std::printf("  node sweep        policy %s:", route_policy.c_str());
-    nodes_sweep_json = "[";
-    for (std::size_t s = 0; s < sweep_counts.size(); ++s) {
-      const std::size_t n = sweep_counts[s];
-      const ClusterRun r = run_cluster(selected_policy, n);
-      all_identical = all_identical && r.identical;
-      const double tput = static_cast<double>(batch) / r.wall_s;
-      const double eff = tput / (tput_1 * static_cast<double>(n));
-      char entry[160];
-      std::snprintf(entry, sizeof entry,
-                    "%s{\"nodes\":%zu,\"seq_per_s\":%.2f,"
-                    "\"scaling_efficiency\":%.4f,\"wait_p99_ms\":%.4f}",
-                    s == 0 ? "" : ",", n, tput, eff,
-                    r.stats.queue_wait_p99_s * 1e3);
-      nodes_sweep_json += entry;
-      std::printf(" [%zu: %.1f seq/s, eff %.3f, p99 %.3f ms]", n, tput, eff,
-                  r.stats.queue_wait_p99_s * 1e3);
-    }
-    nodes_sweep_json += "]";
-    std::printf("\n");
-  }
-
-  // Deterministic residency comparison: a sequential (submit-and-get)
-  // mixed-dataset pass, so routing always sees settled residency state and
-  // the cold-miss counts are exact, CI-assertable numbers: round-robin
-  // smears the two foreign-format datasets (CNEWS, CoLA; MRPC aliases the
-  // default image) across every node, affinity pins each to the node that
-  // already programmed it.
-  const auto sequential_misses = [&](serve::RoutePolicyKind policy) {
-    serve::ClusterOptions copts;
-    copts.num_nodes = num_nodes;
-    copts.threads_per_node = 1;
-    copts.policy = policy;
-    copts.server = opts;
-    copts.stack_depth = num_layers;
-    serve::Cluster cluster(cfg, bert, copts);
-    constexpr workload::Dataset kCycle[] = {workload::Dataset::kCnews,
-                                            workload::Dataset::kMrpc,
-                                            workload::Dataset::kCola};
-    const std::size_t n = 6 * num_nodes;
-    for (std::size_t i = 0; i < n; ++i) {
-      serve::EncoderRequest req{
-          workload::embedding_batch(
-              1, 12, static_cast<std::size_t>(bert.d_model), 1.0,
-              kSeed + 9000 + i)[0],
-          kSeed + 9000 + i, num_layers, num_shards, kCycle[i % 3]};
-      (void)cluster.submit(std::move(req)).get();
-    }
-    cluster.shutdown();
-    return cluster.stats().lut_misses;
-  };
-  const std::uint64_t rr_misses =
-      sequential_misses(serve::RoutePolicyKind::kRoundRobin);
-  const std::uint64_t affinity_misses =
-      sequential_misses(serve::RoutePolicyKind::kAffinity);
-  std::printf("  residency         sequential mixed-dataset pass: "
-              "round-robin %llu cold LUT misses, affinity %llu\n",
-              static_cast<unsigned long long>(rr_misses),
-              static_cast<unsigned long long>(affinity_misses));
-
-  // --- Part 8: memoized analytic cost cache -------------------------------
-  // The serve hot path's steady state: the same few (config, seq_len)
-  // shapes looked up over and over. Uncached baseline = the raw analytic
-  // composition (MatmulEngine::stream_cost + softmax preload math) per
-  // request; cached = run_analytic_one, which serves repeats from
-  // core::CostCache. Identical request stream, so the speedup is pure
-  // memoization. Note: under -DSTAR_AUDIT=ON every cache hit re-runs the
-  // full composition to prove bit-identity, so the cached figure is only a
-  // *throughput* claim when contracts_checked is false (CI gates on that).
-  const auto analytic_requests =
-      static_cast<std::size_t>(args.get_int("analytic-requests"));
-  const auto analytic_lens = workload::sample_lengths(
-      length_hist, analytic_requests, kSeed ^ 0xCAC4E);
-  const double t_uncached = run_seconds([&] {
-    for (const std::int64_t len : analytic_lens) {
-      (void)model.accelerator().run_attention_layer(bert, len);
-    }
-  });
-  // Scope the ledger to the measured loop so hit_rate is the steady-state
-  // figure (mirrors the residency reset_stats() scoping above).
-  model.cost_cache().reset_stats();
-  const double t_cached = run_seconds([&] {
-    for (const std::int64_t len : analytic_lens) {
-      (void)model.run_analytic_one(len);
-    }
-  });
-  const auto cache_stats = model.cost_cache().stats();
-  const double analytic_uncached_rps =
-      static_cast<double>(analytic_requests) / t_uncached;
-  const double analytic_cached_rps =
-      static_cast<double>(analytic_requests) / t_cached;
-  const double analytic_cache_speedup = t_uncached / t_cached;
-
-  // Cache soak: the bucketed virtual-time replay re-run with the
-  // STAR-calibrated (cached) service model — ~10^6 padded-length lookups
-  // against a handful of distinct keys. The linear-model soaks above are
-  // untouched, so their waste figures stay comparable across records;
-  // ticks_per_us is normalized so the mean service cost matches the linear
-  // model's at the histogram mean (same backlog regime).
-  serve::BatchSimConfig cache_soak_cfg = bkt_cfg;
-  cache_soak_cfg.analytic_model = &model;
-  const auto mean_len = static_cast<std::int64_t>(length_hist.mean_len());
-  cache_soak_cfg.analytic_ticks_per_us =
-      soak_cfg.ticks_per_token * static_cast<double>(mean_len) /
-      model.run_analytic_one(mean_len).latency.as_us();
-  model.cost_cache().reset_stats();
-  const auto soak_cache =
-      serve::simulate_batching(soak_trace, soak_lens, cache_soak_cfg);
-  const auto soak_cache_stats = model.cost_cache().stats();
-
-  std::printf("\nAnalytic cost cache (%zu requests, dist=%s):\n",
-              analytic_requests, length_dist.c_str());
-  std::printf("  uncached          %.0f req/s (fresh composition per "
-              "request)\n",
-              analytic_uncached_rps);
-  std::printf("  cached            %.0f req/s (speedup %.2fx), %llu hits / "
-              "%llu misses, hit rate %.4f\n",
-              analytic_cached_rps, analytic_cache_speedup,
-              static_cast<unsigned long long>(cache_stats.hits),
-              static_cast<unsigned long long>(cache_stats.misses),
-              cache_stats.hit_rate());
-  std::printf("  soak (calibrated) %llu lookups, hit rate %.6f, waste %.3f, "
-              "util %.3f\n",
+  std::printf("  calibrated     %llu cost-cache lookups, hit rate %.6f, waste "
+              "%.6f, util %.3f\n",
               static_cast<unsigned long long>(soak_cache_stats.lookups),
               soak_cache_stats.hit_rate(), soak_cache.stats.padding_waste,
               soak_cache.utilization);
-
-  std::printf("\nShared immutable model, per-sequence run state; results are "
-              "%s across all modes. rows written to %s\n",
-              all_identical ? "byte-identical" : "NOT IDENTICAL (BUG)",
-              csv_path.c_str());
-
-  // Machine-readable one-line summary (last line of stdout).
-  std::printf("{\"bench\":\"bench_batched_encoder\",\"threads\":%d,"
-              "\"batch\":%zu,\"seq_len\":%zu,\"num_layers\":%lld,"
-              "\"closed_seq_per_s\":%.2f,\"server_seq_per_s\":%.2f,"
-              "\"queue_wait_mean_ms\":%.4f,\"queue_wait_p99_ms\":%.4f,"
-              "\"service_mean_ms\":%.4f,\"batch_occupancy_mean\":%.3f,"
-              "\"batches\":%llu,"
-              "\"layer_latency_us\":%.4f,\"layer_energy_uj\":%.4f,"
-              "\"stack_makespan_us\":%.4f,\"stack_operand_makespan_us\":%.4f,"
-              "\"stack_speedup\":%.4f,"
-              "\"num_shards\":%lld,\"shard_policy\":\"%s\","
-              "\"shard_speedup\":%.4f,\"interconnect_us\":%.4f,"
-              "\"datasets\":\"%s\",\"residency_cap\":%d,"
-              "\"lut_hits\":%llu,\"lut_misses\":%llu,"
-              "\"weight_misses\":%llu,\"programming_us\":%.4f,"
-              "\"programming_share\":%.6f,"
-              "\"length_dist\":\"%s\",\"num_buckets\":%zu,"
-              "\"effective_occupancy\":%.6f,\"padded_occupancy\":%.6f,"
-              "\"padding_waste\":%.6f,"
-              "\"live_padtomax_waste\":%.6f,\"live_bucketed_waste\":%.6f,"
-              "\"live_padtomax_effective_occupancy\":%.6f,"
-              "\"live_bucketed_effective_occupancy\":%.6f,"
-              "\"soak_arrivals\":%zu,"
-              "\"soak_padtomax_waste\":%.6f,\"soak_bucketed_waste\":%.6f,"
-              "\"soak_padtomax_effective_occupancy\":%.6f,"
-              "\"soak_bucketed_effective_occupancy\":%.6f,"
-              "\"soak_padtomax_padded_occupancy\":%.6f,"
-              "\"soak_bucketed_padded_occupancy\":%.6f,"
-              "\"soak_padtomax_wait_p99_ticks\":%.4f,"
-              "\"soak_bucketed_wait_p99_ticks\":%.4f,"
-              "\"num_nodes\":%zu,\"route_policy\":\"%s\","
-              "\"scaling_efficiency\":%.4f,\"transport_us\":%.4f,"
-              "\"cluster_wait_p99_ms_rr\":%.4f,"
-              "\"cluster_wait_p99_ms_least_loaded\":%.4f,"
-              "\"cluster_wait_p99_ms_affinity\":%.4f,"
-              "\"cluster_lut_misses_rr\":%llu,"
-              "\"cluster_lut_misses_affinity\":%llu,"
-              "\"analytic_requests\":%zu,"
-              "\"analytic_uncached_rps\":%.2f,"
-              "\"analytic_cached_rps\":%.2f,"
-              "\"analytic_cache_speedup\":%.4f,"
-              "\"cost_cache_hits\":%llu,\"cost_cache_misses\":%llu,"
-              "\"cache_hit_rate\":%.6f,\"soak_cache_hit_rate\":%.6f,"
-              "\"functional_rps\":%.2f,\"functional_arena_speedup\":%.4f,"
-              "\"allocs_per_warm_request\":%.4f,\"alloc_audit\":%s,"
-              "\"nodes_sweep\":%s,"
-              "\"contracts_checked\":%s,\"sanitizer\":\"%s\","
-              "\"identical\":%s}\n",
-              serve_threads, batch, seq_len,
-              static_cast<long long>(stack.num_layers), closed_seq_per_s,
-              server_seq_per_s, stats.queue_wait_mean_s * 1e3,
-              stats.queue_wait_p99_s * 1e3, stats.service_mean_s * 1e3,
-              stats.batch_occupancy_mean,
-              static_cast<unsigned long long>(stats.batches),
-              stack.layer.latency.as_us(), stack.layer.energy.as_uJ(),
-              stack.latency.as_us(), stack.operand_latency.as_us(),
-              stack.stack_speedup, static_cast<long long>(num_shards),
-              xbar::to_string(shard_cfg.shard_policy), shard_speedup,
-              interconnect_us, mixed_datasets ? "mixed" : "default",
-              cfg.residency_capacity,
-              static_cast<unsigned long long>(stats.lut_hits),
-              static_cast<unsigned long long>(stats.lut_misses),
-              static_cast<unsigned long long>(stats.weight_misses),
-              stats.programming_us_total, stats.programming_time_share,
-              length_dist.c_str(), bucket_edges.size(),
-              stats.effective_occupancy, stats.padded_occupancy,
-              stats.padding_waste, live_ptm_waste, live_bkt_waste,
-              live_ptm_eff, live_bkt_eff, soak_arrivals,
-              soak_ptm.stats.padding_waste, soak_bkt.stats.padding_waste,
-              soak_ptm.stats.effective_occupancy,
-              soak_bkt.stats.effective_occupancy,
-              soak_ptm.stats.padded_occupancy,
-              soak_bkt.stats.padded_occupancy,
-              soak_ptm.stats.queue_wait_p99_s, soak_bkt.stats.queue_wait_p99_s,
-              num_nodes, route_policy.c_str(), scaling_efficiency,
-              selected_run.stats.transport_us_mean,
-              policy_runs[0].stats.queue_wait_p99_s * 1e3,
-              policy_runs[1].stats.queue_wait_p99_s * 1e3,
-              policy_runs[2].stats.queue_wait_p99_s * 1e3,
-              static_cast<unsigned long long>(rr_misses),
-              static_cast<unsigned long long>(affinity_misses),
-              analytic_requests, analytic_uncached_rps, analytic_cached_rps,
-              analytic_cache_speedup,
-              static_cast<unsigned long long>(cache_stats.hits),
-              static_cast<unsigned long long>(cache_stats.misses),
-              cache_stats.hit_rate(), soak_cache_stats.hit_rate(),
-              functional_rps, functional_arena_speedup,
-              allocs_per_warm_request,
-              util::alloc_audit_enabled() ? "true" : "false",
-              nodes_sweep_json.c_str(),
-              // Build-flavor provenance: which correctness tooling was live
-              // when this record was produced (BENCH_<pr>.json archives it).
-              star::contracts_enabled() ? "true" : "false",
-              star::sanitizer_name(),
-              all_identical ? "true" : "false");
-  return all_identical ? 0 : 1;
+  return 0;
 }

@@ -1,8 +1,8 @@
 // Minimal serving walkthrough: one shared STAR model behind the async
 // submit() -> future front end. Callers hand over individual requests; the
 // server admits, coalesces and dispatches them — no batch boundary in
-// sight. See bench/bench_batched_encoder.cpp for the throughput study and
-// the open-loop arrival-trace driver.
+// sight. perfbench/ measures serving capacity and open-loop latency end
+// to end (see perfbench/README.md).
 #include <cstdio>
 #include <future>
 #include <vector>

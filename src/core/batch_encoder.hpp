@@ -21,9 +21,8 @@
 // That single rule is what makes a server response bit-identical to a solo
 // closed-batch run and keeps fault-injection streams (cam_miss_prob > 0)
 // reproducible across both APIs. Closed-batch callers map run_*_one over
-// workload::sequence_seeds(n, run_seed) themselves (the deprecated
-// run_*_batch shims that used to do it are retired; the composition rule
-// above IS the contract, pinned by tests/test_batch_scheduler.cpp).
+// workload::sequence_seeds(n, run_seed) themselves; the composition rule
+// above is the contract, pinned by tests/test_batch_scheduler.cpp.
 //
 // Workspace note (why buffer reuse cannot break determinism): the hot
 // functional path runs on pooled, reused EncoderWorkspaces — a bump arena
@@ -195,7 +194,7 @@ class BatchEncoderSim {
   /// `out` (reshaped in place — a warm caller-reused tensor absorbs request
   /// after request without reallocating) and draws every intermediate from
   /// an EncoderWorkspace: the caller's `ws` if non-null (single-threaded
-  /// bench/audit loops), else a pool lease (one workspace per concurrent
+  /// audit loops), else a pool lease (one workspace per concurrent
   /// worker in steady state). Bit-identical to run_encoder_one for every
   /// (input, seed, layers, shards, dataset) — the wrapper delegates here.
   void run_encoder_one_into(const nn::Tensor& input, std::uint64_t engine_seed,
@@ -246,10 +245,6 @@ class BatchEncoderSim {
       std::int64_t seq_len,
       workload::Dataset dataset = workload::Dataset::kDefault,
       ResidencyCharge* charge = nullptr) const;
-
-  // The deprecated run_*_batch shims are retired: closed-batch callers map
-  // run_*_one over workload::sequence_seeds(n, run_seed) directly (see the
-  // seed-derivation rule in the file comment).
 
   [[nodiscard]] const StarConfig& config() const { return accel_.config(); }
   [[nodiscard]] const nn::BertConfig& bert() const { return bert_; }

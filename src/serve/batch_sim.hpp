@@ -6,10 +6,10 @@
 // the (max_batch, max_wait, LengthBucketing) rule, serve/batch_policy.hpp —
 // against an ArrivalTrace in virtual ticks with an analytic service model,
 // making batch formation a pure function of (trace, lengths, config). That
-// is what the 10^6-arrival soak sections of bench_batched_encoder and
-// tests/test_length_bucketing.cpp run: big enough to exercise the steady
-// state, deterministic enough for CI to pin "bucketed waste < pad-to-max
-// waste" as an exact, reproducible relation.
+// is what the 10^6-arrival soak of bench_batched_encoder runs, and
+// tests/golden/batch_replay.csv pins that soak and smaller replays bit for
+// bit: big enough to exercise the steady state, deterministic enough that
+// "bucketed waste < pad-to-max waste" is an exact, reproducible relation.
 //
 // Model: one engine, one batcher, as a discrete-event loop over the
 // policy. The next dispatch is due now if a queue is dispatchable, else at
@@ -61,11 +61,11 @@ struct BatchSimConfig {
   /// bills batches and serves no request, so run_analytic_one's request
   /// bound does not apply.
   /// The model is shared, not copied; it must outlive the simulation.
-  /// Because the replay hits the same few padded lengths millions of times,
-  /// this leg runs almost entirely out of the model's memoized CostCache —
-  /// the soak that pins cache_hit_rate > 0.99 in BENCH_9. Still
-  /// deterministic: price_analytic is a pure analytic figure and the
-  /// steady-state record is residency-independent.
+  /// The replay hits the same few padded lengths millions of times, so this
+  /// leg runs out of the model's memoized CostCache: once every padded
+  /// length is priced, each lookup hits. Still deterministic:
+  /// price_analytic is a pure analytic figure and the steady-state record
+  /// is residency-independent.
   const core::BatchEncoderSim* analytic_model = nullptr;
   /// Virtual-ticks per microsecond of modelled accelerator latency (scales
   /// the analytic service into the trace's tick domain).

@@ -64,7 +64,7 @@ enum class RoutePolicyKind {
 };
 
 [[nodiscard]] const char* to_string(RoutePolicyKind kind);
-/// Parse "rr" / "least-loaded" / "affinity" (the bench flag spellings).
+/// Parse "rr" / "least-loaded" / "affinity" (to_string's spellings).
 [[nodiscard]] std::optional<RoutePolicyKind> parse_route_policy(
     std::string_view name);
 

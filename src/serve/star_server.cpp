@@ -1,5 +1,6 @@
 #include "serve/star_server.hpp"
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <utility>
@@ -17,6 +18,17 @@ ServerOptions validated(ServerOptions opts) {
   require(opts.batcher.tick.count() >= 0,
           "StarServer: tick duration must be non-negative");
   opts.batcher.bucketing.validate();
+  // tick * a queue's effective max_wait (in steady_clock units) may take
+  // half the clock's range; the admission time it is added to keeps the rest.
+  std::uint32_t longest_wait = 1;
+  for (std::size_t q = 0; q < opts.batcher.bucketing.num_queues(); ++q) {
+    longest_wait = std::max(longest_wait, opts.batcher.bucketing.max_wait_for(
+                                              q, opts.batcher.max_wait_ticks));
+  }
+  constexpr auto kHalfRange = std::chrono::duration_cast<std::chrono::microseconds>(
+      std::chrono::steady_clock::duration::max() / 2);
+  require(opts.batcher.tick <= kHalfRange / longest_wait,
+          "StarServer: tick * max_wait_ticks exceeds half the steady_clock range");
   return opts;
 }
 

@@ -36,7 +36,7 @@
 // payload, request run_seed) — never on which batch or round the request
 // landed in, the batcher policy, or the thread count. Each request
 // executes with engine seed workload::sequence_seed(run_seed, 0), exactly
-// the seed of a solo run_*_batch({input}, sched, run_seed) call, so server
+// the seed of index 0 of a closed batch seeded with run_seed, so server
 // responses are bit-identical to solo closed-batch runs. Timing
 // (RequestStats, ServerStats) is wall-clock and placement-dependent by
 // design.

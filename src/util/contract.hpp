@@ -51,7 +51,7 @@ class ContractViolation : public std::logic_error {
 }
 
 /// Which sanitizer this build was instrumented with ("none" when plain) —
-/// provenance for bench records (BENCH_<pr>.json `sanitizer` field), set
+/// provenance for benchmark records (perfbench's fingerprint line), set
 /// from the STAR_SANITIZE CMake option.
 [[nodiscard]] const char* sanitizer_name();
 

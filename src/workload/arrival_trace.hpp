@@ -1,8 +1,8 @@
 // Open-loop arrival traces for driving the serving front end.
 //
 // A trace is the sequence of absolute arrival times (in abstract "ticks";
-// the driver decides how long a tick is — the serving bench maps one tick
-// to one microsecond) at which independent requests reach the server. The
+// the driver decides how long a tick is; the batch replay never converts
+// them) at which independent requests reach the server. The
 // generator is seeded and fully deterministic: (n, process, mean, seed)
 // reproduces the identical trace on every host, which is what lets
 // open-loop benchmark runs be compared across machines and commits.

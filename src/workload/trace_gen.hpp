@@ -34,11 +34,11 @@ double max_spread(const std::vector<std::vector<double>>& rows);
 
 /// Per-sequence seeds: seeds[i] fully determines sequence i (empty batch
 /// yields an empty vector). The derivation rule is fixed API contract:
-/// seeds[i] is the (i+1)-th raw draw of Rng(seed). Both the closed-batch
-/// calls (core::BatchEncoderSim::run_*_batch) and the per-request serving
-/// path (serve::StarServer, which uses sequence_seed(request_seed, 0))
-/// derive engine seeds through this one rule, so fault-injection streams
-/// stay reproducible across both APIs.
+/// seeds[i] is the (i+1)-th raw draw of Rng(seed). A closed batch (run_*_one
+/// over indices i with sequence_seed(run_seed, i)) and the per-request
+/// serving path (serve::StarServer, which uses sequence_seed(request_seed,
+/// 0)) derive engine seeds through this one rule, so fault-injection
+/// streams stay reproducible across both.
 std::vector<std::uint64_t> sequence_seeds(std::size_t batch, std::uint64_t seed);
 
 /// Single-element form of the rule above: the seed of sequence `index` in a

@@ -15,6 +15,7 @@
 // mismatched latency reservoirs through serve::audit_reservoir_pair.
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -71,13 +72,35 @@ TEST(Contracts, EnabledFlagIsConstexprAndMatchesMacro) {
 #else
   EXPECT_FALSE(enabled);
 #endif
+#ifndef NDEBUG
+  // A build without NDEBUG (CMake's Debug) always audits.
+  EXPECT_TRUE(enabled);
+#endif
 }
 
+// Address-sanitizer instrumentation as the compiler itself reports it:
+// GCC defines __SANITIZE_ADDRESS__, clang answers
+// __has_feature(address_sanitizer).
+#if defined(__SANITIZE_ADDRESS__)
+#define STAR_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define STAR_TEST_ASAN 1
+#endif
+#endif
+
 TEST(Contracts, SanitizerNameReportsBuildFlavor) {
-  // Always a non-empty C string; "none" outside sanitizer builds. Bench
-  // JSON provenance ("sanitizer" field) relies on this never being null.
+  // Always a non-empty C string: "none" in a plain build, and a name that
+  // says "address" in a build the compiler instrumented with ASan.
   ASSERT_NE(sanitizer_name(), nullptr);
-  EXPECT_NE(std::string(sanitizer_name()), "");
+  const std::string name = sanitizer_name();
+  EXPECT_NE(name, "");
+#if !defined(STAR_SANITIZER_NAME)
+  EXPECT_EQ(name, "none");
+#endif
+#if defined(STAR_TEST_ASAN)
+  EXPECT_NE(name.find("address"), std::string::npos) << name;
+#endif
 }
 
 // ---------------------------------------------------------------------------

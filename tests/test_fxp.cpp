@@ -2,10 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <utility>
 
-#include "fxp/fixed.hpp"
 #include "fxp/qformat.hpp"
-#include "fxp/quantize.hpp"
 #include "util/rng.hpp"
 #include "util/status.hpp"
 
@@ -90,94 +90,6 @@ TEST(QFormat, ValidateRejectsBadWidths) {
   const QFormat too_wide{30, 30, false};
   EXPECT_THROW(too_wide.validate(), InvalidArgument);
   EXPECT_NO_THROW(kMrpcFormat.validate());
-}
-
-// ---------- Fixed ----------
-
-TEST(Fixed, FromRealAndBack) {
-  const QFormat f = make_unsigned(6, 2);
-  const Fixed v = Fixed::from_real(3.30, f);
-  EXPECT_DOUBLE_EQ(v.real(), 3.25);
-  EXPECT_EQ(v.code(), 13);
-}
-
-TEST(Fixed, ArithmeticSaturates) {
-  const QFormat f = make_unsigned(3, 0);  // 0..7
-  const Fixed a = Fixed::from_real(6.0, f);
-  const Fixed b = Fixed::from_real(5.0, f);
-  EXPECT_DOUBLE_EQ((a + b).real(), 7.0);   // saturated
-  EXPECT_DOUBLE_EQ((b - a).real(), 0.0);   // clamped at zero for unsigned
-  EXPECT_DOUBLE_EQ((a - b).real(), 1.0);
-}
-
-TEST(Fixed, MixedFormatArithmeticThrows) {
-  const Fixed a = Fixed::from_real(1.0, make_unsigned(4, 1));
-  const Fixed b = Fixed::from_real(1.0, make_unsigned(4, 2));
-  EXPECT_THROW((void)(a + b), InvalidArgument);
-}
-
-TEST(Fixed, CastChangesGrid) {
-  const Fixed a = Fixed::from_real(3.125, make_unsigned(4, 3));
-  const Fixed b = a.cast(make_unsigned(4, 1));
-  EXPECT_DOUBLE_EQ(b.real(), 3.0);  // ties-to-even: 3.125 -> 3.0 on 0.5 grid
-}
-
-TEST(Fixed, FromCodeValidatesRange) {
-  const QFormat f = make_unsigned(2, 0);
-  EXPECT_NO_THROW(Fixed::from_code(3, f));
-  EXPECT_THROW(Fixed::from_code(4, f), InvalidArgument);
-  EXPECT_THROW(Fixed::from_code(-1, f), InvalidArgument);
-}
-
-// ---------- quantize helpers ----------
-
-TEST(Quantize, ErrorShrinksWithFracBits) {
-  Rng rng(17);
-  std::vector<double> xs(2000);
-  for (auto& x : xs) {
-    x = rng.uniform(0.0, 30.0);
-  }
-  double prev_rmse = 1e9;
-  for (int f = 0; f <= 5; ++f) {
-    const auto err = measure_quant_error(xs, make_unsigned(5, f));
-    EXPECT_LT(err.rmse, prev_rmse);
-    EXPECT_LE(err.max_abs, std::ldexp(1.0, -f) / 2.0 + 1e-12);
-    prev_rmse = err.rmse;
-  }
-}
-
-TEST(Quantize, SaturationFractionCounted) {
-  const std::vector<double> xs{1.0, 2.0, 100.0, 200.0};
-  const auto err = measure_quant_error(xs, make_unsigned(3, 0));
-  EXPECT_DOUBLE_EQ(err.sat_frac, 0.5);
-}
-
-TEST(Quantize, RequiredIntBits) {
-  EXPECT_EQ(required_int_bits(std::vector<double>{0.5, 0.9}), 0);
-  EXPECT_EQ(required_int_bits(std::vector<double>{1.5}), 1);
-  EXPECT_EQ(required_int_bits(std::vector<double>{31.9}), 5);
-  EXPECT_EQ(required_int_bits(std::vector<double>{32.0}), 6);
-  EXPECT_EQ(required_int_bits(std::vector<double>{-33.0}), 6);
-}
-
-TEST(Quantize, SymmetricQuantizationBounds) {
-  Rng rng(23);
-  std::vector<double> xs(512);
-  for (auto& x : xs) {
-    x = rng.normal(0.0, 1.0);
-  }
-  const double scale = symmetric_scale(xs, 8);
-  const auto q = quantize_symmetric(xs, 8, scale);
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    EXPECT_GE(q[i], -127);
-    EXPECT_LE(q[i], 127);
-    EXPECT_NEAR(static_cast<double>(q[i]) / scale, xs[i], 0.5 / scale + 1e-12);
-  }
-}
-
-TEST(Quantize, SymmetricScaleZeroVectorSafe) {
-  const std::vector<double> xs{0.0, 0.0};
-  EXPECT_DOUBLE_EQ(symmetric_scale(xs, 8), 1.0);
 }
 
 // Property sweep: code round trip across all formats up to 10 total bits.

@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -23,6 +24,7 @@
 #include <future>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -66,6 +68,22 @@ nn::Tensor solo_reference(const core::BatchEncoderSim& model,
                           const nn::Tensor& input, std::uint64_t run_seed) {
   // The serving seed rule: a solo run is batch index 0 of run_seed.
   return model.run_encoder_one(input, workload::sequence_seed(run_seed, 0));
+}
+
+/// How long a test waits for one future. Far above any batch's service
+/// time here and far below ctest's 120 s limit: the cases whose batches
+/// never age out (max_wait_ticks 1000000, 100 s at the default tick) then
+/// fail in seconds, naming the request, when the batcher stops
+/// dispatching, instead of stalling until the timeout.
+constexpr std::chrono::seconds kResolveBound{10};
+
+template <typename T>
+T resolved(std::future<T>& fut, const std::string& what) {
+  if (fut.wait_for(kResolveBound) != std::future_status::ready) {
+    throw std::runtime_error(what + " did not resolve within " +
+                             std::to_string(kResolveBound.count()) + " s");
+  }
+  return fut.get();
 }
 
 /// A deliberately varied length mix spanning several buckets of the edge
@@ -391,8 +409,8 @@ ServedRun serve_mixed(const serve::LengthBucketing& bucketing, int threads,
         serve::EncoderRequest{input_of_len(lens[i], 0xABC + i), 0x700 + i}));
   }
   ServedRun run;
-  for (auto& f : futs) {
-    auto resp = f.get();
+  for (std::size_t i = 0; i < futs.size(); ++i) {
+    auto resp = resolved(futs[i], "request " + std::to_string(i));
     run.outputs.push_back(std::move(resp.output));
     run.stats.push_back(resp.stats);
   }
@@ -513,6 +531,8 @@ TEST(LengthBucketedServer, EmptyBucketListAccountsExactlyLikePadToMax) {
   const auto a = serve_mixed(serve::LengthBucketing::pad_to_max(), 2, lens, 4,
                              1000000);
   const auto b = serve_mixed(degenerate, 2, lens, 4, 1000000);
+  // Batches {4,10,16,24} and {40,64,96,7} pad to 24 and 96.
+  EXPECT_GT(a.server.padding_waste, 0.0);
   EXPECT_EQ(a.server.batches, b.server.batches);
   EXPECT_EQ(a.server.effective_tokens, b.server.effective_tokens);
   EXPECT_EQ(a.server.padded_tokens, b.server.padded_tokens);
@@ -627,10 +647,11 @@ TEST(LengthBucketedServer, AdmissionBoundIsTotalAcrossBuckets) {
         serve::AnalyticRequest{i % 2 == 0 ? std::int64_t{8} : std::int64_t{32}}));
   }
   auto refused = server.submit(serve::AnalyticRequest{8});
-  EXPECT_THROW(refused.get(), serve::RejectedError);
+  EXPECT_THROW(resolved(refused, "request 6 (over the bound)"),
+               serve::RejectedError);
   server.shutdown();  // dispatches the backlog; every admitted future resolves
-  for (auto& f : futs) {
-    EXPECT_NO_THROW(f.get());
+  for (std::size_t i = 0; i < futs.size(); ++i) {
+    EXPECT_NO_THROW(resolved(futs[i], "request " + std::to_string(i)));
   }
   const auto s = server.stats();
   EXPECT_EQ(s.admitted, 6u);
@@ -656,10 +677,10 @@ TEST(LengthBucketedServer, ShedOldestEvictsGloballyOldestAcrossBuckets) {
   for (int i = 0; i < 4; ++i) {
     rest.push_back(server.submit(serve::AnalyticRequest{32}));
   }
-  EXPECT_THROW(oldest.get(), serve::ShedError);
+  EXPECT_THROW(resolved(oldest, "request 0 (the oldest)"), serve::ShedError);
   server.shutdown();
-  for (auto& f : rest) {
-    EXPECT_NO_THROW(f.get());
+  for (std::size_t i = 0; i < rest.size(); ++i) {
+    EXPECT_NO_THROW(resolved(rest[i], "request " + std::to_string(i + 1)));
   }
   EXPECT_EQ(server.stats().shed, 1u);
 }
@@ -962,7 +983,7 @@ const CalibratedSoak& calibrated_soak() {
     const auto mean_len = static_cast<std::int64_t>(base.hist.mean_len());
     cfg.analytic_ticks_per_us = cfg.ticks_per_token *
                                 static_cast<double>(mean_len) /
-                                model.run_analytic_one(mean_len).latency.as_us();
+                                model.price_analytic(mean_len).latency.as_us();
     for (const auto& bin : base.hist.bins) {
       (void)model.price_analytic(bin.len);
     }

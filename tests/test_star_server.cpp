@@ -862,6 +862,21 @@ TEST(StarServer, RejectsInvalidOptions) {
   serve::ServerOptions zero_batch;
   zero_batch.batcher.max_batch = 0;
   EXPECT_THROW(serve::StarServer(model, sched, zero_batch), InvalidArgument);
+  // The age-out window tick * max_wait_ticks must fit in steady_clock's
+  // range with room for the admission time it is added to.
+  serve::ServerOptions long_window;
+  long_window.batcher.tick = std::chrono::hours(1);
+  long_window.batcher.max_wait_ticks = 4000000000u;
+  EXPECT_THROW(serve::StarServer(model, sched, long_window), InvalidArgument);
+  serve::ServerOptions long_bucket_window;  // 10 s x 4 fits; the override not
+  long_bucket_window.batcher.tick = std::chrono::seconds(10);
+  long_bucket_window.batcher.bucketing = serve::LengthBucketing::bucketed({16});
+  long_bucket_window.batcher.bucketing.buckets[0].max_wait_ticks = 4000000000;
+  EXPECT_THROW(serve::StarServer(model, sched, long_bucket_window),
+               InvalidArgument);
+  serve::ServerOptions longest_wait;  // the default 100 us tick
+  longest_wait.batcher.max_wait_ticks = 4294967295u;
+  EXPECT_NO_THROW(serve::StarServer(model, sched, longest_wait));
 }
 
 }  // namespace

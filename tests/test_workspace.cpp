@@ -504,6 +504,11 @@ TEST(ArenaEncoder, PoolSoakUnderConcurrency) {
 // ---------- the tentpole invariant: zero warm allocations ----------
 
 TEST(ArenaEncoder, WarmFunctionalRequestAllocatesNothing) {
+#if !defined(NDEBUG) && !defined(STAR_SANITIZER_NAME)
+  // A Debug build without a sanitizer always compiles the audit in, so the
+  // assertion below cannot skip itself where it is meant to run.
+  EXPECT_TRUE(util::alloc_audit_enabled());
+#endif
   if (!util::alloc_audit_enabled()) {
     // Release / sanitizer builds have no operator-new instrumentation; the
     // Debug and -DSTAR_AUDIT=ON CI cells run the real assertion.
