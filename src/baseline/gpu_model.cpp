@@ -10,11 +10,6 @@ double GpuLayerTiming::softmax_share() const {
   return (mm + sm) > 0.0 ? sm / (mm + sm) : 0.0;
 }
 
-double GpuLayerTiming::softmax_share_with_overhead() const {
-  const double t = total().as_s();
-  return t > 0.0 ? softmax.as_s() / t : 0.0;
-}
-
 GpuModel::GpuModel(GpuModelConfig cfg) : cfg_(cfg) {
   require(cfg.matmul_tflops > 0.0 && cfg.softmax_gops > 0.0,
           "GpuModel: throughputs must be positive");

@@ -40,8 +40,6 @@ struct GpuLayerTiming {
   /// Softmax share of matmul + softmax execution time (the paper's
   /// "percentage of whole execution time" for the two kernels).
   [[nodiscard]] double softmax_share() const;
-  /// Share including the launch overhead.
-  [[nodiscard]] double softmax_share_with_overhead() const;
 };
 
 class GpuModel {

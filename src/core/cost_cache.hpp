@@ -134,7 +134,7 @@ class CostCache {
   /// accumulating across the flush.
   void invalidate();
   /// Zero the ledger (entries stay). The bench scopes measurements with
-  /// this, like ResidencyManager::reset_stats().
+  /// this.
   void reset_stats();
 
   [[nodiscard]] CostCacheStats stats() const;

@@ -1,7 +1,5 @@
 #include "hw/report.hpp"
 
-#include <sstream>
-
 namespace star::hw {
 
 double RunReport::gops() const {
@@ -12,19 +10,6 @@ double RunReport::gops() const {
 double RunReport::gops_per_watt() const {
   const double w = avg_power.as_W();
   return w > 0.0 ? gops() / w : 0.0;
-}
-
-std::string RunReport::summary() const {
-  std::ostringstream os;
-  os << engine_name << ": " << total_ops / 1e9 << " Gops in " << to_string(latency)
-     << ", " << to_string(energy) << ", " << to_string(avg_power) << " -> "
-     << gops_per_watt() << " GOPs/s/W";
-  return os.str();
-}
-
-double efficiency_ratio(const RunReport& a, const RunReport& b) {
-  const double eb = b.gops_per_watt();
-  return eb > 0.0 ? a.gops_per_watt() / eb : 0.0;
 }
 
 }  // namespace star::hw

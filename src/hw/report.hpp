@@ -22,12 +22,6 @@ struct RunReport {
 
   /// The paper's computing-efficiency metric: GOPs/s/W.
   [[nodiscard]] double gops_per_watt() const;
-
-  /// One-line human-readable summary.
-  [[nodiscard]] std::string summary() const;
 };
-
-/// `a.gops_per_watt() / b.gops_per_watt()` with divide-by-zero guard.
-double efficiency_ratio(const RunReport& a, const RunReport& b);
 
 }  // namespace star::hw

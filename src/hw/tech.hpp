@@ -58,10 +58,8 @@ struct TechNode {
     return Area::um2(bits * sram_cell_f2 * f * f);
   }
 
-  /// Predefined nodes. 32 nm is the evaluation node in this repo.
-  static TechNode n32();
-  static TechNode n45();
-  static TechNode n65();
+  /// The 32 nm evaluation node of this repo (the defaults above).
+  static TechNode n32() { return TechNode{}; }
 };
 
 }  // namespace star::hw

@@ -9,8 +9,6 @@ namespace star::nn {
 
 BertConfig BertConfig::base() { return BertConfig{12, 12, 768, 3072}; }
 
-BertConfig BertConfig::large() { return BertConfig{24, 16, 1024, 4096}; }
-
 BertConfig BertConfig::tiny() { return BertConfig{2, 2, 32, 64}; }
 
 void BertConfig::validate() const {

@@ -19,8 +19,6 @@ struct BertConfig {
 
   /// BERT-base, the paper's evaluation model.
   static BertConfig base();
-  /// BERT-large, for scaling studies.
-  static BertConfig large();
   /// A small configuration for fast functional tests.
   static BertConfig tiny();
 

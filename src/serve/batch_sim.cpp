@@ -56,7 +56,6 @@ BatchSimResult simulate_batching(const workload::ArrivalTrace& trace,
   double now = 0.0;
   double engine_free = 0.0;  // never falls, so it ends as the makespan
   double busy = 0.0;
-  std::uint64_t served = 0;
   std::size_t next_arrival = 0;
   for (;;) {
     // The next dispatch: now if a queue is ready, else at the earliest
@@ -104,7 +103,6 @@ BatchSimResult simulate_batching(const workload::ArrivalTrace& trace,
       rs.bucket = q;
       acc.on_done(rs, /*ok=*/true);
     }
-    served += batch.size;
     busy += service;
     engine_free = now + service;
   }
@@ -114,7 +112,6 @@ BatchSimResult simulate_batching(const workload::ArrivalTrace& trace,
   result.makespan_ticks = engine_free;
   result.busy_ticks = busy;
   result.utilization = engine_free > 0.0 ? busy / engine_free : 0.0;
-  result.served = served;
   return result;
 }
 

@@ -44,7 +44,7 @@ namespace star::serve {
 struct BatchSimConfig {
   std::size_t max_batch = 8;        ///< policy-wide dispatch-size cap
   std::uint32_t max_wait_ticks = 4; ///< policy-wide head age-out window
-  LengthBucketing bucketing{};      ///< pad-to-max or length-bucketed
+  LengthBucketing bucketing{};      ///< no buckets = pad-to-max
   /// Fixed per-dispatch cost (ticks) — models kernel launch / programming.
   double batch_overhead_ticks = 1.0;
   /// Marginal cost (ticks) of one BILLED token-slot: a batch of B requests
@@ -75,13 +75,13 @@ struct BatchSimConfig {
 };
 
 /// Outcome of one simulated trace. `stats` follows the live ServerStats
-/// semantics except that every *_s latency field is in TICKS.
+/// semantics except that every *_s latency field is in TICKS; every arrival
+/// is served, so stats.completed equals the trace size.
 struct BatchSimResult {
   ServerStats stats;
   double makespan_ticks = 0.0;     ///< last batch completion time
   double busy_ticks = 0.0;         ///< engine-occupied ticks (sum of services)
   double utilization = 0.0;        ///< busy / makespan
-  std::uint64_t served = 0;        ///< requests dispatched (== trace size)
 };
 
 /// Replay `trace` (request i arrives at trace.arrival_ticks[i] with length

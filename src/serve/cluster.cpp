@@ -1,10 +1,8 @@
 #include "serve/cluster.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
-#include "util/contract.hpp"
 #include "util/status.hpp"
 #include "workload/dataset_profile.hpp"
 #include "xbar/residency.hpp"
@@ -85,31 +83,6 @@ class AffinityPolicy final : public RoutingPolicy {
 };
 
 }  // namespace
-
-const char* to_string(RoutePolicyKind kind) {
-  switch (kind) {
-    case RoutePolicyKind::kRoundRobin:
-      return "rr";
-    case RoutePolicyKind::kLeastLoaded:
-      return "least-loaded";
-    case RoutePolicyKind::kAffinity:
-      return "affinity";
-  }
-  return "?";
-}
-
-std::optional<RoutePolicyKind> parse_route_policy(std::string_view name) {
-  if (name == "rr" || name == "round-robin") {
-    return RoutePolicyKind::kRoundRobin;
-  }
-  if (name == "least-loaded") {
-    return RoutePolicyKind::kLeastLoaded;
-  }
-  if (name == "affinity") {
-    return RoutePolicyKind::kAffinity;
-  }
-  return std::nullopt;
-}
 
 std::unique_ptr<RoutingPolicy> make_route_policy(
     RoutePolicyKind kind, std::size_t affinity_max_imbalance) {
@@ -248,101 +221,29 @@ ClusterStats Cluster::stats() const {
   ClusterStats cs;
   cs.num_nodes = nodes_.size();
   cs.per_node.reserve(nodes_.size());
-  std::vector<double> queue_wait, service;
-  double queue_wait_sum_s = 0.0, service_sum_s = 0.0;
-  double occupancy_weighted = 0.0;
-  std::uint64_t done_total = 0;
-  for (const Node& node : nodes_) {
-    // One locked copy per node: the snapshot AND the reservoirs must come
-    // from the same instant, or the merged p99 could mix epochs.
-    const StatsAccumulator acc = node.server->stats_accumulator();
+  StatsAccumulator fleet;
+  core::CostCacheStats fleet_cc;
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    // One locked copy per node: the node's snapshot and its share of the
+    // fleet merge come from the same instant.
+    StatsAccumulator acc = nodes_[i].server->stats_accumulator();
+    // Cost caches are chip-local, like residency: one per node model.
+    const core::CostCacheStats cc = nodes_[i].model->cost_cache().stats();
+    fleet_cc.lookups += cc.lookups;
+    fleet_cc.hits += cc.hits;
+    fleet_cc.misses += cc.misses;
+    fleet_cc.bypasses += cc.bypasses;
     ServerStats s = acc.snapshot();
-    // Overlay the node model's analytic cost-cache ledger (chip-local, one
-    // cache per node) and sum it into the fleet totals.
-    const core::CostCacheStats cc = node.model->cost_cache().stats();
-    core::audit_cost_ledger(cc);
-    s.cost_cache_lookups = cc.lookups;
-    s.cost_cache_hits = cc.hits;
-    s.cost_cache_misses = cc.misses;
-    s.cost_cache_bypasses = cc.bypasses;
-    s.cost_cache_hit_rate = cc.hit_rate();
-    cs.cost_cache_lookups += cc.lookups;
-    cs.cost_cache_hits += cc.hits;
-    cs.cost_cache_misses += cc.misses;
-    cs.cost_cache_bypasses += cc.bypasses;
-    const std::uint64_t done = s.completed + s.failed;
-    done_total += done;
-    cs.submitted += s.submitted;
-    cs.admitted += s.admitted;
-    cs.rejected += s.rejected;
-    cs.shed += s.shed;
-    cs.completed += s.completed;
-    cs.failed += s.failed;
-    cs.batches += s.batches;
-    queue_wait_sum_s += s.queue_wait_mean_s * static_cast<double>(done);
-    service_sum_s += s.service_mean_s * static_cast<double>(done);
-    occupancy_weighted += s.batch_occupancy_mean * static_cast<double>(s.batches);
-    cs.effective_tokens += s.effective_tokens;
-    cs.padded_tokens += s.padded_tokens;
-    cs.capacity_tokens += s.capacity_tokens;
-    cs.lut_hits += s.lut_hits;
-    cs.lut_misses += s.lut_misses;
-    cs.weight_hits += s.weight_hits;
-    cs.weight_misses += s.weight_misses;
-    cs.programming_us_total += s.programming_us_total;
-    cs.transport_us_total += s.transport_us_total;
-    const std::vector<double>& qw = acc.queue_wait_samples();
-    const std::vector<double>& sv = acc.service_samples();
-    // Each node's reservoirs must be index-paired and bounded before they
-    // are merged; a desynced pair would corrupt the fleet percentiles.
-    audit_reservoir_pair(qw, sv, done);
-    queue_wait.insert(queue_wait.end(), qw.begin(), qw.end());
-    service.insert(service.end(), sv.begin(), sv.end());
+    overlay_cost_cache(s, cc);
     cs.per_node.push_back(std::move(s));
-  }
-  // Reservoir-merge size conservation: the fleet union holds exactly the
-  // sum of the per-node reservoirs — the merge concatenates, never samples,
-  // so the documented weighting (node n contributes min(done_n, kMax)
-  // samples) is preserved and nothing is dropped or duplicated.
-  if constexpr (contracts_enabled()) {
-    std::size_t expected = 0;
-    for (const ServerStats& node_stats : cs.per_node) {
-      expected += static_cast<std::size_t>(
-          std::min<std::uint64_t>(node_stats.completed + node_stats.failed,
-                                  StatsAccumulator::kMaxLatencySamples));
+    if (i == 0) {
+      fleet = std::move(acc);
+    } else {
+      fleet.merge(acc);
     }
-    STAR_CONTRACT(queue_wait.size() == expected && service.size() == expected,
-                  "cluster merge: fleet reservoir must conserve per-node "
-                  "sample counts");
   }
-  if (done_total > 0) {
-    cs.queue_wait_mean_s = queue_wait_sum_s / static_cast<double>(done_total);
-    cs.service_mean_s = service_sum_s / static_cast<double>(done_total);
-    cs.transport_us_mean =
-        cs.transport_us_total / static_cast<double>(done_total);
-  }
-  // Fleet tails: index-select over the union of the nodes' reservoirs —
-  // the documented merge rule (never an average of per-node p99s).
-  cs.queue_wait_p99_s = percentile(queue_wait, 0.99);
-  cs.service_p99_s = percentile(service, 0.99);
-  if (cs.batches > 0) {
-    cs.batch_occupancy_mean =
-        occupancy_weighted / static_cast<double>(cs.batches);
-  }
-  if (cs.capacity_tokens > 0) {
-    cs.effective_occupancy = static_cast<double>(cs.effective_tokens) /
-                             static_cast<double>(cs.capacity_tokens);
-    cs.padded_occupancy = static_cast<double>(cs.padded_tokens) /
-                          static_cast<double>(cs.capacity_tokens);
-  }
-  if (cs.padded_tokens > 0) {
-    cs.padding_waste = 1.0 - static_cast<double>(cs.effective_tokens) /
-                                 static_cast<double>(cs.padded_tokens);
-  }
-  if (cs.cost_cache_lookups > 0) {
-    cs.cost_cache_hit_rate = static_cast<double>(cs.cost_cache_hits) /
-                             static_cast<double>(cs.cost_cache_lookups);
-  }
+  static_cast<ServerStats&>(cs) = fleet.snapshot();
+  overlay_cost_cache(cs, fleet_cc);
   {
     std::lock_guard<std::mutex> lk(route_mu_);
     cs.routed_per_node = routed_;

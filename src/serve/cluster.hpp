@@ -28,6 +28,9 @@
 // sharding, transport and routing are ACCOUNTING-ONLY and therefore
 // payload-invariant by construction.
 //
+// Fleet stats: ClusterStats IS a ServerStats — the snapshot of every node's
+// StatsAccumulator merged into one — plus the router's own fields.
+//
 // Determinism contract (inherited, per node): every node's model is
 // constructed from the same (StarConfig, BertConfig, weight_seed,
 // stack_depth), so a response payload depends ONLY on (request payload,
@@ -42,8 +45,6 @@
 #include <future>
 #include <memory>
 #include <mutex>
-#include <optional>
-#include <string_view>
 #include <vector>
 
 #include "core/batch_encoder.hpp"
@@ -62,11 +63,6 @@ enum class RoutePolicyKind {
   kLeastLoaded,
   kAffinity,
 };
-
-[[nodiscard]] const char* to_string(RoutePolicyKind kind);
-/// Parse "rr" / "least-loaded" / "affinity" (to_string's spellings).
-[[nodiscard]] std::optional<RoutePolicyKind> parse_route_policy(
-    std::string_view name);
 
 /// What the router knows about one node at routing time. `queue_depth` is
 /// the node's pending-queue snapshot (admitted, not yet dispatched);
@@ -122,68 +118,22 @@ struct ClusterOptions {
   std::int64_t stack_depth = 1;
 };
 
-/// Fleet-wide snapshot: per-node ServerStats plus merged totals. Counters
-/// are exact sums; means are completion-weighted merges of exact sums; the
-/// wait/service p99s are nearest-rank percentiles over the CONCATENATED
-/// per-node latency reservoirs (see the fleet-merge notes on
-/// serve::StatsAccumulator — never an average of per-node p99s).
-struct ClusterStats {
+/// Fleet-wide snapshot. The inherited ServerStats fields are the snapshot
+/// of every node's accumulator merged into one (StatsAccumulator::merge):
+/// counters and token ledgers are sums over the nodes, means are quotients
+/// of exact fleet sums, maxima are the node maxima, the p99s are
+/// nearest-rank percentiles over the concatenated node reservoirs (never an
+/// average of per-node p99s), and the cost-cache ledger sums the nodes'
+/// chip-local caches. The fields below are the router's own view.
+struct ClusterStats : ServerStats {
   std::size_t num_nodes = 0;
-
-  // Fleet admission/completion totals (sums over nodes; the conservation
-  // law fleet == sum(per_node) is pinned by tests/test_cluster.cpp).
-  std::uint64_t submitted = 0;
-  std::uint64_t admitted = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t shed = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t failed = 0;
-  std::uint64_t batches = 0;
-
-  // Fleet latency view (merged as documented above).
-  double queue_wait_mean_s = 0.0;
-  double queue_wait_p99_s = 0.0;
-  double service_mean_s = 0.0;
-  double service_p99_s = 0.0;
-
-  // Fleet occupancy (token sums across nodes, same semantics as
-  // ServerStats).
-  double batch_occupancy_mean = 0.0;
-  std::uint64_t effective_tokens = 0;
-  std::uint64_t padded_tokens = 0;
-  std::uint64_t capacity_tokens = 0;
-  double effective_occupancy = 0.0;
-  double padded_occupancy = 0.0;
-  double padding_waste = 0.0;
-
-  // Fleet residency: the routing policy's target metric. Affinity exists
-  // to shrink lut_misses/programming_us_total relative to round-robin on
-  // mixed-dataset traffic.
-  std::uint64_t lut_hits = 0;
-  std::uint64_t lut_misses = 0;
-  std::uint64_t weight_hits = 0;
-  std::uint64_t weight_misses = 0;
-  double programming_us_total = 0.0;
-
-  // Front-end transport (hw::HostLink round trips billed by the router).
-  double transport_us_total = 0.0;
-  double transport_us_mean = 0.0;
+  /// Front-end link energy of the hw::HostLink round trips the router
+  /// billed (their latency is the inherited transport_us_* fields).
   double transport_energy_uj_total = 0.0;
-
-  // Fleet analytic cost-cache ledger: sums of the per-node model caches
-  // (one core::CostCache per node — caches are chip-local, like residency).
-  // hit_rate = fleet hits / fleet lookups.
-  std::uint64_t cost_cache_lookups = 0;
-  std::uint64_t cost_cache_hits = 0;
-  std::uint64_t cost_cache_misses = 0;
-  std::uint64_t cost_cache_bypasses = 0;
-  double cost_cache_hit_rate = 0.0;
-
-  // Router view: how many submits each node received and how uneven that
-  // is (max node share / mean share; 1.0 = perfectly even, 0 when empty).
+  /// Submits routed to each node, and how uneven that is (max node share /
+  /// mean share; 1.0 = perfectly even, 0 when empty).
   std::vector<std::uint64_t> routed_per_node;
   double routing_imbalance = 0.0;
-
   std::vector<ServerStats> per_node;
 };
 

@@ -6,14 +6,6 @@
 
 namespace star::serve {
 
-const char* to_string(BatchingMode mode) {
-  switch (mode) {
-    case BatchingMode::kPadToMax: return "pad-to-max";
-    case BatchingMode::kLengthBucketed: return "length-bucketed";
-  }
-  return "?";
-}
-
 void LengthBucketing::validate() const {
   std::int64_t prev = 1;
   for (const LengthBucket& b : buckets) {
@@ -29,24 +21,13 @@ void LengthBucketing::validate() const {
   }
 }
 
-std::size_t LengthBucketing::num_queues() const {
-  return mode == BatchingMode::kLengthBucketed ? buckets.size() + 1 : 1;
-}
-
 std::size_t LengthBucketing::bucket_of(std::int64_t seq_len) const {
-  if (mode == BatchingMode::kPadToMax) {
-    return 0;
-  }
   for (std::size_t i = 0; i < buckets.size(); ++i) {
     if (seq_len <= buckets[i].edge) {
       return i;
     }
   }
   return buckets.size();  // overflow: longer than every edge
-}
-
-bool LengthBucketing::pads_to_batch_max(std::size_t queue) const {
-  return mode == BatchingMode::kPadToMax || queue >= buckets.size();
 }
 
 std::int64_t LengthBucketing::padded_len(std::size_t queue,
@@ -79,7 +60,6 @@ LengthBucketing LengthBucketing::pad_to_max() { return LengthBucketing{}; }
 LengthBucketing LengthBucketing::bucketed(
     const std::vector<std::int64_t>& edges) {
   LengthBucketing b;
-  b.mode = BatchingMode::kLengthBucketed;
   b.buckets.reserve(edges.size());
   for (const std::int64_t e : edges) {
     b.buckets.push_back(LengthBucket{e});

@@ -2,26 +2,25 @@
 //
 // Real traffic is a length distribution (workload::LengthHistogram), but a
 // formed batch executes as a rectangle: every slot is billed at the same
-// padded length. The batcher's padding rule is what this file configures:
+// padded length. The batcher's padding rule is what this file configures,
+// and bucketing is on exactly when the bucket list is non-empty:
 //
-//   * kPadToMax (the PR-2 baseline): one queue; a formed batch pads every
-//     request to the LONGEST request in that batch.
-//   * kLengthBucketed: requests are partitioned by length into buckets
-//     with configurable upper edges; each bucket is its own FIFO queue
-//     with its own (max_batch, max_wait_ticks) coalescing policy, and a
-//     batch formed from bucket i pads every request to bucket i's edge.
-//     Requests longer than the last edge land in an implicit OVERFLOW
-//     bucket that pads to its own batch max (the pad-to-max rule), so no
-//     admissible length is ever rejected by bucketing.
+//   * no buckets (the default, pad-to-max): one queue; a formed batch pads
+//     every request to the LONGEST request in that batch.
+//   * buckets: requests are partitioned by length into buckets with
+//     configurable upper edges; each bucket is its own FIFO queue with its
+//     own (max_batch, max_wait_ticks) coalescing policy, and a batch formed
+//     from bucket i pads every request to bucket i's edge. Requests longer
+//     than the last edge land in an implicit OVERFLOW bucket that pads to
+//     its own batch max (the pad-to-max rule), so no admissible length is
+//     ever rejected by bucketing. With no buckets, that overflow queue is
+//     the only one: pad-to-max is the empty bucket list, accounting
+//     included.
 //
 // Padding is SCHEDULING/ACCOUNTING-ONLY: a request always computes at its
 // true length (padded slots never execute), so the payload of a request is
-// identical under every mode x bucket-edge choice — the invariant
-// tests/test_length_bucketing.cpp locks down bit-exactly. Degenerate case
-// by construction: kLengthBucketed with an EMPTY bucket list has exactly
-// one queue (the overflow bucket) padding to batch max under the global
-// coalescing policy — indistinguishable from kPadToMax, accounting
-// included.
+// identical under every bucket-edge choice — the invariant
+// tests/test_length_bucketing.cpp locks down bit-exactly.
 #pragma once
 
 #include <cstddef>
@@ -29,14 +28,6 @@
 #include <vector>
 
 namespace star::serve {
-
-/// How the dynamic batcher groups and pads variable-length requests.
-enum class BatchingMode {
-  kPadToMax,        ///< one queue, pad each batch to its own longest request
-  kLengthBucketed,  ///< per-bucket queues, pad to the bucket edge
-};
-
-[[nodiscard]] const char* to_string(BatchingMode mode);
 
 /// One length bucket: requests with seq_len <= edge (and above the
 /// previous bucket's edge) queue and batch together, padded to `edge`.
@@ -55,29 +46,29 @@ struct LengthBucket {
 };
 
 /// The length-dimension configuration of the dynamic batcher. Defaults to
-/// the pad-to-max baseline, so existing callers are unaffected.
+/// pad-to-max (no buckets).
 struct LengthBucketing {
-  BatchingMode mode = BatchingMode::kPadToMax;
-  /// Strictly increasing bucket edges; consulted only in kLengthBucketed
-  /// mode. Empty is legal and equals pad-to-max (see file comment).
+  /// Strictly increasing bucket edges. Empty is pad-to-max (see file
+  /// comment).
   std::vector<LengthBucket> buckets;
 
   /// Throws InvalidArgument on non-increasing/undersized edges or
   /// malformed per-bucket overrides.
   void validate() const;
 
-  /// Queues the batcher runs: buckets + the implicit overflow bucket in
-  /// kLengthBucketed mode, exactly one in kPadToMax mode.
-  [[nodiscard]] std::size_t num_queues() const;
+  /// Queues the batcher runs: the buckets plus the overflow queue.
+  [[nodiscard]] std::size_t num_queues() const { return buckets.size() + 1; }
 
   /// Queue index a request of `seq_len` tokens coalesces in: the first
-  /// bucket whose edge admits it, else the overflow queue (== num_queues()
-  /// - 1 in bucketed mode, always 0 in pad-to-max mode).
+  /// bucket whose edge admits it, else the overflow queue
+  /// (num_queues() - 1).
   [[nodiscard]] std::size_t bucket_of(std::int64_t seq_len) const;
 
   /// True when `queue` pads to its own batch max rather than a fixed edge
-  /// (the pad-to-max queue and the bucketed overflow queue).
-  [[nodiscard]] bool pads_to_batch_max(std::size_t queue) const;
+  /// (the overflow queue, which is the only queue without buckets).
+  [[nodiscard]] bool pads_to_batch_max(std::size_t queue) const {
+    return queue >= buckets.size();
+  }
 
   /// The padded slot length of a batch formed from `queue` whose longest
   /// member is `batch_max_len`: the bucket edge, or `batch_max_len` for
@@ -95,9 +86,9 @@ struct LengthBucketing {
   [[nodiscard]] std::uint32_t max_wait_for(std::size_t queue,
                                            std::uint32_t global_wait) const;
 
-  /// The PR-2 baseline: one queue, pad to batch max.
+  /// One queue, pad to batch max (no buckets).
   static LengthBucketing pad_to_max();
-  /// Bucketed mode with plain edges (no per-bucket overrides).
+  /// Buckets with plain edges (no per-bucket overrides), validated.
   static LengthBucketing bucketed(const std::vector<std::int64_t>& edges);
 };
 

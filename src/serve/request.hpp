@@ -54,8 +54,8 @@ struct RequestStats {
   // slot width; `padded_len` is what its batch slot was billed at (the
   // bucket edge, or the batch max under pad-to-max) — padding never
   // executes, so padded_len - seq_len is pure accounting waste. `bucket`
-  // is the batcher queue the request coalesced in (0 in pad-to-max mode;
-  // the overflow queue is the last index in bucketed mode).
+  // is the batcher queue the request coalesced in (the overflow queue is
+  // the last index, and the only one under pad-to-max).
   std::int64_t seq_len = 0;
   std::int64_t padded_len = 0;
   std::size_t bucket = 0;

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <utility>
 
+#include "core/cost_cache.hpp"
 #include "util/contract.hpp"
 #include "util/status.hpp"
 
@@ -74,6 +76,7 @@ void StatsAccumulator::on_batch(std::size_t occupancy, std::size_t bucket,
 }
 
 void StatsAccumulator::on_done(const RequestStats& rs, bool ok) {
+  STAR_CONTRACT(parts_ == 1, "stats: a merged accumulator is a read-only view");
   (ok ? completed_ : failed_) += 1;
   queue_wait_sum_s_ += rs.queue_wait_s;
   service_sum_s_ += rs.service_s;
@@ -114,16 +117,93 @@ void StatsAccumulator::on_done(const RequestStats& rs, bool ok) {
   }
 }
 
+void StatsAccumulator::merge(const StatsAccumulator& other) {
+  require(&other != this, "StatsAccumulator::merge: cannot merge into itself");
+  require(buckets_.size() == other.buckets_.size() &&
+              std::equal(buckets_.begin(), buckets_.end(), other.buckets_.begin(),
+                         [](const BucketAccum& a, const BucketAccum& b) {
+                           return a.edge == b.edge;
+                         }),
+          "StatsAccumulator::merge: bucket layouts differ");
+  if constexpr (contracts_enabled()) {
+    // Reservoir-merge conservation: an unmerged part's reservoir holds
+    // exactly min(done, kMaxLatencySamples) samples, and concatenation
+    // drops and duplicates nothing, so a merged reservoir holds the sum of
+    // those per-part counts — the documented weighting of the union.
+    for (const StatsAccumulator* part : {&std::as_const(*this), &other}) {
+      const std::uint64_t done = part->completed_ + part->failed_;
+      audit_reservoir_pair(part->queue_wait_s_, part->service_s_, done,
+                           part->parts_);
+      STAR_CONTRACT(part->parts_ > 1 ||
+                        part->queue_wait_s_.size() ==
+                            std::min<std::uint64_t>(done, kMaxLatencySamples),
+                    "stats merge: a part's reservoir must hold min(done, "
+                    "kMaxLatencySamples) samples");
+    }
+  }
+  submitted_ += other.submitted_;
+  admitted_ += other.admitted_;
+  rejected_ += other.rejected_;
+  shed_ += other.shed_;
+  completed_ += other.completed_;
+  failed_ += other.failed_;
+  batches_ += other.batches_;
+  occupancy_sum_ += other.occupancy_sum_;
+  occupancy_max_ = std::max(occupancy_max_, other.occupancy_max_);
+  queue_wait_sum_s_ += other.queue_wait_sum_s_;
+  service_sum_s_ += other.service_sum_s_;
+  effective_tokens_ += other.effective_tokens_;
+  padded_tokens_ += other.padded_tokens_;
+  capacity_tokens_ += other.capacity_tokens_;
+  seq_len_sum_ += other.seq_len_sum_;
+  seq_len_max_ = std::max(seq_len_max_, other.seq_len_max_);
+  for (std::size_t i = 0; i < buckets_.size(); ++i) {
+    BucketAccum& b = buckets_[i];
+    const BucketAccum& o = other.buckets_[i];
+    b.requests += o.requests;
+    b.batches += o.batches;
+    b.occupancy_sum += o.occupancy_sum;
+    b.queue_wait_sum_s += o.queue_wait_sum_s;
+    b.effective_tokens += o.effective_tokens;
+    b.padded_tokens += o.padded_tokens;
+  }
+  shaped_requests_ += other.shaped_requests_;
+  num_layers_sum_ += other.num_layers_sum_;
+  num_layers_max_ = std::max(num_layers_max_, other.num_layers_max_);
+  num_shards_sum_ += other.num_shards_sum_;
+  num_shards_max_ = std::max(num_shards_max_, other.num_shards_max_);
+  lut_hits_ += other.lut_hits_;
+  lut_misses_ += other.lut_misses_;
+  weight_hits_ += other.weight_hits_;
+  weight_misses_ += other.weight_misses_;
+  programming_sum_us_ += other.programming_sum_us_;
+  transport_sum_us_ += other.transport_sum_us_;
+  queue_wait_s_.insert(queue_wait_s_.end(), other.queue_wait_s_.begin(),
+                       other.queue_wait_s_.end());
+  service_s_.insert(service_s_.end(), other.service_s_.begin(),
+                    other.service_s_.end());
+  parts_ += other.parts_;
+}
+
 void audit_reservoir_pair(const std::vector<double>& queue_wait,
                           const std::vector<double>& service,
-                          std::uint64_t done) {
+                          std::uint64_t done, std::size_t parts) {
   STAR_CONTRACT(queue_wait.size() == service.size(),
                 "latency reservoirs: queue-wait and service must stay "
                 "index-paired (one slot per resolved request)");
-  STAR_CONTRACT(queue_wait.size() <= StatsAccumulator::kMaxLatencySamples,
+  STAR_CONTRACT(queue_wait.size() <= parts * StatsAccumulator::kMaxLatencySamples,
                 "latency reservoirs: reservoir overflowed its fixed bound");
   STAR_CONTRACT(queue_wait.size() <= done,
                 "latency reservoirs: more samples than resolved requests");
+}
+
+void overlay_cost_cache(ServerStats& s, const core::CostCacheStats& cc) {
+  core::audit_cost_ledger(cc);
+  s.cost_cache_lookups = cc.lookups;
+  s.cost_cache_hits = cc.hits;
+  s.cost_cache_misses = cc.misses;
+  s.cost_cache_bypasses = cc.bypasses;
+  s.cost_cache_hit_rate = cc.hit_rate();
 }
 
 ServerStats StatsAccumulator::snapshot() const {
@@ -136,7 +216,7 @@ ServerStats StatsAccumulator::snapshot() const {
                 "admission conservation: admitted + rejected exceed submitted");
   STAR_CONTRACT(completed_ + failed_ + shed_ <= admitted_,
                 "admission conservation: resolved + shed requests exceed admitted");
-  audit_reservoir_pair(queue_wait_s_, service_s_, completed_ + failed_);
+  audit_reservoir_pair(queue_wait_s_, service_s_, completed_ + failed_, parts_);
   if constexpr (contracts_enabled()) {
     // Bucket-sum conservation: the per-queue ledgers partition the totals
     // exactly (bucket_slot folds out-of-layout samples into the last slot

@@ -9,10 +9,15 @@
 #include "serve/request.hpp"
 #include "util/rng.hpp"
 
+namespace star::core {
+struct CostCacheStats;
+}  // namespace star::core
+
 namespace star::serve {
 
-/// Point-in-time aggregate view of a StarServer. At the instant of the
-/// snapshot, counters obey submitted == admitted + rejected + (submitters
+/// Point-in-time aggregate view of a StarServer — or, through
+/// StatsAccumulator::merge, of a whole Cluster fleet (ClusterStats). At the
+/// instant of the snapshot, counters obey submitted == admitted + rejected + (submitters
 /// still blocked on kBlock admission) and admitted == completed + failed +
 /// shed + (still pending/in flight).
 struct ServerStats {
@@ -30,7 +35,8 @@ struct ServerStats {
   // fixed-size latency reservoir: exact while the server has seen at most
   // StatsAccumulator::kMaxLatencySamples completions, and thereafter an
   // estimate over a uniform *reservoir sample* of all completions so far —
-  // not over every completion.
+  // not over every completion. A merged (fleet) view takes them over the
+  // concatenated reservoirs (see StatsAccumulator::merge).
   double queue_wait_mean_s = 0.0;
   double queue_wait_p99_s = 0.0;
   double service_mean_s = 0.0;
@@ -113,11 +119,12 @@ struct ServerStats {
   double transport_us_mean = 0.0;
 
   // Memoized analytic cost cache (core::CostCache) of the model behind
-  // this server, snapshotted by StarServer::stats() at the same instant as
-  // the accumulator copy. Model-lifetime counters (the model may predate
-  // and outlive the server); conservation: lookups == hits + misses +
-  // bypasses (bypasses = cold-keyed lookups, computed fresh by design —
-  // see core/cost_cache.hpp). hit_rate = hits / lookups.
+  // this server, overlaid by overlay_cost_cache() at the same instant as
+  // the accumulator copy (a fleet view sums the nodes' caches).
+  // Model-lifetime counters (the model may predate and outlive the
+  // server); conservation: lookups == hits + misses + bypasses (bypasses =
+  // cold-keyed lookups, computed fresh by design — see
+  // core/cost_cache.hpp). hit_rate = hits / lookups.
   std::uint64_t cost_cache_lookups = 0;
   std::uint64_t cost_cache_hits = 0;
   std::uint64_t cost_cache_misses = 0;
@@ -135,10 +142,12 @@ struct ServerStats {
 ///
 /// Memory is bounded for arbitrarily long-lived servers: means come from
 /// exact running sums, while percentiles come from a fixed-size uniform
-/// reservoir (Vitter's Algorithm R) over all completions so far.
+/// reservoir (Vitter's Algorithm R) over all completions so far — at most
+/// kMaxLatencySamples per merged part (see merge()).
 class StatsAccumulator {
  public:
-  /// Latency samples kept for percentile estimation (16 B per slot).
+  /// Latency samples kept per part for percentile estimation (16 B per
+  /// slot).
   static constexpr std::size_t kMaxLatencySamples = 1 << 16;
 
   /// Declare the batcher's queue layout (one edge per queue, 0 = pads to
@@ -161,22 +170,26 @@ class StatsAccumulator {
   /// the residency charges from `rs`.
   void on_done(const RequestStats& rs, bool ok);
 
+  /// Fold `other` in, so snapshot() describes the union of both call
+  /// streams (serve::Cluster merges its nodes this way). Counters, sums,
+  /// token ledgers and per-bucket slots add; maxima take the larger value;
+  /// the latency reservoirs concatenate, so a merged p99 is the
+  /// nearest-rank percentile over the union — never an average of per-part
+  /// p99s, which for skewed parts can sit far below the true tail. Each
+  /// part's reservoir is a uniform sample of THAT part's completions, so
+  /// the union weights part n by min(done_n, kMaxLatencySamples): exact
+  /// until some part overflows its reservoir, and past that an estimate
+  /// that can under-weight very hot parts' tails (the approximation each
+  /// part's own p99 already makes). Contract: the merged reservoir holds
+  /// exactly the sum of those per-part counts. Throws InvalidArgument when
+  /// the bucket layouts differ. The result is a read-only view: make no
+  /// on_* call on a merged accumulator.
+  void merge(const StatsAccumulator& other);
+
   [[nodiscard]] ServerStats snapshot() const;
 
-  // Fleet-merge access (serve::Cluster). Percentiles of a MERGED view must
-  // NOT average per-node p99s — a p99 is not linear, and averaging the
-  // quantiles of N skewed nodes can sit far below the fleet's true tail.
-  // Instead the cluster concatenates the nodes' latency reservoirs and
-  // index-selects over the union with serve::percentile. Sampling
-  // semantics of that merge: each node's reservoir is a uniform sample of
-  // THAT node's completions (exact until kMaxLatencySamples, Algorithm R
-  // after), so the concatenation weights node n by
-  // min(node_n_completions, kMaxLatencySamples) rather than by its exact
-  // completion count. Until any node overflows its reservoir the merged
-  // percentile is exact over every fleet completion; past that point it is
-  // an estimate that can under-weight very hot nodes' tails — the same
-  // approximation each node's own p99 already makes, never the
-  // averaging-of-quantiles error.
+  // The raw latency reservoirs (index-paired: slot i is one request's
+  // queue wait and service), for checking the merge rule independently.
   [[nodiscard]] const std::vector<double>& queue_wait_samples() const {
     return queue_wait_s_;
   }
@@ -225,20 +238,26 @@ class StatsAccumulator {
   std::vector<double> queue_wait_s_;  ///< reservoir, paired by index
   std::vector<double> service_s_;
   Rng reservoir_rng_{0x57A75E54};
+  std::size_t parts_ = 1;  ///< accumulators merged into this one
 };
 
 /// p in [0, 1] quantile of `samples` (nearest-rank); 0 when empty. Selects
 /// via an index buffer, so `samples` itself is neither copied nor reordered.
 double percentile(const std::vector<double>& samples, double p);
 
-/// Contract audit of one accumulator's latency reservoirs (see the
-/// fleet-merge notes above): the queue-wait and service reservoirs are
-/// index-paired (same size — each slot is one request's pair), never exceed
-/// kMaxLatencySamples, and never hold more samples than requests resolved.
-/// Called by StatsAccumulator::snapshot() and per node by Cluster::stats();
-/// a no-op in builds without STAR_CONTRACT (contracts_enabled() == false).
+/// Contract audit of one accumulator's latency reservoirs: the queue-wait
+/// and service reservoirs are index-paired (same size — each slot is one
+/// request's pair), never exceed kMaxLatencySamples per merged part, and
+/// never hold more samples than requests resolved. Called by
+/// StatsAccumulator::snapshot() and merge(); a no-op in builds without
+/// STAR_CONTRACT (contracts_enabled() == false).
 void audit_reservoir_pair(const std::vector<double>& queue_wait,
                           const std::vector<double>& service,
-                          std::uint64_t done);
+                          std::uint64_t done, std::size_t parts = 1);
+
+/// Overlay a model's analytic cost-cache ledger onto `s` (the cost_cache_*
+/// fields), auditing its conservation law first. StarServer::stats() and
+/// Cluster::stats() both bill the cache through this.
+void overlay_cost_cache(ServerStats& s, const core::CostCacheStats& cc);
 
 }  // namespace star::serve

@@ -327,16 +327,9 @@ ServerStats StarServer::stats() const {
     copy = stats_;
   }
   ServerStats s = copy.snapshot();
-  // Overlay the model's analytic cost-cache ledger (internally
-  // synchronized; model-lifetime counters — see the ServerStats field
-  // docs). Audited here so every stats() poll re-proves conservation.
-  const core::CostCacheStats cc = model_.cost_cache().stats();
-  core::audit_cost_ledger(cc);
-  s.cost_cache_lookups = cc.lookups;
-  s.cost_cache_hits = cc.hits;
-  s.cost_cache_misses = cc.misses;
-  s.cost_cache_bypasses = cc.bypasses;
-  s.cost_cache_hit_rate = cc.hit_rate();
+  // The model's analytic cost-cache ledger (internally synchronized;
+  // model-lifetime counters), audited so every poll re-proves conservation.
+  overlay_cost_cache(s, model_.cost_cache().stats());
   return s;
 }
 

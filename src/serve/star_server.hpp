@@ -104,11 +104,11 @@ struct BatcherPolicy {
   std::uint32_t max_wait_ticks = 4;
   /// Duration of one tick.
   std::chrono::microseconds tick{100};
-  /// The length dimension: pad-to-max (default, one queue) or
+  /// The length dimension: pad-to-max (default: no buckets, one queue) or
   /// length-bucketed (one queue per bucket + overflow, each with its own
   /// effective (max_batch, max_wait_ticks); batches never mix buckets).
   /// Bucketing is scheduling/accounting-only — payloads are bit-identical
-  /// across every mode and bucket-edge choice.
+  /// across every bucket-edge choice.
   LengthBucketing bucketing{};
 };
 
@@ -153,9 +153,8 @@ class StarServer {
   void shutdown();
 
   [[nodiscard]] ServerStats stats() const;
-  /// Locked copy of the raw accumulator — the cluster's fleet-merge path,
-  /// which needs the latency reservoirs themselves (see the fleet-merge
-  /// notes on StatsAccumulator), not just the snapshot.
+  /// Locked copy of the raw accumulator — what the cluster merges into its
+  /// fleet view (StatsAccumulator::merge), not just the snapshot.
   [[nodiscard]] StatsAccumulator stats_accumulator() const;
   /// Queued, not yet dispatched. Requests of the round in flight are not
   /// counted: with a multi-thread scheduler that is up to

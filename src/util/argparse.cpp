@@ -44,15 +44,6 @@ void ArgParser::add_string(const std::string& name, std::string def,
   order_.push_back(name);
 }
 
-void ArgParser::add_flag(const std::string& name, const std::string& help) {
-  require(!specs_.contains(name), [&] { return "ArgParser: duplicate flag --" + name; });
-  Spec s;
-  s.kind = Kind::kBool;
-  s.help = help;
-  specs_.emplace(name, std::move(s));
-  order_.push_back(name);
-}
-
 std::string ArgParser::usage() const {
   std::ostringstream out;
   out << "usage: " << prog_ << " [flags]\n\n" << description_ << "\n\nflags:\n";
@@ -66,8 +57,6 @@ std::string ArgParser::usage() const {
         break;
       case Kind::kString:
         left << " <str>";
-        break;
-      case Kind::kBool:
         break;
     }
     out << left.str();
@@ -88,8 +77,6 @@ std::string ArgParser::usage() const {
           }
         }
         out << ")";
-        break;
-      case Kind::kBool:
         break;
     }
     out << '\n';
@@ -121,10 +108,6 @@ void ArgParser::parse(int argc, char** argv) {
     }
     Spec& s = it->second;
     s.provided = true;
-    if (s.kind == Kind::kBool) {
-      s.bool_value = true;
-      continue;
-    }
     if (i + 1 >= argc) {
       fail("missing value for " + arg);
     }
@@ -165,10 +148,6 @@ long ArgParser::get_int(const std::string& name) const {
 
 const std::string& ArgParser::get_string(const std::string& name) const {
   return spec_for(name, Kind::kString).str_value;
-}
-
-bool ArgParser::get_flag(const std::string& name) const {
-  return spec_for(name, Kind::kBool).bool_value;
 }
 
 bool ArgParser::provided(const std::string& name) const {

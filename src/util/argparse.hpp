@@ -6,9 +6,9 @@
 // --help (prints usage, exits 0), unknown flags and malformed values
 // (diagnostic to stderr, exits 2 — the benches' historical contract).
 //
-// Deliberately minimal: long flags only ("--name value", bool flags take
-// no value), no positional arguments, no subcommands. Benches are scripts'
-// tools; predictable beats featureful.
+// Deliberately minimal: long flags only ("--name value"), no positional
+// arguments, no subcommands. Benches are scripts' tools; predictable beats
+// featureful.
 #pragma once
 
 #include <cstdint>
@@ -29,8 +29,6 @@ class ArgParser {
   void add_string(const std::string& name, std::string def,
                   const std::string& help,
                   std::vector<std::string> choices = {});
-  /// Boolean switch "--name" (no value; false unless present).
-  void add_flag(const std::string& name, const std::string& help);
 
   /// Parse argv. On "--help"/"-h": print usage, exit 0. On any error
   /// (unknown flag, missing/malformed/out-of-range value): diagnostic to
@@ -39,14 +37,13 @@ class ArgParser {
 
   [[nodiscard]] long get_int(const std::string& name) const;
   [[nodiscard]] const std::string& get_string(const std::string& name) const;
-  [[nodiscard]] bool get_flag(const std::string& name) const;
   /// True if the flag appeared on the command line (vs. holding its default).
   [[nodiscard]] bool provided(const std::string& name) const;
 
   [[nodiscard]] std::string usage() const;
 
  private:
-  enum class Kind { kInt, kString, kBool };
+  enum class Kind { kInt, kString };
   struct Spec {
     Kind kind = Kind::kInt;
     std::string help;
@@ -55,7 +52,6 @@ class ArgParser {
     long max_value = 0;
     std::string str_value;
     std::vector<std::string> choices;
-    bool bool_value = false;
     bool provided = false;
   };
 

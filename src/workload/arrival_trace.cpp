@@ -61,29 +61,13 @@ double BurstShape::rate_at(double t) const {
   return r * (1.0 - duty * intensity) / (1.0 - duty);
 }
 
-void DiurnalShape::validate() const {
-  require(mean_inter_arrival_ticks > 0.0 && std::isfinite(mean_inter_arrival_ticks),
-          "DiurnalShape: mean inter-arrival time must be positive");
-  require(period_ticks > 0.0 && std::isfinite(period_ticks),
-          "DiurnalShape: period must be positive");
-  require(amplitude >= 0.0 && amplitude < 1.0,
-          "DiurnalShape: amplitude must be in [0, 1)");
-}
-
-double DiurnalShape::rate_at(double t) const {
-  constexpr double kTwoPi = 6.283185307179586476925286766559;
-  const double r = 1.0 / mean_inter_arrival_ticks;
-  return r * (1.0 + amplitude * std::sin(kTwoPi * t / period_ticks));
-}
-
-namespace {
-
-/// Lewis-Shedler thinning: candidate arrivals at the constant peak rate,
-/// kept with probability rate(t)/peak — an exact draw from the
-/// inhomogeneous process, deterministic in (n, rate fn, seed).
-template <typename RateFn>
-ArrivalTrace thin_to_trace(std::size_t n, double peak_rate, RateFn&& rate_at,
-                           std::uint64_t seed) {
+ArrivalTrace ArrivalTrace::generate_burst(std::size_t n, const BurstShape& shape,
+                                          std::uint64_t seed) {
+  shape.validate();
+  // Lewis-Shedler thinning: candidate arrivals at the constant peak rate,
+  // kept with probability rate(t)/peak — an exact draw from the
+  // inhomogeneous process, deterministic in (n, shape, seed).
+  const double peak_rate = shape.peak_rate();
   Rng rng(seed);
   std::vector<double> gaps;
   gaps.reserve(n);
@@ -91,29 +75,12 @@ ArrivalTrace thin_to_trace(std::size_t n, double peak_rate, RateFn&& rate_at,
   double last_kept = 0.0;
   while (gaps.size() < n) {
     t += -std::log(1.0 - rng.uniform()) / peak_rate;
-    if (rng.uniform() * peak_rate < rate_at(t)) {
+    if (rng.uniform() * peak_rate < shape.rate_at(t)) {
       gaps.push_back(t - last_kept);
       last_kept = t;
     }
   }
-  return ArrivalTrace::from_gaps(gaps);
-}
-
-}  // namespace
-
-ArrivalTrace ArrivalTrace::generate_burst(std::size_t n, const BurstShape& shape,
-                                          std::uint64_t seed) {
-  shape.validate();
-  return thin_to_trace(
-      n, shape.peak_rate(), [&](double t) { return shape.rate_at(t); }, seed);
-}
-
-ArrivalTrace ArrivalTrace::generate_diurnal(std::size_t n,
-                                            const DiurnalShape& shape,
-                                            std::uint64_t seed) {
-  shape.validate();
-  return thin_to_trace(
-      n, shape.peak_rate(), [&](double t) { return shape.rate_at(t); }, seed);
+  return from_gaps(gaps);
 }
 
 ArrivalTrace ArrivalTrace::generate(std::size_t n, ArrivalProcess process,
@@ -138,29 +105,6 @@ ArrivalTrace ArrivalTrace::generate(std::size_t n, ArrivalProcess process,
     gaps.push_back(gap);
   }
   return from_gaps(gaps);
-}
-
-std::vector<ArrivalTrace> split_by_node(const ArrivalTrace& trace,
-                                        const std::vector<std::size_t>& node_of,
-                                        std::size_t num_nodes) {
-  require(num_nodes >= 1, "split_by_node: num_nodes must be >= 1");
-  require(node_of.size() == trace.size(),
-          "split_by_node: node_of must match the trace size");
-  std::vector<ArrivalTrace> per_node(num_nodes);
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    require(node_of[i] < num_nodes, "split_by_node: node id out of range");
-    per_node[node_of[i]].arrival_ticks.push_back(trace.arrival_ticks[i]);
-  }
-  if constexpr (contracts_enabled()) {
-    // Fan-out conservation: every arrival lands on exactly one node.
-    std::size_t total = 0;
-    for (const ArrivalTrace& t : per_node) {
-      total += t.size();
-    }
-    STAR_CONTRACT(total == trace.size(),
-                  "split_by_node: per-node sub-traces must conserve arrivals");
-  }
-  return per_node;
 }
 
 }  // namespace star::workload

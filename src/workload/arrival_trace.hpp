@@ -35,21 +35,6 @@ struct BurstShape {
   [[nodiscard]] double peak_rate() const { return intensity / mean_inter_arrival_ticks; }
 };
 
-/// Sinusoidal rate modulation: rate(t) = r * (1 + amplitude*sin(2*pi*t/P))
-/// with r = 1/mean_inter_arrival_ticks — the day/night swing of user-facing
-/// traffic, compressed to simulation time.
-struct DiurnalShape {
-  double mean_inter_arrival_ticks = 1.0;
-  double period_ticks = 1024.0;
-  double amplitude = 0.8;  ///< peak-to-mean swing, in [0, 1)
-
-  void validate() const;
-  [[nodiscard]] double rate_at(double t) const;
-  [[nodiscard]] double peak_rate() const {
-    return (1.0 + amplitude) / mean_inter_arrival_ticks;
-  }
-};
-
 struct ArrivalTrace {
   /// Strictly increasing absolute arrival times; arrivals[0] is the first
   /// request's offset from the trace start. Strictness is an invariant of
@@ -85,11 +70,6 @@ struct ArrivalTrace {
   static ArrivalTrace generate_burst(std::size_t n, const BurstShape& shape,
                                      std::uint64_t seed);
 
-  /// `n` arrivals of an inhomogeneous Poisson process with the sinusoidal
-  /// diurnal rate profile; same thinning construction as generate_burst.
-  static ArrivalTrace generate_diurnal(std::size_t n, const DiurnalShape& shape,
-                                       std::uint64_t seed);
-
   /// Accumulates non-negative, finite `gaps` into absolute ticks, nudging
   /// any tick that would not strictly exceed its predecessor up to the
   /// next representable double. All generated traces pass through here;
@@ -97,16 +77,5 @@ struct ArrivalTrace {
   /// directly testable.
   static ArrivalTrace from_gaps(const std::vector<double>& gaps);
 };
-
-/// Fan one front-door trace out across a fleet: arrival i goes to node
-/// `node_of[i]`. Returns the per-node sub-traces, absolute ticks preserved
-/// (each is a strictly increasing subsequence of the input, so every
-/// sub-trace is itself a valid ArrivalTrace). The conservation law — the
-/// sub-trace sizes sum to the input size — holds by construction; the
-/// cluster tests pin it against live routing decisions. `node_of` must
-/// match the trace size with every id < num_nodes.
-std::vector<ArrivalTrace> split_by_node(const ArrivalTrace& trace,
-                                        const std::vector<std::size_t>& node_of,
-                                        std::size_t num_nodes);
 
 }  // namespace star::workload

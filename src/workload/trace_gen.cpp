@@ -7,18 +7,6 @@
 
 namespace star::workload {
 
-std::vector<std::vector<double>> score_batch(const DatasetProfile& profile,
-                                             std::size_t rows, std::size_t len,
-                                             Rng& rng) {
-  require(rows >= 1, "score_batch: rows must be >= 1");
-  std::vector<std::vector<double>> out;
-  out.reserve(rows);
-  for (std::size_t r = 0; r < rows; ++r) {
-    out.push_back(profile.sample_row(len, rng));
-  }
-  return out;
-}
-
 QkvTriple random_qkv(std::size_t seq_len, std::size_t d_k, double score_std, Rng& rng) {
   require(seq_len >= 1 && d_k >= 1, "random_qkv: dims must be >= 1");
   require(score_std > 0.0, "random_qkv: score_std must be positive");

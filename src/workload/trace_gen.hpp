@@ -1,5 +1,5 @@
-// Workload generators: batches of score rows from a dataset profile and
-// synthetic Q/K/V tensors with controlled score statistics.
+// Workload generators: synthetic Q/K/V tensors with controlled score
+// statistics, and the per-sequence seeds and inputs of a batch.
 #pragma once
 
 #include <vector>
@@ -9,10 +9,6 @@
 #include "workload/dataset_profile.hpp"
 
 namespace star::workload {
-
-/// `rows` score rows of length `len` drawn from `profile`.
-std::vector<std::vector<double>> score_batch(const DatasetProfile& profile,
-                                             std::size_t rows, std::size_t len, Rng& rng);
 
 /// Synthetic Q/K/V for one attention head such that the score matrix
 /// QK^T/sqrt(d_k) has entries of standard deviation ~`score_std`.

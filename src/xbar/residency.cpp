@@ -111,9 +111,4 @@ ResidencyStats ResidencyManager::stats() const {
   return stats_;
 }
 
-void ResidencyManager::reset_stats() {
-  std::lock_guard<std::mutex> lk(mu_);
-  stats_ = ResidencyStats{};
-}
-
 }  // namespace star::xbar

@@ -78,7 +78,7 @@ struct ResidencyOutcome {
   std::uint64_t evictions = 0;   ///< images evicted to make room
 };
 
-/// Cumulative accounting since construction / reset_stats().
+/// Cumulative accounting since construction.
 struct ResidencyStats {
   std::uint64_t lookups = 0;
   std::uint64_t hits = 0;
@@ -133,7 +133,6 @@ class ResidencyManager {
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
   [[nodiscard]] ResidencyStats stats() const;
-  void reset_stats();
 
  private:
   void touch_locked(std::list<ImageKey>::iterator it);

@@ -78,7 +78,6 @@ TEST(MultiHeadAttention, ShapesAndDeterminism) {
 
 TEST(Bert, ConfigsValidate) {
   EXPECT_NO_THROW(BertConfig::base().validate());
-  EXPECT_NO_THROW(BertConfig::large().validate());
   EXPECT_NO_THROW(BertConfig::tiny().validate());
   EXPECT_EQ(BertConfig::base().d_head(), 64);
   BertConfig bad = BertConfig::base();

@@ -6,20 +6,21 @@
 // routing policy x node count x thread count, with fault-injection streams
 // riding along. On top of that: the fleet conservation laws (cluster totals
 // equal the sum of per-node totals; routed counts equal what the nodes
-// actually saw; workload::split_by_node agrees with live routing), the
-// affinity-vs-round-robin residency claim (affinity provably pays fewer
-// cold LUT programming misses on mixed-dataset traffic), single-node
-// delegation (a 1-node cluster IS a StarServer plus a zero-cost hop), the
-// hw::HostLink transport bill, and the documented fleet-percentile merge
-// (p99 over the CONCATENATED reservoirs — never an average of per-node
-// p99s). The multi-node soak at the bottom is the TSan target for the
-// router's locking.
+// actually saw), the affinity-vs-round-robin residency claim (affinity
+// provably pays fewer cold LUT programming misses on mixed-dataset
+// traffic), single-node delegation (a 1-node cluster IS a StarServer plus a
+// zero-cost hop), the hw::HostLink transport bill, and the fleet view's one
+// rule, StatsAccumulator::merge (a merged accumulator snapshots exactly
+// like one fed the union of the calls; p99 over the CONCATENATED
+// reservoirs — never an average of per-node p99s). The multi-node soak at
+// the bottom is the TSan target for the router's locking.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <map>
 #include <set>
@@ -35,7 +36,6 @@
 #include "sim/batch_scheduler.hpp"
 #include "util/alloc_counter.hpp"
 #include "util/status.hpp"
-#include "workload/arrival_trace.hpp"
 #include "workload/dataset_profile.hpp"
 #include "workload/trace_gen.hpp"
 
@@ -86,18 +86,6 @@ constexpr serve::RoutePolicyKind kAllPolicies[] = {
 };
 
 // ---------- policy plumbing ----------
-
-TEST(RoutePolicy, ToStringParseRoundTrip) {
-  for (const auto kind : kAllPolicies) {
-    const auto parsed = serve::parse_route_policy(serve::to_string(kind));
-    ASSERT_TRUE(parsed.has_value()) << serve::to_string(kind);
-    EXPECT_EQ(*parsed, kind);
-  }
-  EXPECT_EQ(serve::parse_route_policy("round-robin"),
-            serve::RoutePolicyKind::kRoundRobin);
-  EXPECT_FALSE(serve::parse_route_policy("random").has_value());
-  EXPECT_FALSE(serve::parse_route_policy("").has_value());
-}
 
 std::vector<serve::NodeSnapshot> snapshots(
     std::vector<std::size_t> depths, std::vector<bool> resident = {}) {
@@ -190,7 +178,7 @@ TEST(Cluster, PayloadBitIdenticalAcrossPolicyNodeThreadMatrix) {
         for (std::size_t i = 0; i < kN; ++i) {
           const auto resp = good[i].get();
           EXPECT_TRUE(nn::Tensor::bit_identical(resp.output, expected[i]))
-              << "policy=" << serve::to_string(policy) << " nodes=" << nodes
+              << "policy=" << static_cast<int>(policy) << " nodes=" << nodes
               << " threads=" << threads << " request " << i;
           EXPECT_LT(resp.stats.node, nodes);
           EXPECT_THROW(bad[i].get(), InvalidArgument);
@@ -301,6 +289,9 @@ TEST(Cluster, FleetLedgerEqualsSumOfNodesAndRoutingIsAccounted) {
   constexpr std::size_t kN = 40;
   auto cluster_options =
       cluster_opts(4, 1, serve::RoutePolicyKind::kRoundRobin);
+  // Lengths 8..39 over three queues: <= 16, <= 24 and the overflow.
+  cluster_options.server.batcher.bucketing =
+      serve::LengthBucketing::bucketed({16, 24});
   serve::Cluster cluster(tiny_cfg(), kBert, cluster_options);
   std::vector<std::future<serve::AnalyticResponse>> futs;
   std::vector<std::size_t> node_of;
@@ -354,36 +345,29 @@ TEST(Cluster, FleetLedgerEqualsSumOfNodesAndRoutingIsAccounted) {
   }
   EXPECT_DOUBLE_EQ(cs.routing_imbalance, 1.0);
 
-  // workload::split_by_node on the live routing decisions reproduces the
-  // per-node trace sizes — the offline fan-out agrees with the router.
-  const auto trace = workload::ArrivalTrace::generate(
-      kN, workload::ArrivalProcess::kPoisson, 1.0, 0x77);
-  const auto per_node = workload::split_by_node(trace, node_of, 4);
-  ASSERT_EQ(per_node.size(), 4u);
-  std::size_t split_total = 0;
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(per_node[i].size(), routed[i]);
-    split_total += per_node[i].size();
-    for (std::size_t j = 1; j < per_node[i].arrival_ticks.size(); ++j) {
-      EXPECT_GT(per_node[i].arrival_ticks[j], per_node[i].arrival_ticks[j - 1]);
+  // Per-bucket ledgers sum over the nodes; maxima are the node maxima.
+  ASSERT_EQ(cs.per_bucket.size(), 3u);
+  for (std::size_t q = 0; q < 3; ++q) {
+    std::uint64_t requests = 0, bucket_effective = 0, bucket_padded = 0;
+    for (const auto& n : cs.per_node) {
+      ASSERT_EQ(n.per_bucket.size(), 3u);
+      requests += n.per_bucket[q].requests;
+      bucket_effective += n.per_bucket[q].effective_tokens;
+      bucket_padded += n.per_bucket[q].padded_tokens;
     }
+    EXPECT_EQ(cs.per_bucket[q].requests, requests) << "bucket " << q;
+    EXPECT_EQ(cs.per_bucket[q].effective_tokens, bucket_effective) << "bucket " << q;
+    EXPECT_EQ(cs.per_bucket[q].padded_tokens, bucket_padded) << "bucket " << q;
   }
-  EXPECT_EQ(split_total, trace.size());
-}
-
-TEST(SplitByNode, RejectsMalformedInputs) {
-  const auto trace = workload::ArrivalTrace::generate(
-      4, workload::ArrivalProcess::kPoisson, 1.0, 0x1);
-  EXPECT_THROW(workload::split_by_node(trace, {0, 1}, 2), InvalidArgument);
-  EXPECT_THROW(workload::split_by_node(trace, {0, 1, 2, 3}, 3),
-               InvalidArgument);
-  EXPECT_THROW(workload::split_by_node(trace, {0, 0, 0, 0}, 0),
-               InvalidArgument);
-  const auto ok = workload::split_by_node(trace, {1, 1, 0, 1}, 3);
-  ASSERT_EQ(ok.size(), 3u);
-  EXPECT_EQ(ok[0].size(), 1u);
-  EXPECT_EQ(ok[1].size(), 3u);
-  EXPECT_TRUE(ok[2].empty());
+  std::int64_t seq_len_max = 0;
+  std::size_t occupancy_max = 0;
+  for (const auto& n : cs.per_node) {
+    seq_len_max = std::max(seq_len_max, n.seq_len_max);
+    occupancy_max = std::max(occupancy_max, n.batch_occupancy_max);
+  }
+  EXPECT_EQ(cs.seq_len_max, 39);
+  EXPECT_EQ(cs.seq_len_max, seq_len_max);
+  EXPECT_EQ(cs.batch_occupancy_max, occupancy_max);
 }
 
 // ---------- affinity vs round-robin residency ----------
@@ -511,10 +495,199 @@ TEST(Cluster, FleetP99IsPercentileOfConcatenatedReservoirs) {
   const auto cs = cluster.stats();
   EXPECT_DOUBLE_EQ(cs.queue_wait_p99_s, serve::percentile(wait_union, 0.99));
   EXPECT_DOUBLE_EQ(cs.service_p99_s, serve::percentile(service_union, 0.99));
-  // The union p99 is NOT in general any node's p99 average — pin that the
-  // merge at least dominates the per-node means' implied floor.
-  EXPECT_GE(cs.queue_wait_p99_s, 0.0);
-  EXPECT_GE(cs.service_p99_s, cs.service_mean_s * 0.0);
+  // A p99 is not linear, so the union's is no average of the nodes'. It is
+  // bounded by them, though: the union's distribution is a mixture of the
+  // nodes', so its nearest-rank p99 lies between the smallest and the
+  // largest node p99.
+  for (const auto field :
+       {&serve::ServerStats::queue_wait_p99_s, &serve::ServerStats::service_p99_s}) {
+    double lo = cs.per_node[0].*field;
+    double hi = lo;
+    for (const auto& n : cs.per_node) {
+      lo = std::min(lo, n.*field);
+      hi = std::max(hi, n.*field);
+    }
+    EXPECT_GE(cs.*field, lo);
+    EXPECT_LE(cs.*field, hi);
+  }
+}
+
+// ---------- StatsAccumulator::merge ----------
+
+/// Every ServerStats field of `merged` against `whole`, exactly: the
+/// sequences below keep every sum exact, so no tolerance is needed.
+void expect_same_stats(const serve::ServerStats& merged,
+                       const serve::ServerStats& whole) {
+#define STAR_EXPECT_FIELD(f) EXPECT_EQ(merged.f, whole.f) << #f
+  STAR_EXPECT_FIELD(submitted);
+  STAR_EXPECT_FIELD(admitted);
+  STAR_EXPECT_FIELD(rejected);
+  STAR_EXPECT_FIELD(shed);
+  STAR_EXPECT_FIELD(completed);
+  STAR_EXPECT_FIELD(failed);
+  STAR_EXPECT_FIELD(batches);
+  STAR_EXPECT_FIELD(queue_wait_mean_s);
+  STAR_EXPECT_FIELD(queue_wait_p99_s);
+  STAR_EXPECT_FIELD(service_mean_s);
+  STAR_EXPECT_FIELD(service_p99_s);
+  STAR_EXPECT_FIELD(batch_occupancy_mean);
+  STAR_EXPECT_FIELD(batch_occupancy_max);
+  STAR_EXPECT_FIELD(effective_tokens);
+  STAR_EXPECT_FIELD(padded_tokens);
+  STAR_EXPECT_FIELD(capacity_tokens);
+  STAR_EXPECT_FIELD(padded_occupancy);
+  STAR_EXPECT_FIELD(effective_occupancy);
+  STAR_EXPECT_FIELD(padding_waste);
+  STAR_EXPECT_FIELD(seq_len_mean);
+  STAR_EXPECT_FIELD(seq_len_max);
+  STAR_EXPECT_FIELD(num_layers_mean);
+  STAR_EXPECT_FIELD(num_layers_max);
+  STAR_EXPECT_FIELD(num_shards_mean);
+  STAR_EXPECT_FIELD(num_shards_max);
+  STAR_EXPECT_FIELD(lut_hits);
+  STAR_EXPECT_FIELD(lut_misses);
+  STAR_EXPECT_FIELD(weight_hits);
+  STAR_EXPECT_FIELD(weight_misses);
+  STAR_EXPECT_FIELD(programming_us_total);
+  STAR_EXPECT_FIELD(programming_time_share);
+  STAR_EXPECT_FIELD(transport_us_total);
+  STAR_EXPECT_FIELD(transport_us_mean);
+  STAR_EXPECT_FIELD(cost_cache_lookups);
+  STAR_EXPECT_FIELD(cost_cache_hits);
+  STAR_EXPECT_FIELD(cost_cache_misses);
+  STAR_EXPECT_FIELD(cost_cache_bypasses);
+  STAR_EXPECT_FIELD(cost_cache_hit_rate);
+  STAR_EXPECT_FIELD(per_bucket.size());
+  for (std::size_t q = 0;
+       q < std::min(merged.per_bucket.size(), whole.per_bucket.size()); ++q) {
+    STAR_EXPECT_FIELD(per_bucket[q].edge) << " bucket " << q;
+    STAR_EXPECT_FIELD(per_bucket[q].requests) << " bucket " << q;
+    STAR_EXPECT_FIELD(per_bucket[q].batches) << " bucket " << q;
+    STAR_EXPECT_FIELD(per_bucket[q].queue_wait_mean_s) << " bucket " << q;
+    STAR_EXPECT_FIELD(per_bucket[q].batch_occupancy_mean) << " bucket " << q;
+    STAR_EXPECT_FIELD(per_bucket[q].effective_tokens) << " bucket " << q;
+    STAR_EXPECT_FIELD(per_bucket[q].padded_tokens) << " bucket " << q;
+    STAR_EXPECT_FIELD(per_bucket[q].padding_waste) << " bucket " << q;
+  }
+#undef STAR_EXPECT_FIELD
+}
+
+TEST(StatsMerge, MergeOfDisjointHalvesEqualsTheUnion) {
+  // One call sequence touching every accumulator field: admission
+  // outcomes, batches over three queues, and encoder-shaped, analytic and
+  // failed completions with residency and transport charges. Latencies sit
+  // on a 1/1024 grid, so every sum is exact in any order.
+  using Call = std::function<void(serve::StatsAccumulator&)>;
+  std::vector<Call> calls;
+  for (int i = 0; i < 12; ++i) {
+    calls.push_back([](serve::StatsAccumulator& a) { a.on_submitted(); });
+  }
+  for (int i = 0; i < 10; ++i) {
+    calls.push_back([](serve::StatsAccumulator& a) { a.on_admitted(); });
+  }
+  calls.push_back([](serve::StatsAccumulator& a) { a.on_rejected(); });
+  calls.push_back([](serve::StatsAccumulator& a) { a.on_rejected(); });
+  calls.push_back([](serve::StatsAccumulator& a) { a.on_shed(); });
+  struct Batch {
+    std::size_t occupancy, bucket;
+    std::uint64_t effective, padded, capacity;
+  };
+  for (const Batch b : {Batch{2, 0, 20, 32, 64}, Batch{3, 1, 100, 192, 256},
+                        Batch{1, 2, 90, 90, 360}, Batch{3, 0, 30, 48, 64},
+                        Batch{2, 1, 70, 128, 256}}) {
+    calls.push_back([b](serve::StatsAccumulator& a) {
+      a.on_batch(b.occupancy, b.bucket, b.effective, b.padded, b.capacity);
+    });
+  }
+  for (int i = 0; i < 9; ++i) {
+    serve::RequestStats rs;
+    rs.queue_wait_s = (3 + 7 * i) / 1024.0;
+    rs.service_s = (40 - 3 * i) / 1024.0;
+    rs.seq_len = 5 + 11 * i;
+    rs.bucket = static_cast<std::size_t>(i % 3);
+    if (i < 4) {  // encoder-shaped
+      rs.num_layers = 1 + i % 2;
+      rs.num_shards = 1 + i;
+    }
+    rs.lut_hits = static_cast<std::uint64_t>(i % 2);
+    rs.lut_misses = static_cast<std::uint64_t>(1 - i % 2);
+    rs.weight_hits = static_cast<std::uint64_t>(i);
+    rs.weight_misses = static_cast<std::uint64_t>(i % 3 == 0);
+    rs.programming_us = (i % 2 == 0 ? 0 : 5 + i) / 1024.0;
+    rs.transport_us = (2 + i) / 1024.0;
+    const bool ok = i < 7;  // the last two fail
+    calls.push_back([rs, ok](serve::StatsAccumulator& a) { a.on_done(rs, ok); });
+  }
+
+  const std::vector<std::int64_t> edges = {16, 64, 0};
+  serve::StatsAccumulator whole, even, odd;
+  for (serve::StatsAccumulator* acc : {&whole, &even, &odd}) {
+    acc->configure_buckets(edges);
+  }
+  for (std::size_t i = 0; i < calls.size(); ++i) {
+    calls[i](whole);
+    calls[i](i % 2 == 0 ? even : odd);
+  }
+  const serve::ServerStats union_stats = whole.snapshot();
+  ASSERT_EQ(union_stats.completed, 7u);
+  ASSERT_EQ(union_stats.failed, 2u);
+  // Both orders: every field's total or maximum then comes in through
+  // `other` at least once, so a field merge() skips cannot hide.
+  serve::StatsAccumulator even_first = even;
+  serve::StatsAccumulator odd_first = odd;
+  even_first.merge(odd);
+  odd_first.merge(even);
+  expect_same_stats(even_first.snapshot(), union_stats);
+  expect_same_stats(odd_first.snapshot(), union_stats);
+}
+
+TEST(StatsMerge, BucketLayoutMismatchThrows) {
+  serve::StatsAccumulator a, other_edge, more_queues, same;
+  a.configure_buckets({16, 0});
+  other_edge.configure_buckets({32, 0});
+  more_queues.configure_buckets({16, 64, 0});
+  same.configure_buckets({16, 0});
+  EXPECT_THROW(a.merge(other_edge), InvalidArgument);
+  EXPECT_THROW(a.merge(more_queues), InvalidArgument);
+  EXPECT_THROW(a.merge(a), InvalidArgument);
+  EXPECT_NO_THROW(a.merge(same));
+}
+
+TEST(StatsMerge, ReservoirsPastTheBoundMergeWhole) {
+  // Each part overflows its reservoir (Algorithm R keeps 65,536 of 70,000
+  // samples); the merged view holds both reservoirs whole, and its
+  // snapshot's reservoir audit (live with contracts on) bounds it by
+  // 65,536 per part rather than by one reservoir's size.
+  constexpr std::size_t kDone = 70000;
+  serve::StatsAccumulator a, b;
+  for (std::size_t i = 0; i < kDone; ++i) {
+    for (serve::StatsAccumulator* acc : {&a, &b}) {
+      const double offset = acc == &a ? 0.0 : 1.0;  // b's tail is longer
+      serve::RequestStats rs;
+      rs.queue_wait_s = offset + static_cast<double>(i % 1024) / 1024.0;
+      rs.service_s = 2.0 * offset + static_cast<double>(i % 2048) / 1024.0;
+      rs.seq_len = 8;
+      acc->on_submitted();
+      acc->on_admitted();
+      acc->on_done(rs, /*ok=*/true);
+    }
+  }
+  ASSERT_EQ(a.queue_wait_samples().size(), serve::StatsAccumulator::kMaxLatencySamples);
+  std::vector<double> wait_union = a.queue_wait_samples();
+  std::vector<double> service_union = a.service_samples();
+  wait_union.insert(wait_union.end(), b.queue_wait_samples().begin(),
+                    b.queue_wait_samples().end());
+  service_union.insert(service_union.end(), b.service_samples().begin(),
+                       b.service_samples().end());
+
+  a.merge(b);
+  EXPECT_EQ(a.queue_wait_samples().size(), 131072u);
+  EXPECT_EQ(a.service_samples().size(), 131072u);
+  serve::ServerStats s;
+  EXPECT_NO_THROW(s = a.snapshot());
+  EXPECT_EQ(s.completed, 2 * kDone);
+  EXPECT_EQ(s.queue_wait_p99_s, serve::percentile(wait_union, 0.99));
+  EXPECT_EQ(s.service_p99_s, serve::percentile(service_union, 0.99));
 }
 
 // ---------- bounded multi-threaded soak (TSan target) ----------

@@ -300,7 +300,7 @@ TEST(CostCache, BatchSimPricesPaddedLengthsAboveMaxSeqLen) {
   cfg.batch_overhead_ticks = 0.0;
   cfg.analytic_model = &model;
   const auto result = serve::simulate_batching(trace, lens, cfg);
-  EXPECT_EQ(result.served, kArrivals);
+  EXPECT_EQ(result.stats.completed, kArrivals);
   EXPECT_EQ(result.stats.padded_tokens,
             kArrivals * static_cast<std::uint64_t>(kEdge));
 

@@ -66,7 +66,9 @@ TEST(GpuModel, OverheadIncludedInTotalNotInShare) {
   const GpuModel gpu;
   const auto t = gpu.attention_layer_timing(kBert, 128);
   EXPECT_GT(t.total().as_s(), (t.matmul + t.softmax).as_s());
-  EXPECT_LT(t.softmax_share_with_overhead(), t.softmax_share());
+  // The share leaves the launch overhead out, so it exceeds the softmax
+  // fraction of the whole layer time.
+  EXPECT_LT(t.softmax.as_s() / t.total().as_s(), t.softmax_share());
 }
 
 TEST(GpuModel, MatmulTimeScalesWithWork) {

@@ -6,8 +6,7 @@
 // thread count, with or without fault-injection streams riding along —
 // padded slots never execute. On top of that: the conservation laws (every
 // admitted request is served exactly once; per-bucket sums equal totals),
-// the degenerate-bucket equivalences (empty bucket list == pad-to-max
-// exactly), deterministic token accounting under full-batch formation, the
+// deterministic token accounting under full-batch formation, the
 // batching rule itself in virtual time (serve/batch_policy.hpp), the
 // virtual-time replay (serve/batch_sim.hpp) against its golden figures,
 // and a bounded multi-threaded soak that the CI TSan job runs
@@ -101,7 +100,6 @@ std::vector<std::size_t> mixed_lengths(std::size_t n) {
 
 TEST(LengthBucketing, PadToMaxIsSingleBatchMaxQueue) {
   const auto b = serve::LengthBucketing::pad_to_max();
-  EXPECT_EQ(b.mode, serve::BatchingMode::kPadToMax);
   EXPECT_EQ(b.num_queues(), 1u);
   EXPECT_EQ(b.bucket_of(2), 0u);
   EXPECT_EQ(b.bucket_of(1 << 20), 0u);
@@ -127,25 +125,13 @@ TEST(LengthBucketing, BucketedQueueLayoutAndRouting) {
   EXPECT_EQ(b.edge_of(3), 0);
 }
 
-TEST(LengthBucketing, EmptyBucketListIsThePadToMaxRule) {
-  serve::LengthBucketing b;
-  b.mode = serve::BatchingMode::kLengthBucketed;
-  b.validate();
-  EXPECT_EQ(b.num_queues(), 1u);
-  EXPECT_EQ(b.bucket_of(5), 0u);
-  EXPECT_TRUE(b.pads_to_batch_max(0));
-  EXPECT_EQ(b.padded_len(0, 41), 41);
-}
-
 TEST(LengthBucketing, ValidateRejectsMalformedEdges) {
   serve::LengthBucketing undersized;
-  undersized.mode = serve::BatchingMode::kLengthBucketed;
   undersized.buckets.push_back(serve::LengthBucket{1});
   EXPECT_THROW(undersized.validate(), InvalidArgument);
   EXPECT_THROW(serve::LengthBucketing::bucketed({16, 16}), InvalidArgument);
   EXPECT_THROW(serve::LengthBucketing::bucketed({32, 16}), InvalidArgument);
   serve::LengthBucketing bad_wait;
-  bad_wait.mode = serve::BatchingMode::kLengthBucketed;
   bad_wait.buckets.push_back(serve::LengthBucket{16, 0, -2});
   EXPECT_THROW(bad_wait.validate(), InvalidArgument);
   // A window past the uint32 tick count would wrap (2^32 reads as 0).
@@ -442,8 +428,7 @@ TEST(LengthBucketedServer, PayloadBitIdenticalAcrossPolicyEdgeThreadMatrix) {
       ASSERT_EQ(run.outputs.size(), expected.size());
       for (std::size_t i = 0; i < expected.size(); ++i) {
         EXPECT_TRUE(nn::Tensor::bit_identical(run.outputs[i], expected[i]))
-            << "mode=" << serve::to_string(policy.mode)
-            << " buckets=" << policy.buckets.size() << " threads=" << threads
+            << "buckets=" << policy.buckets.size() << " threads=" << threads
             << " request " << i;
       }
     }
@@ -522,33 +507,13 @@ TEST(LengthBucketedServer, ConservationEveryAdmittedServedExactlyOnce) {
   EXPECT_EQ(per_bucket_requests, 24u);
 }
 
-TEST(LengthBucketedServer, EmptyBucketListAccountsExactlyLikePadToMax) {
-  // Full-batch formation (huge wait, counts divide max_batch) makes batch
-  // membership deterministic, so the two runs must agree token-for-token.
-  serve::LengthBucketing degenerate;
-  degenerate.mode = serve::BatchingMode::kLengthBucketed;
-  const auto lens = mixed_lengths(8);
-  const auto a = serve_mixed(serve::LengthBucketing::pad_to_max(), 2, lens, 4,
-                             1000000);
-  const auto b = serve_mixed(degenerate, 2, lens, 4, 1000000);
-  // Batches {4,10,16,24} and {40,64,96,7} pad to 24 and 96.
-  EXPECT_GT(a.server.padding_waste, 0.0);
-  EXPECT_EQ(a.server.batches, b.server.batches);
-  EXPECT_EQ(a.server.effective_tokens, b.server.effective_tokens);
-  EXPECT_EQ(a.server.padded_tokens, b.server.padded_tokens);
-  EXPECT_EQ(a.server.capacity_tokens, b.server.capacity_tokens);
-  ASSERT_EQ(a.server.per_bucket.size(), 1u);
-  ASSERT_EQ(b.server.per_bucket.size(), 1u);
-  EXPECT_EQ(b.server.per_bucket[0].edge, 0);
-}
-
 TEST(LengthBucketedServer, FixedLengthTrafficHasZeroWasteUnderBothModes) {
   const std::vector<std::size_t> lens(8, 24);
   for (const auto& policy : {serve::LengthBucketing::pad_to_max(),
                              serve::LengthBucketing::bucketed({24, 64})}) {
     const auto run = serve_mixed(policy, 2, lens);
     EXPECT_EQ(run.server.effective_tokens, run.server.padded_tokens)
-        << serve::to_string(policy.mode);
+        << "buckets=" << policy.buckets.size();
     EXPECT_DOUBLE_EQ(run.server.padding_waste, 0.0);
   }
 }
@@ -614,7 +579,7 @@ TEST(LengthBucketedServer, FaultInjectionStreamsLeavePayloadsUntouched) {
     for (std::size_t i = 0; i < good.size(); ++i) {
       EXPECT_TRUE(
           nn::Tensor::bit_identical(good[i].get().output, expected[i]))
-          << serve::to_string(policy.mode) << " request " << i;
+          << "buckets=" << policy.buckets.size() << " request " << i;
       EXPECT_THROW(bad[i].get(), InvalidArgument);
     }
     server.shutdown();
@@ -732,7 +697,7 @@ TEST(BatchSim, DeterministicReplay) {
   const auto cfg = sim_cfg(serve::LengthBucketing::bucketed({32, 64}));
   const auto a = serve::simulate_batching(trace, lens, cfg);
   const auto b = serve::simulate_batching(trace, lens, cfg);
-  EXPECT_EQ(a.served, b.served);
+  EXPECT_EQ(a.stats.completed, b.stats.completed);
   EXPECT_EQ(a.stats.batches, b.stats.batches);
   EXPECT_EQ(a.stats.effective_tokens, b.stats.effective_tokens);
   EXPECT_EQ(a.stats.padded_tokens, b.stats.padded_tokens);
@@ -754,8 +719,7 @@ TEST(BatchSim, ConservationLaws) {
        {serve::LengthBucketing::pad_to_max(),
         serve::LengthBucketing::bucketed({16, 32, 64, 128, 256})}) {
     const auto r = serve::simulate_batching(trace, lens, sim_cfg(policy));
-    EXPECT_EQ(r.served, n);  // every arrival served exactly once
-    EXPECT_EQ(r.stats.completed, n);
+    EXPECT_EQ(r.stats.completed, n);  // every arrival served exactly once
     EXPECT_EQ(r.stats.effective_tokens, total_len);  // padding never executes
     EXPECT_GE(r.stats.padded_tokens, r.stats.effective_tokens);
     EXPECT_GE(r.stats.capacity_tokens, r.stats.padded_tokens);
@@ -767,24 +731,6 @@ TEST(BatchSim, ConservationLaws) {
   }
 }
 
-TEST(BatchSim, EmptyBucketListMatchesPadToMaxExactly) {
-  const auto hist = workload::length_histogram_for(workload::Dataset::kCola);
-  const auto lens = workload::sample_lengths(hist, 8000, 0xF00);
-  const auto trace = workload::ArrivalTrace::generate_diurnal(
-      8000, workload::DiurnalShape{}, 0xD1);
-  serve::LengthBucketing degenerate;
-  degenerate.mode = serve::BatchingMode::kLengthBucketed;  // zero buckets
-  const auto a =
-      serve::simulate_batching(trace, lens, sim_cfg(serve::LengthBucketing::pad_to_max()));
-  const auto b = serve::simulate_batching(trace, lens, sim_cfg(degenerate));
-  EXPECT_EQ(a.stats.batches, b.stats.batches);
-  EXPECT_EQ(a.stats.effective_tokens, b.stats.effective_tokens);
-  EXPECT_EQ(a.stats.padded_tokens, b.stats.padded_tokens);
-  EXPECT_EQ(a.stats.capacity_tokens, b.stats.capacity_tokens);
-  EXPECT_EQ(a.makespan_ticks, b.makespan_ticks);
-  EXPECT_EQ(a.stats.queue_wait_mean_s, b.stats.queue_wait_mean_s);
-}
-
 TEST(BatchSim, FixedLengthHasZeroWasteUnderEveryPolicy) {
   const std::vector<std::int64_t> lens(4000, 48);
   const auto trace = workload::ArrivalTrace::generate(
@@ -793,7 +739,7 @@ TEST(BatchSim, FixedLengthHasZeroWasteUnderEveryPolicy) {
                              serve::LengthBucketing::bucketed({48, 96})}) {
     const auto r = serve::simulate_batching(trace, lens, sim_cfg(policy));
     EXPECT_DOUBLE_EQ(r.stats.padding_waste, 0.0)
-        << serve::to_string(policy.mode);
+        << "buckets=" << policy.buckets.size();
     EXPECT_DOUBLE_EQ(r.stats.effective_occupancy, r.stats.padded_occupancy);
   }
 }
@@ -903,7 +849,7 @@ std::string replay_row(const std::string& cell, const serve::BatchSimResult& r) 
   const serve::ServerStats& s = r.stats;
   std::string row = cell;
   for (const std::string& field :
-       {std::to_string(r.served), std::to_string(s.batches),
+       {std::to_string(s.completed), std::to_string(s.batches),
         std::to_string(s.effective_tokens), std::to_string(s.padded_tokens),
         std::to_string(s.capacity_tokens), exact(r.makespan_ticks),
         exact(r.busy_ticks), exact(r.utilization), exact(s.queue_wait_mean_s),

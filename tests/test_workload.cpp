@@ -78,11 +78,12 @@ TEST(DatasetProfile, CnewsAndMrpcNeedSixIntegerBits) {
   }
 }
 
-TEST(TraceGen, ScoreBatchShape) {
+TEST(TraceGen, MaxSpreadOfSampledRows) {
   Rng rng(4);
-  const auto batch = score_batch(DatasetProfile::cnews(), 10, 32, rng);
-  ASSERT_EQ(batch.size(), 10u);
-  EXPECT_EQ(batch[0].size(), 32u);
+  std::vector<std::vector<double>> batch;
+  for (int r = 0; r < 10; ++r) {
+    batch.push_back(DatasetProfile::cnews().sample_row(32, rng));
+  }
   EXPECT_GT(max_spread(batch), 0.0);
 }
 
@@ -306,7 +307,7 @@ TEST(ArrivalTrace, ProcessesDifferAndEmptyTraceIsSane) {
                InvalidArgument);
 }
 
-// ---------- burst / diurnal arrival shapes ----------
+// ---------- burst arrival shape ----------
 
 TEST(ArrivalShapes, BurstTraceDeterministicAndStrictlyIncreasing) {
   BurstShape shape;
@@ -322,16 +323,6 @@ TEST(ArrivalShapes, BurstTraceDeterministicAndStrictlyIncreasing) {
   }
   const auto c = ArrivalTrace::generate_burst(4000, shape, 0xB01);
   EXPECT_NE(a.arrival_ticks, c.arrival_ticks);  // seed actually matters
-}
-
-TEST(ArrivalShapes, DiurnalTraceDeterministicAndStrictlyIncreasing) {
-  DiurnalShape shape;
-  const auto a = ArrivalTrace::generate_diurnal(4000, shape, 0xD00);
-  const auto b = ArrivalTrace::generate_diurnal(4000, shape, 0xD00);
-  EXPECT_EQ(a.arrival_ticks, b.arrival_ticks);
-  for (std::size_t i = 1; i < a.size(); ++i) {
-    ASSERT_LT(a.arrival_ticks[i - 1], a.arrival_ticks[i]) << "i=" << i;
-  }
 }
 
 TEST(ArrivalShapes, BurstRateProfileIsMeanPreservingSquareWave) {
@@ -350,21 +341,6 @@ TEST(ArrivalShapes, BurstRateProfileIsMeanPreservingSquareWave) {
                    r);
   EXPECT_DOUBLE_EQ(shape.rate_at(105.0), 3.0 * r);  // periodic
   EXPECT_DOUBLE_EQ(shape.peak_rate(), 3.0 * r);
-}
-
-TEST(ArrivalShapes, DiurnalRateProfileOscillatesAroundMean) {
-  DiurnalShape shape;
-  shape.mean_inter_arrival_ticks = 1.0;
-  shape.period_ticks = 400.0;
-  shape.amplitude = 0.5;
-  EXPECT_DOUBLE_EQ(shape.rate_at(0.0), 1.0);            // sin(0) = 0
-  EXPECT_DOUBLE_EQ(shape.rate_at(100.0), 1.5);          // quarter period: peak
-  EXPECT_DOUBLE_EQ(shape.rate_at(300.0), 0.5);          // trough
-  EXPECT_DOUBLE_EQ(shape.peak_rate(), 1.5);
-  for (double t = 0.0; t < 800.0; t += 13.0) {
-    EXPECT_GT(shape.rate_at(t), 0.0);  // amplitude < 1: rate never vanishes
-    EXPECT_LE(shape.rate_at(t), shape.peak_rate() + 1e-12);
-  }
 }
 
 TEST(ArrivalShapes, BurstEmpiricalRateMatchesShapeWithinTolerance) {
@@ -390,28 +366,6 @@ TEST(ArrivalShapes, BurstEmpiricalRateMatchesShapeWithinTolerance) {
   EXPECT_NEAR(in_share, shape.duty * shape.intensity, 0.05);
 }
 
-TEST(ArrivalShapes, DiurnalEmpiricalRateTracksTheSinusoid) {
-  DiurnalShape shape;
-  shape.mean_inter_arrival_ticks = 1.0;
-  shape.period_ticks = 500.0;
-  shape.amplitude = 0.8;
-  const std::size_t n = 60000;
-  const auto trace = ArrivalTrace::generate_diurnal(n, shape, 0xFACE);
-  EXPECT_NEAR(trace.makespan_ticks() / static_cast<double>(n), 1.0, 0.05);
-  // Peak-phase halves of the cycle must hold more arrivals than trough
-  // halves, by roughly the amplitude-implied ratio.
-  std::size_t rising = 0;
-  for (const double t : trace.arrival_ticks) {
-    const double phase = std::fmod(t, shape.period_ticks);
-    rising += phase < shape.period_ticks / 2.0 ? 1 : 0;  // sin > 0 half
-  }
-  const double rising_share = static_cast<double>(rising) / static_cast<double>(n);
-  // Integrating r*(1+a*sin) over the positive half gives (1 + 2a/pi)/2.
-  constexpr double kPi = 3.14159265358979323846;
-  const double expected = 0.5 * (1.0 + 2.0 * shape.amplitude / kPi);
-  EXPECT_NEAR(rising_share, expected, 0.03);
-}
-
 TEST(ArrivalShapes, ValidationRejectsMalformedShapes) {
   BurstShape b;
   b.duty = 0.0;
@@ -423,12 +377,6 @@ TEST(ArrivalShapes, ValidationRejectsMalformedShapes) {
   b.duty = 0.5;
   b.intensity = 3.0;  // duty*intensity > 1: off-window rate would go negative
   EXPECT_THROW(ArrivalTrace::generate_burst(4, b, 1), InvalidArgument);
-  DiurnalShape d;
-  d.amplitude = 1.0;  // rate would touch zero: thinning never terminates
-  EXPECT_THROW(ArrivalTrace::generate_diurnal(4, d, 1), InvalidArgument);
-  d = DiurnalShape{};
-  d.mean_inter_arrival_ticks = 0.0;
-  EXPECT_THROW(ArrivalTrace::generate_diurnal(4, d, 1), InvalidArgument);
 }
 
 // ---------- per-dataset length histograms ----------
