@@ -102,8 +102,6 @@ BatchEncoderSim::BatchEncoderSim(const StarConfig& cfg, const nn::BertConfig& be
   }
   residency_.install(accel_.softmax_costs().image_key());
   initial_programming_ += lut_costs_[0];
-
-  cost_fingerprint_ = cost_fingerprint(config(), accel_.overheads(), bert_);
 }
 
 hw::ProgramCost BatchEncoderSim::lut_image_cost(workload::Dataset dataset) const {
@@ -250,7 +248,7 @@ AttentionRunResult BatchEncoderSim::price_analytic(std::int64_t seq_len,
   // lookup so a refused length leaves the ledger untouched.
   require(seq_len >= 2, "price_analytic: seq_len must be >= 2");
   // Residency next (acquire side effects + hit/miss attribution belong to
-  // this request), so the cost lookup keys on the warm/cold state the
+  // this request), so the cost lookup knows the warm/cold state the
   // request actually found. The analytic path touches only the dataset's
   // CAM/LUT image — weights live in the functional path's namespace.
   const fxp::QFormat& fmt =
@@ -264,14 +262,8 @@ AttentionRunResult BatchEncoderSim::price_analytic(std::int64_t seq_len,
     *charge = charged;
   }
 
-  CostKey key;
-  key.fingerprint = cost_fingerprint_;
-  key.seq_len = seq_len;
-  key.num_layers = 1;
-  key.num_shards = config().num_shards;
-  key.residency_warm = lut.hit ? 1 : 0;
-  AttentionRunResult res = cost_cache_.attention(
-      key, [&] { return accel_.run_attention_layer(bert_, seq_len); });
+  AttentionRunResult res = cost_cache_.lookup(
+      seq_len, lut.hit, [&] { return accel_.run_attention_layer(bert_, seq_len); });
 
   // Compose the programming charge AFTER the pure steady-state record (the
   // EncoderRunResult convention). Warm requests — every kDefault request,

@@ -222,13 +222,13 @@ class BatchEncoderSim {
   /// `dataset` names the softmax CAM/LUT image the analytic request needs
   /// resident; like the functional path it is acquired from the per-sim
   /// ResidencyManager first, any miss charges programming cost into
-  /// `*charge` (pass nullptr to discard), and the cost lookup keys on the
-  /// warm/cold state the request found. A warm request (the steady state;
-  /// always true for kDefault, installed at construction) composes a zero
-  /// charge, so its result is bit-identical to the legacy uncached call —
-  /// audited per cache hit under -DSTAR_AUDIT=ON. A cold request's
-  /// programming bill is composed into latency/energy (the same convention
-  /// as EncoderRunResult) and is never memoized.
+  /// `*charge` (pass nullptr to discard), and only a request that found
+  /// the image resident reads or fills the cost cache. A warm request (the
+  /// steady state; always true for kDefault, installed at construction)
+  /// composes a zero charge, so its result is bit-identical to the legacy
+  /// uncached call — audited per cache hit under -DSTAR_AUDIT=ON. A cold
+  /// request's programming bill is composed into latency/energy (the same
+  /// convention as EncoderRunResult) and is never memoized.
   [[nodiscard]] AttentionRunResult run_analytic_one(
       std::int64_t seq_len,
       workload::Dataset dataset = workload::Dataset::kDefault,
@@ -285,11 +285,11 @@ class BatchEncoderSim {
   [[nodiscard]] hw::ProgramCost layer_weight_cost() const;
 
   // --- analytic cost cache ---
-  /// The memoized analytic cost table behind run_analytic_one (per-run
-  /// mutable state behind the const compute entry points, internally
-  /// synchronized like residency()). Exposed for stats surfacing
-  /// (ServerStats/ClusterStats cost_cache_* fields), bench scoping
-  /// (reset_stats()) and invalidation.
+  /// The memoized analytic cost table behind run_analytic_one, keyed by
+  /// seq_len (per-run mutable state behind the const compute entry points,
+  /// internally synchronized like residency()). Exposed for stats
+  /// surfacing (ServerStats/ClusterStats cost_cache_* fields) and bench
+  /// scoping (reset_stats()).
   [[nodiscard]] CostCache& cost_cache() const { return cost_cache_; }
 
  private:
@@ -308,9 +308,6 @@ class BatchEncoderSim {
   /// Mutable: run_*_one are const (shared model, per-run state), and the
   /// residency manager IS per-run mutable state — internally synchronised.
   mutable xbar::ResidencyManager residency_;
-  /// Model identity for CostKey.fingerprint, precomputed once (bert_ and
-  /// the config are fixed at construction).
-  std::uint64_t cost_fingerprint_ = 0;
   /// Same mutability story as residency_: the memo table is per-run state.
   mutable CostCache cost_cache_;
   /// Pooled per-worker workspaces behind run_encoder_one_into /

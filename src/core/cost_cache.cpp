@@ -2,40 +2,9 @@
 
 #include <bit>
 
-#include "util/contract.hpp"
-
 namespace star::core {
 
 namespace {
-
-/// splitmix64 finalizer — the ImageKeyHash recipe, reused so cost keys get
-/// the same avalanche quality as residency keys.
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
-std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
-  return splitmix64(h ^ v);
-}
-
-std::uint64_t mix(std::uint64_t h, double v) {
-  return mix(h, std::bit_cast<std::uint64_t>(v));
-}
-
-std::uint64_t mix(std::uint64_t h, std::int64_t v) {
-  return mix(h, static_cast<std::uint64_t>(v));
-}
-
-std::uint64_t mix(std::uint64_t h, int v) {
-  return mix(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(v)));
-}
-
-std::uint64_t mix(std::uint64_t h, bool v) {
-  return mix(h, static_cast<std::uint64_t>(v ? 1 : 0));
-}
 
 bool same_bits(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
@@ -46,69 +15,6 @@ bool same_bits(Energy a, Energy b) { return same_bits(a.as_J(), b.as_J()); }
 bool same_bits(Power a, Power b) { return same_bits(a.as_W(), b.as_W()); }
 
 }  // namespace
-
-std::size_t CostKeyHash::operator()(const CostKey& k) const {
-  std::uint64_t h = k.fingerprint;
-  h = mix(h, k.seq_len);
-  h = mix(h, k.num_layers);
-  h = mix(h, k.num_shards);
-  h = mix(h, static_cast<std::uint64_t>(k.residency_warm));
-  return static_cast<std::size_t>(h);
-}
-
-std::uint64_t cost_fingerprint(const StarConfig& cfg,
-                               const SystemOverheads& overheads,
-                               const nn::BertConfig& bert) {
-  std::uint64_t h = 0x5742'C057'CAC4'E5EEull;  // arbitrary domain tag
-  // Technology node.
-  h = mix(h, cfg.tech.feature_nm);
-  h = mix(h, cfg.tech.vdd);
-  h = mix(h, cfg.tech.clock_ghz);
-  h = mix(h, cfg.tech.nand2_area_um2);
-  h = mix(h, cfg.tech.nand2_switch_fj);
-  h = mix(h, cfg.tech.nand2_leak_nw);
-  h = mix(h, cfg.tech.sram_cell_f2);
-  h = mix(h, cfg.tech.activity);
-  // RRAM device.
-  h = mix(h, cfg.device.g_on_us);
-  h = mix(h, cfg.device.g_off_us);
-  h = mix(h, cfg.device.bits_per_cell);
-  h = mix(h, cfg.device.program_sigma_log);
-  h = mix(h, cfg.device.read_noise_sigma);
-  h = mix(h, cfg.device.stuck_on_rate);
-  h = mix(h, cfg.device.stuck_off_rate);
-  h = mix(h, cfg.device.v_read);
-  h = mix(h, cfg.device.read_pulse.as_s());
-  h = mix(h, cfg.device.write_pulse.as_s());
-  h = mix(h, cfg.device.write_energy_per_cell.as_J());
-  h = mix(h, cfg.device.write_verify_rounds);
-  // Softmax format + engine provisioning.
-  h = mix(h, cfg.softmax_format.int_bits);
-  h = mix(h, cfg.softmax_format.frac_bits);
-  h = mix(h, cfg.softmax_format.is_signed);
-  h = mix(h, cfg.softmax_engines);
-  h = mix(h, cfg.max_seq_len);
-  h = mix(h, cfg.cam_miss_prob);
-  // MatMul geometry + sharding.
-  h = mix(h, cfg.matmul_rows);
-  h = mix(h, cfg.matmul_cols);
-  h = mix(h, cfg.matmul_adc_bits);
-  h = mix(h, cfg.matmul_input_bits);
-  h = mix(h, cfg.matmul_weight_bits);
-  h = mix(h, cfg.num_shards);
-  h = mix(h, static_cast<int>(cfg.shard_policy));
-  h = mix(h, cfg.residency_capacity);
-  // System overheads.
-  h = mix(h, overheads.per_row_overhead.as_s());
-  h = mix(h, overheads.static_per_tile.as_W());
-  h = mix(h, overheads.provision_all_layers);
-  // Workload shape.
-  h = mix(h, bert.layers);
-  h = mix(h, bert.heads);
-  h = mix(h, bert.d_model);
-  h = mix(h, bert.d_ff);
-  return h;
-}
 
 double CostCacheStats::hit_rate() const {
   return lookups > 0
@@ -142,27 +48,6 @@ bool bit_identical(const AttentionRunResult& a, const AttentionRunResult& b) {
          same_bits(a.interconnect_energy, b.interconnect_energy);
 }
 
-bool bit_identical(const EncoderRunResult& a, const EncoderRunResult& b) {
-  return bit_identical(a.report, b.report) && same_bits(a.latency, b.latency) &&
-         same_bits(a.energy, b.energy) && same_bits(a.power, b.power) &&
-         bit_identical(a.attention, b.attention) &&
-         same_bits(a.ffn_latency, b.ffn_latency) &&
-         same_bits(a.ffn_energy, b.ffn_energy) &&
-         same_bits(a.vector_unit_energy, b.vector_unit_energy) &&
-         same_bits(a.attention_time_share, b.attention_time_share) &&
-         same_bits(a.interconnect_latency, b.interconnect_latency) &&
-         same_bits(a.interconnect_energy, b.interconnect_energy) &&
-         same_bits(a.programming_latency, b.programming_latency) &&
-         same_bits(a.programming_energy, b.programming_energy);
-}
-
-void CostCache::invalidate() {
-  std::lock_guard<std::mutex> lk(mu_);
-  attention_.clear();
-  encoder_.clear();
-  ++stats_.invalidations;
-}
-
 void CostCache::reset_stats() {
   std::lock_guard<std::mutex> lk(mu_);
   stats_ = CostCacheStats{};
@@ -175,7 +60,7 @@ CostCacheStats CostCache::stats() const {
 
 std::size_t CostCache::size() const {
   std::lock_guard<std::mutex> lk(mu_);
-  return attention_.size() + encoder_.size();
+  return table_.size();
 }
 
 }  // namespace star::core

@@ -1,28 +1,25 @@
 // Memoized analytic cost cache for the serve hot path.
 //
-// Steady-state serving asks the analytic models the SAME question millions
-// of times: the cost of one request is a pure function of (model config,
-// seq_len, num_layers, num_shards, residency warm/cold state), yet every
-// request used to re-run MatmulEngine::stream_cost, the SoftmaxEngine
-// preload math and the ShardedMatmulEngine merge composition from scratch.
-// CostCache turns that recomputation into an O(1) table hit: a lookup keyed
-// by a CostKey returns the memoized pure-compute AttentionRunResult /
-// EncoderRunResult, and the caller composes any residency programming
-// charge on top afterwards — the exact addition order the uncached path
-// used, so warm results are bit-identical by construction.
+// Steady-state serving asks the analytic model the SAME question millions
+// of times: the cost of one attention layer at one sequence length. Its one
+// client, core::BatchEncoderSim, fixes every other input of that cost at
+// construction (StarConfig, SystemOverheads, BertConfig, the provisioned
+// shard count, one layer), so the length is the whole key. CostCache turns
+// the recomputation into an O(1) table hit: a lookup by `seq_len` returns
+// the memoized pure-compute AttentionRunResult, and the caller composes any
+// residency programming charge on top afterwards — the exact addition order
+// the uncached path used, so warm results are bit-identical by
+// construction.
 //
-// Key semantics (the invalidation rule):
-//   * The cached VALUE is the pure steady-state record — residency never
-//     changes it, only the composition the caller adds after the lookup.
-//   * `residency_warm` is part of the key. Warm lookups (every image the
-//     request needed was already resident, programming charge == 0) hit or
-//     populate the table. Cold lookups BYPASS it entirely: they are counted
-//     (`bypasses`), computed fresh and never inserted — the programming
-//     transient depends on partial residency state one bit cannot encode,
-//     and the steady state the cache exists for is warm by definition.
-//   * `invalidate()` drops every entry (pair it with
-//     ResidencyManager::invalidate_all() or any config swap); `reset_stats()`
-//     zeroes the ledger without touching entries.
+// The cached VALUE is the pure steady-state record: residency never
+// changes it, only the composition the caller adds after the lookup. So a
+// residency flush (ResidencyManager::invalidate_all) needs no cache flush.
+// A lookup whose request found every image resident (programming charge ==
+// 0, the steady state) hits or populates the table. A cold lookup BYPASSES
+// it entirely: it is counted (`bypasses`), computed fresh and never
+// inserted — the programming transient depends on partial residency state,
+// and the steady state the cache exists for is warm by definition.
+// reset_stats() zeroes the ledger without touching entries.
 //
 // Determinism contract: lookups are pure — a hit returns a copy of exactly
 // what the miss path computed, so cached serving is bit-identical to
@@ -31,7 +28,7 @@
 // STAR_CONTRACT compares the cached record bit-for-bit against the fresh
 // one. The hit/miss ledger obeys lookups == hits + misses + bypasses
 // (audit_cost_ledger), and miss-side compute runs under the cache lock so
-// the miss count equals the number of distinct warm keys regardless of
+// the miss count equals the number of distinct warm lengths regardless of
 // thread interleaving.
 //
 // Threading: internally synchronized; any number of scheduler workers may
@@ -49,53 +46,17 @@
 #include <unordered_map>
 
 #include "core/accelerator.hpp"
-#include "core/encoder_model.hpp"
-#include "nn/bert.hpp"
 #include "util/contract.hpp"
 
 namespace star::core {
-
-/// The full analytic-cost domain: everything the composed cost records are
-/// a function of. `fingerprint` condenses the model identity
-/// (StarConfig + SystemOverheads + BertConfig, see cost_fingerprint());
-/// the rest is the per-request shape plus the residency warm/cold bit
-/// documented in the file header.
-struct CostKey {
-  std::uint64_t fingerprint = 0;
-  std::int64_t seq_len = 0;
-  std::int64_t num_layers = 1;
-  std::int64_t num_shards = 1;
-  /// 1 = every image this request needed was resident (zero programming
-  /// charge — the steady state); 0 = some image had to be programmed.
-  std::uint8_t residency_warm = 1;
-
-  friend bool operator==(const CostKey&, const CostKey&) = default;
-};
-
-/// splitmix64-finalized field mix, the ImageKeyHash recipe: consecutive
-/// (seq_len, shape) keys land far apart in the table.
-struct CostKeyHash {
-  [[nodiscard]] std::size_t operator()(const CostKey& k) const;
-};
-
-/// Condense one model identity into the CostKey::fingerprint field: every
-/// field of the config / overheads / workload that the analytic cost
-/// records depend on. Two models with equal fingerprints produce equal
-/// cost records (the audit recompute under -DSTAR_AUDIT=ON would catch a
-/// collision that broke this, so the hash is belt-and-braces — each model
-/// instance owns its own cache anyway).
-[[nodiscard]] std::uint64_t cost_fingerprint(const StarConfig& cfg,
-                                             const SystemOverheads& overheads,
-                                             const nn::BertConfig& bert);
 
 /// The cache's hit/miss ledger. Conservation law (audited):
 /// lookups == hits + misses + bypasses.
 struct CostCacheStats {
   std::uint64_t lookups = 0;
   std::uint64_t hits = 0;
-  std::uint64_t misses = 0;      ///< warm-key lookups computed and inserted
-  std::uint64_t bypasses = 0;    ///< cold-key lookups, computed, never stored
-  std::uint64_t invalidations = 0;  ///< invalidate() calls
+  std::uint64_t misses = 0;      ///< warm lookups computed and inserted
+  std::uint64_t bypasses = 0;    ///< cold lookups, computed, never stored
 
   /// hits / lookups (0 before any lookup).
   [[nodiscard]] double hit_rate() const;
@@ -111,40 +72,19 @@ void audit_cost_ledger(const CostCacheStats& stats);
 [[nodiscard]] bool bit_identical(const hw::RunReport& a, const hw::RunReport& b);
 [[nodiscard]] bool bit_identical(const AttentionRunResult& a,
                                  const AttentionRunResult& b);
-[[nodiscard]] bool bit_identical(const EncoderRunResult& a,
-                                 const EncoderRunResult& b);
 
 class CostCache {
  public:
-  /// Return the memoized pure-compute record for `key`, calling `compute`
-  /// on a miss (under the lock) or a cold-key bypass. In audit builds a
-  /// hit re-runs `compute` and STAR_CONTRACTs bit-identity. Templated on
-  /// the callable so a steady-state hit performs no allocation at all
-  /// (no std::function wrapper — the hit path is the serve hot path).
+  /// Return the memoized pure-compute record for `seq_len`, calling
+  /// `compute` on a miss (under the lock) or, when `warm` is false, as a
+  /// cold bypass. In audit builds a hit re-runs `compute` and
+  /// STAR_CONTRACTs bit-identity. Templated on the callable so a
+  /// steady-state hit performs no allocation at all (no std::function
+  /// wrapper — the hit path is the serve hot path).
   template <typename F>
-  [[nodiscard]] AttentionRunResult attention(const CostKey& key, F&& compute) {
-    return lookup<AttentionRunResult>(attention_, key, compute);
-  }
-  template <typename F>
-  [[nodiscard]] EncoderRunResult encoder(const CostKey& key, F&& compute) {
-    return lookup<EncoderRunResult>(encoder_, key, compute);
-  }
-
-  /// Drop every entry (counts one invalidation); the ledger counters keep
-  /// accumulating across the flush.
-  void invalidate();
-  /// Zero the ledger (entries stay). The bench scopes measurements with
-  /// this.
-  void reset_stats();
-
-  [[nodiscard]] CostCacheStats stats() const;
-  /// Entries across both tables.
-  [[nodiscard]] std::size_t size() const;
-
- private:
-  template <typename Result, typename Map, typename F>
-  Result lookup(Map& map, const CostKey& key, F& compute) {
-    if (key.residency_warm == 0) {
+  [[nodiscard]] AttentionRunResult lookup(std::int64_t seq_len, bool warm,
+                                          F&& compute) {
+    if (!warm) {
       // Cold transient: counted, computed fresh outside the lock, never
       // memoized (see header comment).
       {
@@ -156,14 +96,14 @@ class CostCache {
     }
     std::unique_lock<std::mutex> lk(mu_);
     ++stats_.lookups;
-    if (auto it = map.find(key); it != map.end()) {
+    if (auto it = table_.find(seq_len); it != table_.end()) {
       ++stats_.hits;
-      Result cached = it->second;
+      AttentionRunResult cached = it->second;
       lk.unlock();
       if constexpr (contracts_enabled()) {
         // Audit builds prove the central claim on EVERY hit: re-run the
         // compute (outside the lock) and compare bit-for-bit.
-        const Result fresh = compute();
+        const AttentionRunResult fresh = compute();
         STAR_CONTRACT(bit_identical(cached, fresh),
                       "cost cache: cached record must be bit-identical to a "
                       "fresh compute");
@@ -171,18 +111,26 @@ class CostCache {
       return cached;
     }
     // Miss-side compute runs under the lock: the miss count then equals
-    // the number of distinct warm keys for every thread interleaving (and
-    // concurrent first lookups of one key can never double-insert). The
-    // compute is a pure const read of the model — no lock-order hazard.
+    // the number of distinct warm lengths for every thread interleaving
+    // (and concurrent first lookups of one length can never double-insert).
+    // The compute is a pure const read of the model — no lock-order hazard.
     ++stats_.misses;
-    Result fresh = compute();
-    map.emplace(key, fresh);
+    AttentionRunResult fresh = compute();
+    table_.emplace(seq_len, fresh);
     return fresh;
   }
 
+  /// Zero the ledger (entries stay). The bench scopes measurements with
+  /// this.
+  void reset_stats();
+
+  [[nodiscard]] CostCacheStats stats() const;
+  /// Memoized lengths.
+  [[nodiscard]] std::size_t size() const;
+
+ private:
   mutable std::mutex mu_;
-  std::unordered_map<CostKey, AttentionRunResult, CostKeyHash> attention_;
-  std::unordered_map<CostKey, EncoderRunResult, CostKeyHash> encoder_;
+  std::unordered_map<std::int64_t, AttentionRunResult> table_;
   CostCacheStats stats_;
 };
 

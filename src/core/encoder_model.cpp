@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/cost_cache.hpp"
 #include "core/weight_images.hpp"
 #include "hw/gates.hpp"
 #include "nn/opcount.hpp"
@@ -11,14 +10,7 @@
 namespace star::core {
 
 EncoderModel::EncoderModel(const StarConfig& cfg, SystemOverheads overheads)
-    : cfg_(cfg),
-      overheads_(overheads),
-      accel_(cfg, overheads),
-      cost_cache_(std::make_unique<CostCache>()) {}
-
-EncoderModel::~EncoderModel() = default;
-
-CostCache& EncoderModel::cost_cache() const { return *cost_cache_; }
+    : cfg_(cfg), overheads_(overheads), accel_(cfg, overheads) {}
 
 LayerStageTimes EncoderModel::layer_stage_times(const nn::BertConfig& bert,
                                                 std::int64_t seq_len) const {
@@ -124,26 +116,13 @@ EncoderRunResult EncoderModel::run_encoder_layer(const nn::BertConfig& bert,
   bert.validate();
   require(seq_len >= 2, "EncoderModel: seq_len must be >= 2");
 
-  // Residency FIRST (its acquire side effects — installs and the hit/miss
-  // ledger — belong to this request, not to the cache), so the cost lookup
-  // can key on the warm/cold state the request actually found. Every image
-  // bill in the model is strictly positive, so charged == 0 identifies the
-  // warm steady state exactly.
+  // Residency first: its acquire side effects (installs and the hit/miss
+  // ledger) belong to this request, before the compute is priced.
   hw::ProgramCost charged;
-  bool warm = true;
   if (residency != nullptr) {
     charged = charge_residency(bert, *residency, dataset, layer_id);
-    warm = charged.latency.as_s() == 0.0 && charged.energy.as_J() == 0.0;
   }
-
-  CostKey key;
-  key.fingerprint = cost_fingerprint(cfg_, overheads_, bert);
-  key.seq_len = seq_len;
-  key.num_layers = 1;
-  key.num_shards = cfg_.num_shards;
-  key.residency_warm = warm ? 1 : 0;
-  EncoderRunResult res =
-      cost_cache_->encoder(key, [&] { return compute_layer(bert, seq_len); });
+  EncoderRunResult res = compute_layer(bert, seq_len);
 
   // Compose the programming charge AFTER the pure steady-state record —
   // the same additions in the same order as the historical single-pass

@@ -8,8 +8,6 @@
 // (Amdahl) once the FFN's matmul-heavy work joins.
 #pragma once
 
-#include <memory>
-
 #include "core/accelerator.hpp"
 #include "hw/report.hpp"
 #include "nn/bert.hpp"
@@ -17,8 +15,6 @@
 #include "xbar/residency.hpp"
 
 namespace star::core {
-
-class CostCache;  // core/cost_cache.hpp (which includes this header)
 
 struct EncoderRunResult {
   hw::RunReport report;
@@ -45,7 +41,6 @@ struct EncoderRunResult {
 class EncoderModel {
  public:
   EncoderModel(const StarConfig& cfg, SystemOverheads overheads = {});
-  ~EncoderModel();  ///< out-of-line: cost_cache_ points at an incomplete type
 
   /// One full encoder layer (attention + FFN + norms) at `seq_len`.
   ///
@@ -58,12 +53,10 @@ class EncoderModel {
   /// legacy no-manager call — the same delegation discipline as K = 1
   /// sharding and N = 1 stacks.
   ///
-  /// Memoized: the pure steady-state record is served from this model's
-  /// CostCache (keyed on (fingerprint, seq_len, warm/cold) — see
-  /// core/cost_cache.hpp for the invalidation rule); a zero-charge run
-  /// composes nothing on top, so cached results stay bit-identical to the
-  /// uncached path (audited per hit under -DSTAR_AUDIT=ON). Cold runs
-  /// bypass the table and are always computed fresh.
+  /// Every call computes the layer fresh: nothing is memoized here (the
+  /// serving path's memo is BatchEncoderSim's CostCache, of attention
+  /// records). The model is immutable, so the call is safe to make
+  /// concurrently.
   [[nodiscard]] EncoderRunResult run_encoder_layer(
       const nn::BertConfig& bert, std::int64_t seq_len,
       xbar::ResidencyManager* residency = nullptr,
@@ -87,21 +80,14 @@ class EncoderModel {
 
   [[nodiscard]] const StarAccelerator& accelerator() const { return accel_; }
 
-  /// This model's memoized analytic cost table (per-run mutable state
-  /// behind the const compute entry points — internally synchronized, like
-  /// a ResidencyManager). Exposed for stats surfacing and invalidation.
-  [[nodiscard]] CostCache& cost_cache() const;
-
  private:
-  /// The pure steady-state layer record (no residency composition) — the
-  /// CostCache compute/audit callback.
+  /// The pure steady-state layer record (no residency composition).
   [[nodiscard]] EncoderRunResult compute_layer(const nn::BertConfig& bert,
                                                std::int64_t seq_len) const;
 
   StarConfig cfg_;
   SystemOverheads overheads_;
   StarAccelerator accel_;
-  std::unique_ptr<CostCache> cost_cache_;  ///< never null after construction
 };
 
 }  // namespace star::core

@@ -1,7 +1,6 @@
 #include "core/encoder_stack.hpp"
 
 #include <string>
-#include <vector>
 
 #include "util/status.hpp"
 
@@ -25,18 +24,17 @@ EncoderStackResult EncoderStackModel::run_encoder_stack(
   res.layer = layer_.run_encoder_layer(bert, seq_len);
 
   const auto n = static_cast<std::size_t>(num_layers);
-  const std::vector<LayerStageTimes> stack(
-      n, layer_.layer_stage_times(bert, seq_len));
+  const LayerStageTimes times = layer_.layer_stage_times(bert, seq_len);
   const std::size_t rows = static_cast<std::size_t>(seq_len);
   const auto vec =
-      run_stack_pipeline(stack, rows, PipelineDiscipline::kVectorGrained);
+      run_stack_pipeline(times, n, rows, PipelineDiscipline::kVectorGrained);
   const auto op =
-      run_stack_pipeline(stack, rows, PipelineDiscipline::kOperandGrained);
+      run_stack_pipeline(times, n, rows, PipelineDiscipline::kOperandGrained);
 
   res.latency = vec.makespan;
   res.operand_latency = op.makespan;
   res.stack_speedup = op.makespan / vec.makespan;
-  res.analytic_stack_speedup = analytic_stack_speedup(stack[0], n, rows);
+  res.analytic_stack_speedup = analytic_stack_speedup(times, n, rows);
   res.softmax_stage_util = vec.softmax_stage_util;
 
   res.energy = res.layer.energy * static_cast<double>(num_layers);

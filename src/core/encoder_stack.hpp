@@ -53,16 +53,13 @@ class EncoderStackModel {
   /// programming for each of the N layers (layer_id = 0..N-1) before the
   /// stack streams; a warm cache charges nothing and the result is
   /// bit-identical to the legacy call (see EncoderModel::run_encoder_layer).
-  /// The per-layer record (`result.layer` — the expensive stream_cost /
-  /// softmax-preload math) is served from the layer model's memoized
-  /// CostCache (layer_model().cost_cache()); only the stack-level pipeline
-  /// composition and residency charges are recomputed per call.
+  /// Each call computes the per-layer record (`result.layer`) once and
+  /// composes the stack from it: one LayerStageTimes streamed N times
+  /// through run_stack_pipeline, plus the residency charges.
   [[nodiscard]] EncoderStackResult run_encoder_stack(
       const nn::BertConfig& bert, std::int64_t seq_len,
       std::int64_t num_layers = 0, xbar::ResidencyManager* residency = nullptr,
       workload::Dataset dataset = workload::Dataset::kDefault) const;
-
-  [[nodiscard]] const EncoderModel& layer_model() const { return layer_; }
 
  private:
   EncoderModel layer_;

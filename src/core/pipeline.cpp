@@ -2,43 +2,52 @@
 
 #include <algorithm>
 
+#include "sim/pipeline_sim.hpp"
 #include "util/status.hpp"
 
 namespace star::core {
 
-std::vector<sim::Stage> StageTimes::stages() const {
-  return {sim::Stage{"proj", proj_row}, sim::Stage{"score", score_row},
-          sim::Stage{"softmax", softmax_row}, sim::Stage{"context", context_row},
-          sim::Stage{"outproj", outproj_row}};
+std::array<Time, 5> StageTimes::stages() const {
+  return {proj_row, score_row, softmax_row, context_row, outproj_row};
 }
 
 Time StageTimes::max_stage() const {
   Time peak{};
-  for (const auto& s : stages()) {
-    peak = std::max(peak, s.service);
+  for (const Time s : stages()) {
+    peak = std::max(peak, s);
   }
   return peak;
 }
 
 Time StageTimes::sum_stages() const {
   Time total{};
-  for (const auto& s : stages()) {
-    total += s.service;
+  for (const Time s : stages()) {
+    total += s;
   }
   return total;
 }
 
+namespace {
+
+/// The one utilisation rule: `busy_s` busy seconds over `makespan`.
+double busy_fraction(double busy_s, Time makespan) {
+  const double span = makespan.as_s();
+  return span > 0.0 ? busy_s / span : 0.0;
+}
+
+}  // namespace
+
+// STAR_HOT
 PipelineReport run_pipeline(const StageTimes& t, std::size_t rows,
                             PipelineDiscipline discipline) {
   require(rows >= 1, "run_pipeline: rows must be >= 1");
+  const double n = static_cast<double>(rows);
   PipelineReport rep;
 
   if (discipline == PipelineDiscipline::kVectorGrained) {
-    const auto res = sim::simulate(t.stages(), rows, sim::Discipline::kItemGranular, {},
-                                   sim::SimOptions{.record_completion = false});
-    rep.makespan = res.makespan;
-    rep.softmax_stage_util = res.stage_util[2];
-    rep.bottleneck_util = res.bottleneck_util();
+    rep.makespan = sim::simulate(t.stages(), rows);
+    rep.softmax_stage_util = busy_fraction(n * t.softmax_row.as_s(), rep.makespan);
+    rep.bottleneck_util = busy_fraction(n * t.max_stage().as_s(), rep.makespan);
     return rep;
   }
 
@@ -47,61 +56,29 @@ PipelineReport run_pipeline(const StageTimes& t, std::size_t rows,
   // rows, heads and layers), but the softmax block is a serial barrier: it
   // consumes the complete score matrix and releases the complete
   // probability matrix, so its full drain time adds to the makespan.
-  const std::vector<sim::Stage> mm{sim::Stage{"proj", t.proj_row},
-                                   sim::Stage{"score", t.score_row},
-                                   sim::Stage{"context", t.context_row},
-                                   sim::Stage{"outproj", t.outproj_row}};
-  const auto mm_res = sim::simulate(mm, rows, sim::Discipline::kItemGranular, {},
-                                    sim::SimOptions{.record_completion = false});
-  const Time softmax_block = t.softmax_row * static_cast<double>(rows);
-  rep.makespan = mm_res.makespan + softmax_block;
-  rep.softmax_stage_util = softmax_block / rep.makespan;
-  rep.bottleneck_util = mm_res.bottleneck_util();
+  const std::array<Time, 4> mm{t.proj_row, t.score_row, t.context_row, t.outproj_row};
+  const Time mm_makespan = sim::simulate(mm, rows);
+  const Time softmax_block = t.softmax_row * n;
+  rep.makespan = mm_makespan + softmax_block;
+  rep.softmax_stage_util = busy_fraction(n * t.softmax_row.as_s(), rep.makespan);
+  const Time mm_peak = std::max(std::max(t.proj_row, t.score_row),
+                                std::max(t.context_row, t.outproj_row));
+  rep.bottleneck_util = busy_fraction(n * mm_peak.as_s(), mm_makespan);
   return rep;
 }
 
-std::vector<sim::Stage> LayerStageTimes::stages() const {
-  auto all = attention.stages();
-  all.push_back(sim::Stage{"ffn1", ffn_row});
-  all.push_back(sim::Stage{"ffn2", ffn_row});
-  return all;
-}
-
-std::vector<sim::Stage> LayerStageTimes::ffn_stages() const {
-  return {sim::Stage{"ffn1", ffn_row}, sim::Stage{"ffn2", ffn_row}};
-}
-
-namespace {
-
-/// One standalone layer, composed exactly as EncoderModel::run_encoder_layer
-/// composes latency: vector-grained attention pipeline, then the FFN's
-/// row-pipelined drain (fill + rows at the stripe rate).
-Time standalone_layer_makespan(const LayerStageTimes& t, std::size_t rows) {
-  const auto attn =
-      sim::simulate(t.attention.stages(), rows, sim::Discipline::kItemGranular,
-                    {}, sim::SimOptions{.record_completion = false});
-  return attn.makespan + t.ffn_row * static_cast<double>(rows + 1);
-}
-
-/// Steady-state segment: layer L's FFN stages streaming rows directly into
-/// layer L+1's attention stages (no barrier at the layer boundary).
-Time stack_segment_makespan(const LayerStageTimes& producer,
-                            const LayerStageTimes& consumer, std::size_t rows) {
-  auto stages = producer.ffn_stages();
-  const auto attn = consumer.attention.stages();
-  stages.insert(stages.end(), attn.begin(), attn.end());
-  return sim::simulate(stages, rows, sim::Discipline::kItemGranular, {},
-                       sim::SimOptions{.record_completion = false})
-      .makespan;
-}
-
-}  // namespace
-
-StackPipelineReport run_stack_pipeline(std::span<const LayerStageTimes> layers,
-                                       std::size_t rows,
+// STAR_HOT
+StackPipelineReport run_stack_pipeline(const LayerStageTimes& layer,
+                                       std::size_t num_layers, std::size_t rows,
                                        PipelineDiscipline discipline) {
-  require(!layers.empty(), "run_stack_pipeline: at least one layer required");
+  require(num_layers >= 1, "run_stack_pipeline: at least one layer required");
   require(rows >= 1, "run_stack_pipeline: rows must be >= 1");
+
+  const StageTimes& a = layer.attention;
+  const Time attention = sim::simulate(a.stages(), rows);
+  // The FFN's row-pipelined drain after the attention block: one fill plus
+  // rows at the stripe rate.
+  const Time ffn_drain = layer.ffn_row * static_cast<double>(rows + 1);
 
   StackPipelineReport rep;
   Time m{};
@@ -109,35 +86,35 @@ StackPipelineReport run_stack_pipeline(std::span<const LayerStageTimes> layers,
     // [attn_0] then N-1 streamed [ffn_{L-1} + attn_L] segments, then the
     // last layer's FFN drain. The intra-layer attention -> FFN drain point
     // makes each segment an independent item-granular schedule, so the
-    // stack makespan is the sum of segment makespans.
-    m = sim::simulate(layers[0].attention.stages(), rows,
-                      sim::Discipline::kItemGranular, {},
-                      sim::SimOptions{.record_completion = false})
-            .makespan;
-    for (std::size_t l = 1; l < layers.size(); ++l) {
-      m += stack_segment_makespan(layers[l - 1], layers[l], rows);
+    // stack makespan is the sum of segment makespans, added in layer order.
+    const std::array<Time, 7> segment{layer.ffn_row, layer.ffn_row,  a.proj_row,
+                                      a.score_row,   a.softmax_row,  a.context_row,
+                                      a.outproj_row};
+    const Time steady = num_layers > 1 ? sim::simulate(segment, rows) : Time{};
+    m = attention;
+    for (std::size_t l = 1; l < num_layers; ++l) {
+      m += steady;
     }
-    m += layers.back().ffn_row * static_cast<double>(rows + 1);
+    m += ffn_drain;
   } else {
-    for (const auto& t : layers) {
-      m += standalone_layer_makespan(t, rows);
+    // One standalone layer, composed exactly as
+    // EncoderModel::run_encoder_layer composes latency, N times.
+    const Time standalone = attention + ffn_drain;
+    for (std::size_t l = 0; l < num_layers; ++l) {
+      m += standalone;
     }
   }
   rep.makespan = m;
 
-  // Busy seconds are discipline-independent (service * rows per stage).
+  // Busy seconds are discipline-independent (rows x service per stage).
   const double n = static_cast<double>(rows);
-  const double span = m.as_s();
   double softmax_busy = 0.0;
-  double peak_busy = 0.0;
-  for (const auto& t : layers) {
-    softmax_busy += n * t.attention.softmax_row.as_s();
-    for (const auto& s : t.stages()) {
-      peak_busy = std::max(peak_busy, n * s.service.as_s());
-    }
+  for (std::size_t l = 0; l < num_layers; ++l) {
+    softmax_busy += n * a.softmax_row.as_s();
   }
-  rep.softmax_stage_util = span > 0.0 ? softmax_busy / span : 0.0;
-  rep.bottleneck_util = span > 0.0 ? peak_busy / span : 0.0;
+  rep.softmax_stage_util = busy_fraction(softmax_busy, m);
+  rep.bottleneck_util =
+      busy_fraction(n * std::max(a.max_stage(), layer.ffn_row).as_s(), m);
   return rep;
 }
 

@@ -10,15 +10,16 @@
 // exists — two barriers around the softmax stage.
 //
 // This header turns per-row stage service times into layer makespans under
-// the two disciplines, reusing the generic simulator in src/sim and the
-// closed forms it validates.
+// the two disciplines, through the item-granular recurrence in src/sim
+// (sim::simulate). Every stage list is a fixed-size std::array, so none of
+// these functions allocates. Utilisation has one rule: a stage that serves
+// `rows` rows at `service` each is busy rows x service, divided by the
+// makespan of the schedule it runs in.
 #pragma once
 
-#include <span>
-#include <string>
-#include <vector>
+#include <array>
+#include <cstddef>
 
-#include "sim/pipeline_sim.hpp"
 #include "util/units.hpp"
 
 namespace star::core {
@@ -31,7 +32,8 @@ struct StageTimes {
   Time context_row{};   ///< one probability row against V
   Time outproj_row{};   ///< one context row through Wo
 
-  [[nodiscard]] std::vector<sim::Stage> stages() const;
+  /// The five services in pipeline order.
+  [[nodiscard]] std::array<Time, 5> stages() const;
   [[nodiscard]] Time max_stage() const;
   [[nodiscard]] Time sum_stages() const;
 };
@@ -43,7 +45,9 @@ enum class PipelineDiscipline {
 
 struct PipelineReport {
   Time makespan{};
-  double softmax_stage_util = 0.0;  ///< busy fraction of the softmax stage
+  double softmax_stage_util = 0.0;  ///< rows x softmax_row / makespan
+  /// rows x the slowest pipelined stage / that pipeline's makespan (under
+  /// kOperandGrained: the four matmul stages, without the softmax block).
   double bottleneck_util = 0.0;
 };
 
@@ -72,10 +76,12 @@ double analytic_speedup(const StageTimes& t, std::size_t rows);
 //    layer L+1's attention: row i of layer L+1 starts as soon as layer L
 //    produces it. The composed schedule is a chain of item-granular
 //    segments [attn_0] [ffn_0 + attn_1] ... [ffn_{N-2} + attn_{N-1}]
-//    [ffn_{N-1}], each segment a single stack-level sim::Stage vector.
+//    [ffn_{N-1}], each segment one item-granular schedule. The N layers
+//    are identical hardware, so the N - 1 middle segments share one
+//    makespan.
 //  * kOperandGrained — a barrier between layers (prior accelerators hold
 //    the full activation matrix between layers): the stack makespan is the
-//    sum of the standalone layer makespans.
+//    sum of N standalone layer makespans.
 
 /// Per-row service times of one encoder layer: the five attention stages
 /// plus the two position-wise FFN matmul stages (each serving one
@@ -83,11 +89,6 @@ double analytic_speedup(const StageTimes& t, std::size_t rows);
 struct LayerStageTimes {
   StageTimes attention;
   Time ffn_row{};  ///< one row through either FFN stripe (W1 or W2)
-
-  /// The layer's full stack-level stage vector (7 stages).
-  [[nodiscard]] std::vector<sim::Stage> stages() const;
-  /// Just the two FFN stages.
-  [[nodiscard]] std::vector<sim::Stage> ffn_stages() const;
 };
 
 struct StackPipelineReport {
@@ -96,12 +97,12 @@ struct StackPipelineReport {
   double bottleneck_util = 0.0;     ///< peak busy fraction over all 7N stages
 };
 
-/// Makespan of `rows` rows through `layers.size()` stacked encoder layers
-/// (layers may be heterogeneous). With a single layer both disciplines
-/// reduce to the layer's own makespan: attention pipeline + FFN drain,
-/// composed exactly as EncoderModel::run_encoder_layer composes latency.
-StackPipelineReport run_stack_pipeline(std::span<const LayerStageTimes> layers,
-                                       std::size_t rows,
+/// Makespan of `rows` rows through `num_layers` stacked copies of `layer`.
+/// With a single layer both disciplines reduce to the layer's own
+/// makespan: attention pipeline + FFN drain, composed exactly as
+/// EncoderModel::run_encoder_layer composes latency.
+StackPipelineReport run_stack_pipeline(const LayerStageTimes& layer,
+                                       std::size_t num_layers, std::size_t rows,
                                        PipelineDiscipline discipline);
 
 /// Closed-form vector- over operand-grained stack speedup for `num_layers`

@@ -212,11 +212,6 @@ void Cluster::shutdown() {
   }
 }
 
-std::vector<std::uint64_t> Cluster::routed_per_node() const {
-  std::lock_guard<std::mutex> lk(route_mu_);
-  return routed_;
-}
-
 ClusterStats Cluster::stats() const {
   ClusterStats cs;
   cs.num_nodes = nodes_.size();

@@ -167,8 +167,6 @@ class Cluster {
   [[nodiscard]] const StarServer& node(std::size_t i) const;
   [[nodiscard]] const core::BatchEncoderSim& node_model(std::size_t i) const;
   [[nodiscard]] const ClusterOptions& options() const { return opts_; }
-  /// Submits routed to each node so far (index == node id).
-  [[nodiscard]] std::vector<std::uint64_t> routed_per_node() const;
 
  private:
   struct Node {

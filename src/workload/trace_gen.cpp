@@ -1,6 +1,5 @@
 #include "workload/trace_gen.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "util/status.hpp"
@@ -63,19 +62,6 @@ std::vector<nn::Tensor> embedding_batch(std::size_t batch, std::size_t seq_len,
     out.push_back(nn::Tensor::randn(seq_len, d_model, rng, 0.0, embed_std));
   }
   return out;
-}
-
-double max_spread(const std::vector<std::vector<double>>& rows) {
-  double worst = 0.0;
-  for (const auto& row : rows) {
-    if (row.empty()) {
-      continue;
-    }
-    const double mx = *std::max_element(row.begin(), row.end());
-    const double mn = *std::min_element(row.begin(), row.end());
-    worst = std::max(worst, mx - mn);
-  }
-  return worst;
 }
 
 }  // namespace star::workload

@@ -17,9 +17,6 @@ struct QkvTriple {
 };
 QkvTriple random_qkv(std::size_t seq_len, std::size_t d_k, double score_std, Rng& rng);
 
-/// Largest |x_i - x_max| across a batch (the integer-bits driver).
-double max_spread(const std::vector<std::vector<double>>& rows);
-
 // --- multi-sequence batches (the BatchScheduler workload) ---
 //
 // Every sequence gets its own seed, derived up front from the batch seed by

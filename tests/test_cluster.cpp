@@ -325,7 +325,7 @@ TEST(Cluster, FleetLedgerEqualsSumOfNodesAndRoutingIsAccounted) {
 
   // The router's counters agree with where responses said they ran, and
   // with what each node's own ledger admitted.
-  const auto routed = cluster.routed_per_node();
+  const auto routed = cluster.stats().routed_per_node;
   ASSERT_EQ(routed.size(), 4u);
   std::vector<std::uint64_t> seen(4, 0);
   for (const auto n : node_of) {
@@ -741,7 +741,7 @@ TEST(Cluster, BoundedSoakManySubmittersAcrossPolicies) {
     EXPECT_EQ(cs.completed, kThreads * kPerThread);
     EXPECT_EQ(cs.failed, 0u);
     std::uint64_t routed_total = 0;
-    for (const auto r : cluster.routed_per_node()) {
+    for (const auto r : cs.routed_per_node) {
       routed_total += r;
     }
     EXPECT_EQ(routed_total, kThreads * kPerThread);

@@ -91,14 +91,14 @@ TEST(EncoderStack, RejectsBadArguments) {
   const core::EncoderStackModel model(nine_bit_cfg());
   EXPECT_THROW(model.run_encoder_stack(kBert, 128, -1), InvalidArgument);
   EXPECT_THROW(model.run_encoder_stack(kBert, 1, 2), InvalidArgument);
-  EXPECT_THROW(core::run_stack_pipeline({}, 4,
+  const core::LayerStageTimes one = layer_times(10, 10, 10);
+  EXPECT_THROW(core::run_stack_pipeline(one, 0, 4,
                                         core::PipelineDiscipline::kVectorGrained),
                InvalidArgument);
-  const std::vector<core::LayerStageTimes> one{layer_times(10, 10, 10)};
-  EXPECT_THROW(core::run_stack_pipeline(one, 0,
+  EXPECT_THROW(core::run_stack_pipeline(one, 1, 0,
                                         core::PipelineDiscipline::kVectorGrained),
                InvalidArgument);
-  EXPECT_THROW(core::analytic_stack_speedup(one[0], 0, 4), InvalidArgument);
+  EXPECT_THROW(core::analytic_stack_speedup(one, 0, 4), InvalidArgument);
 }
 
 // ---------- stack schedule properties ----------
@@ -117,11 +117,10 @@ TEST(EncoderStack, VectorGrainedNeverWorseThanOperandSampled) {
     t.ffn_row = Time::ns(rng.uniform(1.0, 4000.0));
     const auto rows = static_cast<std::size_t>(rng.uniform_int(1, 300));
     for (const std::size_t n : {std::size_t{2}, std::size_t{6}, std::size_t{12}}) {
-      const std::vector<core::LayerStageTimes> stack(n, t);
       const auto vec = core::run_stack_pipeline(
-          stack, rows, core::PipelineDiscipline::kVectorGrained);
+          t, n, rows, core::PipelineDiscipline::kVectorGrained);
       const auto op = core::run_stack_pipeline(
-          stack, rows, core::PipelineDiscipline::kOperandGrained);
+          t, n, rows, core::PipelineDiscipline::kOperandGrained);
       EXPECT_LE(vec.makespan.as_ns(), op.makespan.as_ns() * (1.0 + 1e-12))
           << "sample " << sample << " N=" << n << " rows=" << rows;
     }
@@ -134,11 +133,10 @@ TEST(EncoderStack, AnalyticMatchesSimulatedConstantService) {
                               std::size_t{12}}) {
     for (const std::size_t rows : {std::size_t{1}, std::size_t{16},
                                    std::size_t{128}}) {
-      const std::vector<core::LayerStageTimes> stack(n, t);
       const auto vec = core::run_stack_pipeline(
-          stack, rows, core::PipelineDiscipline::kVectorGrained);
+          t, n, rows, core::PipelineDiscipline::kVectorGrained);
       const auto op = core::run_stack_pipeline(
-          stack, rows, core::PipelineDiscipline::kOperandGrained);
+          t, n, rows, core::PipelineDiscipline::kOperandGrained);
       const double sim_ratio = op.makespan / vec.makespan;
       EXPECT_NEAR(core::analytic_stack_speedup(t, n, rows), sim_ratio, 1e-9)
           << "N=" << n << " rows=" << rows;
@@ -164,10 +162,10 @@ TEST(EncoderStack, SpeedupGrowsWithDepthTowardAsymptote) {
 }
 
 TEST(EncoderStack, UtilisationBounded) {
-  const std::vector<core::LayerStageTimes> stack(6, layer_times(100, 60, 90));
+  const core::LayerStageTimes layer = layer_times(100, 60, 90);
   for (const auto d : {core::PipelineDiscipline::kVectorGrained,
                        core::PipelineDiscipline::kOperandGrained}) {
-    const auto rep = core::run_stack_pipeline(stack, 48, d);
+    const auto rep = core::run_stack_pipeline(layer, 6, 48, d);
     EXPECT_GE(rep.softmax_stage_util, 0.0);
     EXPECT_LE(rep.softmax_stage_util, 1.0 + 1e-9);
     EXPECT_GT(rep.bottleneck_util, 0.0);

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "core/pipeline.hpp"
+#include "util/alloc_counter.hpp"
 #include "util/status.hpp"
 
 namespace star::core {
@@ -95,6 +96,31 @@ TEST(Pipeline, RejectsZeroRows) {
   EXPECT_THROW(run_pipeline(balanced_times(1.0), 0, PipelineDiscipline::kVectorGrained),
                InvalidArgument);
   EXPECT_THROW(analytic_speedup(balanced_times(1.0), 0), InvalidArgument);
+}
+
+TEST(PipelineAllocations, RunPipelineAndStackAllocateNothing) {
+  if (!util::alloc_audit_enabled()) {
+    GTEST_SKIP() << "allocation audit not compiled in (Debug or -DSTAR_AUDIT=ON)";
+  }
+  // Every design point prices both disciplines, and every encoder stack
+  // streams its layers through run_stack_pipeline: neither may touch the
+  // heap.
+  StageTimes t = balanced_times(100.0);
+  t.softmax_row = Time::ns(40.0);
+  LayerStageTimes layer;
+  layer.attention = t;
+  layer.ffn_row = Time::ns(120.0);
+  for (const auto d : {PipelineDiscipline::kVectorGrained,
+                       PipelineDiscipline::kOperandGrained}) {
+    const util::AllocCounter single;
+    const PipelineReport rep = run_pipeline(t, 128, d);
+    EXPECT_EQ(single.allocations(), 0u) << "run_pipeline";
+    const util::AllocCounter stacked;
+    const StackPipelineReport stack = run_stack_pipeline(layer, 12, 128, d);
+    EXPECT_EQ(stacked.allocations(), 0u) << "run_stack_pipeline";
+    EXPECT_GT(rep.makespan.as_s(), 0.0);
+    EXPECT_GT(stack.makespan.as_s(), rep.makespan.as_s());
+  }
 }
 
 // Parameterized: vector-grained never loses, for many shapes.

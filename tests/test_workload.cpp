@@ -78,15 +78,6 @@ TEST(DatasetProfile, CnewsAndMrpcNeedSixIntegerBits) {
   }
 }
 
-TEST(TraceGen, MaxSpreadOfSampledRows) {
-  Rng rng(4);
-  std::vector<std::vector<double>> batch;
-  for (int r = 0; r < 10; ++r) {
-    batch.push_back(DatasetProfile::cnews().sample_row(32, rng));
-  }
-  EXPECT_GT(max_spread(batch), 0.0);
-}
-
 TEST(TraceGen, QkvScoreStdApproximatelyControlled) {
   Rng rng(5);
   const auto t = random_qkv(64, 64, 4.0, rng);

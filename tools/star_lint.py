@@ -46,9 +46,15 @@ runtime half is util/contract.hpp's STAR_CONTRACT layer):
                      pass or fail. Pass a literal, or a lambda that builds
                      the message, which util/status.hpp's lazy require()
                      runs only when the check fails.
+  orphan-header      a src/ header that nothing in src/, bench/, examples/
+                     or perfbench/ includes, apart from its own .cpp, is
+                     library code that only tests reach (or nothing at
+                     all): delete it, or move it to the tests. This rule
+                     reads the whole tree, so it runs only when no paths
+                     are given.
 
 Usage:
-  tools/star_lint.py                  # lint src/ under the repo root
+  tools/star_lint.py                  # lint src/ (and orphan headers) under the repo root
   tools/star_lint.py path1 path2 ...  # lint specific files
   tools/star_lint.py --self-test      # run the embedded fixture suite
 Exit codes: 0 clean, 1 violations found, 2 self-test/internal failure.
@@ -58,9 +64,10 @@ from __future__ import annotations
 
 import argparse
 import os
+import posixpath
 import re
 import sys
-from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 
 class Violation(NamedTuple):
@@ -437,6 +444,63 @@ def rule_eager_require_message(path: str, text: str, code: str) -> List[Violatio
 
 
 # --------------------------------------------------------------------------
+# Rule: orphan-header (whole tree)
+# --------------------------------------------------------------------------
+
+# The trees whose includes keep a src/ header alive; tests/ is not one.
+INCLUDER_DIRS = ("src", "bench", "examples", "perfbench")
+# Includes are read from the raw text (stripping would blank the quoted
+# path); a directive must start its line, so a // comment cannot count.
+_QUOTED_INCLUDE = re.compile(r'^[ \t]*#[ \t]*include[ \t]*"([^"]+)"', re.M)
+
+
+def rule_orphan_header(files: Dict[str, str]) -> List[Violation]:
+    """`files` maps repo-relative '/'-separated paths to their text.
+
+    An include resolves against the including file's directory first, then
+    against src/ (the library's include root). A src/ header is an orphan
+    when no file under INCLUDER_DIRS other than its own .cpp includes it.
+    """
+    includers: Dict[str, Set[str]] = {}
+    for path, text in files.items():
+        if path.split("/", 1)[0] not in INCLUDER_DIRS:
+            continue
+        for m in _QUOTED_INCLUDE.finditer(text):
+            name = m.group(1)
+            for cand in (posixpath.normpath(posixpath.join(posixpath.dirname(path), name)),
+                         posixpath.join("src", name)):
+                if cand in files:
+                    includers.setdefault(cand, set()).add(path)
+                    break
+    found = []
+    for path in sorted(files):
+        if not (path.startswith("src/") and path.endswith((".hpp", ".h"))):
+            continue
+        own_cpp = posixpath.splitext(path)[0] + ".cpp"
+        if not includers.get(path, set()) - {own_cpp}:
+            found.append(Violation(
+                path, 1, "orphan-header",
+                "no file in src/, bench/, examples/ or perfbench/ includes "
+                "this header (its own .cpp aside): only tests reach it, so "
+                "delete it or move it to the tests"))
+    return found
+
+
+def collect_tree(root: str) -> Dict[str, str]:
+    """Every C++ source under INCLUDER_DIRS, keyed by repo-relative path."""
+    files = {}
+    for top in INCLUDER_DIRS:
+        for dirpath, _dirnames, filenames in os.walk(os.path.join(root, top)):
+            for fn in filenames:
+                if fn.endswith((".hpp", ".h", ".cpp", ".cc")):
+                    full = os.path.join(dirpath, fn)
+                    rel = os.path.relpath(full, root).replace(os.sep, "/")
+                    with open(full, "r", encoding="utf-8") as f:
+                        files[rel] = f.read()
+    return files
+
+
+# --------------------------------------------------------------------------
 # Driver
 # --------------------------------------------------------------------------
 
@@ -580,8 +644,33 @@ _FIXTURES: List[Tuple[str, str, str, Optional[str]]] = [
 ]
 
 
+# (fixture tree, expected orphan paths) for the whole-tree rule.
+_ORPHAN_FIXTURES: List[Tuple[Dict[str, str], List[str]]] = [
+    # Fires: one header is reached by its own .cpp and a test only.
+    ({"src/a/kept.hpp": "int kept();\n",
+      "src/a/kept.cpp": '#include "a/kept.hpp"\n',
+      "src/a/lone.hpp": "int lone();\n",
+      "src/a/lone.cpp": '#include "a/lone.hpp"\n',
+      "tests/test_lone.cpp": '#include "a/lone.hpp"\n',
+      "bench/b.cpp": '#include "a/kept.hpp"\n// #include "a/lone.hpp"\n'},
+     ["src/a/lone.hpp"]),
+    # Quiet: reached from another library header (same-directory include)
+    # and from a perfbench header through the src/ include root.
+    ({"src/a/base.hpp": "int base();\n",
+      "src/a/top.hpp": '#include "base.hpp"\n',
+      "src/a/top.cpp": '#include "a/top.hpp"\n',
+      "perfbench/src/w.hpp": '#include "a/top.hpp"\n'},
+     []),
+]
+
+
 def self_test() -> int:
     failures = []
+    for tree, expected in _ORPHAN_FIXTURES:
+        got = sorted(v.path for v in rule_orphan_header(tree))
+        if got != sorted(expected):
+            failures.append(f"orphan-header tree {sorted(tree)}: expected "
+                            f"{expected}, got {got}")
     for path, text, expected_rule, sibling in _FIXTURES:
         loader = (lambda _p, s=sibling:
                   strip_comments_and_strings(s) if s is not None else None)
@@ -599,8 +688,8 @@ def self_test() -> int:
         for f in failures:
             print(f"  {f}", file=sys.stderr)
         return 2
-    print(f"star_lint --self-test ok ({len(_FIXTURES)} fixtures, "
-          f"{len(RULES)} rules)")
+    print(f"star_lint --self-test ok ({len(_FIXTURES) + len(_ORPHAN_FIXTURES)} "
+          f"fixtures, {len(RULES) + 1} rules)")
     return 0
 
 
@@ -626,6 +715,10 @@ def main(argv: List[str]) -> int:
         except OSError as e:
             print(f"star_lint: cannot read {path}: {e}", file=sys.stderr)
             return 2
+    if not args.paths:
+        violations.extend(
+            v._replace(path=os.path.join(args.root, v.path))
+            for v in rule_orphan_header(collect_tree(args.root)))
     for v in sorted(violations):
         print(f"{v.path}:{v.line}: [{v.rule}] {v.message}")
     if violations:
