@@ -9,13 +9,19 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <future>
+#include <string>
 #include <vector>
 
+#include "baseline/pipelayer.hpp"
+#include "baseline/retransformer.hpp"
 #include "core/batch_encoder.hpp"
 #include "core/encoder_model.hpp"
 #include "core/encoder_stack.hpp"
 #include "core/sharded_matmul.hpp"
+#include "core/weight_images.hpp"
 #include "serve/star_server.hpp"
 #include "sim/batch_scheduler.hpp"
 #include "util/status.hpp"
@@ -470,6 +476,187 @@ TEST(ShardedEncoder, MoreShardsKeepHelpingBertBase) {
   }
   for (std::size_t i = 1; i < latency_us.size(); ++i) {
     EXPECT_LT(latency_us[i], latency_us[i - 1]) << "K step " << i;
+  }
+}
+
+// ---------- golden: every crossbar accelerator cost figure ----------
+//
+// tests/golden/accelerator_costs.csv pins the cost figures of the crossbar
+// accelerator models against recorded values, not against a second
+// implementation: one row per (cell, field), doubles in SI units written
+// with %.17g so the comparison is bitwise. STAR is priced at K = 1, 2, 4
+// and 8 shards under every policy: the five BERT-base matmuls at b = 128
+// (every MatmulCost field, the interconnect split and the stage row
+// service), the six weight images of one layer, the attention layer at
+// L = 64/128/256/384 (every record field and the five stage times) and the
+// encoder layer at L = 128. PipeLayer and ReTransformer, which take no
+// shard count, are priced once per length. On a mismatch or a missing file
+// the test prints every computed row in the file's format. There is no
+// switch that rewrites the file: changing it is a change of the cost model
+// and needs a stated reason.
+
+const char* const kCostsGolden = STAR_TEST_GOLDEN_DIR "/accelerator_costs.csv";
+const std::int64_t kGoldenLengths[] = {64, 128, 256, 384};
+
+class CostRows {
+ public:
+  void add(const std::string& cell, const char* field, double v) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.17g", v);
+    rows_.push_back(cell + ',' + field + ',' + buf);
+  }
+  void add(const std::string& cell, const char* field, std::int64_t v) {
+    rows_.push_back(cell + ',' + field + ',' + std::to_string(v));
+  }
+  void add(const std::string& cell, const char* field, const std::string& v) {
+    rows_.push_back(cell + ',' + field + ',' + v);
+  }
+
+  void add_report(const std::string& cell, const hw::RunReport& r) {
+    add(cell, "engine_name", r.engine_name);
+    add(cell, "total_ops", r.total_ops);
+    add(cell, "report_latency_s", r.latency.as_s());
+    add(cell, "report_energy_j", r.energy.as_J());
+    add(cell, "report_avg_power_w", r.avg_power.as_W());
+  }
+
+  void add_attention(const std::string& cell, const core::AttentionRunResult& r,
+                     const core::StageTimes& t) {
+    add_report(cell, r.report);
+    add(cell, "latency_s", r.latency.as_s());
+    add(cell, "energy_j", r.energy.as_J());
+    add(cell, "power_w", r.power.as_W());
+    add(cell, "softmax_block_latency_s", r.softmax_block_latency.as_s());
+    add(cell, "softmax_energy_j", r.softmax_energy.as_J());
+    add(cell, "write_energy_j", r.write_energy.as_J());
+    add(cell, "matmul_tiles", r.matmul_tiles);
+    add(cell, "softmax_engines", std::int64_t{r.softmax_engines});
+    add(cell, "pipeline_speedup", r.pipeline_speedup);
+    add(cell, "num_shards", std::int64_t{r.num_shards});
+    add(cell, "interconnect_latency_s", r.interconnect_latency.as_s());
+    add(cell, "interconnect_energy_j", r.interconnect_energy.as_J());
+    add(cell, "proj_row_s", t.proj_row.as_s());
+    add(cell, "score_row_s", t.score_row.as_s());
+    add(cell, "softmax_row_s", t.softmax_row.as_s());
+    add(cell, "context_row_s", t.context_row.as_s());
+    add(cell, "outproj_row_s", t.outproj_row.as_s());
+  }
+
+  [[nodiscard]] const std::vector<std::string>& rows() const { return rows_; }
+
+ private:
+  std::vector<std::string> rows_;
+};
+
+void add_star_rows(CostRows& out, int num_shards, ShardPolicy policy) {
+  const nn::BertConfig bert = nn::BertConfig::base();
+  const core::StarConfig cfg = cfg_with_shards(num_shards, policy);
+  const std::string prefix =
+      "K" + std::to_string(num_shards) + '/' + xbar::to_string(policy) + '/';
+
+  const core::StarAccelerator acc(cfg);
+  const ShardedMatmulEngine& mm = acc.sharded_matmul();
+  struct Shape {
+    const char* name;
+    std::int64_t m, n;
+    bool dynamic;
+  };
+  const Shape shapes[] = {{"proj", bert.d_model, bert.d_model, false},
+                          {"score", bert.d_head(), 128, true},
+                          {"context", 128, bert.d_head(), true},
+                          {"ff1", bert.d_model, bert.d_ff, false},
+                          {"ff2", bert.d_ff, bert.d_model, false}};
+  for (const Shape& s : shapes) {
+    const std::string cell = prefix + "matmul/" + s.name;
+    const core::ShardedMatmulCost c = mm.stream_cost(128, s.m, s.n, s.dynamic);
+    out.add(cell, "latency_s", c.total.latency.as_s());
+    out.add(cell, "row_service_s", c.total.row_service.as_s());
+    out.add(cell, "energy_j", c.total.energy.as_J());
+    out.add(cell, "write_energy_j", c.total.write_energy.as_J());
+    out.add(cell, "write_latency_s", c.total.write_latency.as_s());
+    out.add(cell, "tile_ops", c.total.tile_ops);
+    out.add(cell, "tiles", c.total.tiles);
+    out.add(cell, "macs", c.total.macs);
+    out.add(cell, "interconnect_latency_s", c.interconnect_latency.as_s());
+    out.add(cell, "interconnect_energy_j", c.interconnect_energy.as_J());
+    out.add(cell, "stage_row_service_s", mm.row_service(s.m, s.n).as_s());
+  }
+  for (const core::LayerWeightImage& w : core::layer_weight_images(bert)) {
+    const std::string cell =
+        prefix + "weight_image/" + std::to_string(w.slot);
+    const hw::ProgramCost pc = mm.weight_image_cost(w.m, w.n);
+    out.add(cell, "latency_s", pc.latency.as_s());
+    out.add(cell, "energy_j", pc.energy.as_J());
+  }
+  for (const std::int64_t len : kGoldenLengths) {
+    out.add_attention(prefix + "attention/L" + std::to_string(len),
+                      acc.run_attention_layer(bert, len), acc.stage_times(bert, len));
+  }
+
+  const core::EncoderModel encoder(cfg);
+  const core::EncoderRunResult e = encoder.run_encoder_layer(bert, 128);
+  const std::string cell = prefix + "encoder/L128";
+  out.add_report(cell, e.report);
+  out.add(cell, "latency_s", e.latency.as_s());
+  out.add(cell, "energy_j", e.energy.as_J());
+  out.add(cell, "power_w", e.power.as_W());
+  out.add(cell, "ffn_latency_s", e.ffn_latency.as_s());
+  out.add(cell, "ffn_energy_j", e.ffn_energy.as_J());
+  out.add(cell, "vector_unit_energy_j", e.vector_unit_energy.as_J());
+  out.add(cell, "attention_time_share", e.attention_time_share);
+  out.add(cell, "interconnect_latency_s", e.interconnect_latency.as_s());
+  out.add(cell, "interconnect_energy_j", e.interconnect_energy.as_J());
+  out.add(cell, "programming_latency_s", e.programming_latency.as_s());
+  out.add(cell, "programming_energy_j", e.programming_energy.as_J());
+}
+
+std::vector<std::string> accelerator_cost_rows() {
+  CostRows out;
+  for (const int k : {1, 2, 4, 8}) {
+    for (const ShardPolicy policy : kPolicies) {
+      add_star_rows(out, k, policy);
+    }
+  }
+  const nn::BertConfig bert = nn::BertConfig::base();
+  const core::StarConfig cfg;
+  const baseline::PipeLayerModel pipelayer(cfg);
+  const baseline::ReTransformerModel retransformer(cfg);
+  for (const std::int64_t len : kGoldenLengths) {
+    const std::string l = "/L" + std::to_string(len);
+    out.add_attention("pipelayer" + l, pipelayer.run_attention_layer(bert, len),
+                      pipelayer.stage_times(bert, len));
+    out.add_attention("retransformer" + l,
+                      retransformer.run_attention_layer(bert, len),
+                      retransformer.stage_times(bert, len));
+  }
+  return out.rows();
+}
+
+TEST(ShardedGolden, AcceleratorCostsMatchGolden) {
+  std::vector<std::string> golden;
+  {
+    std::ifstream in(kCostsGolden);
+    std::string line;
+    std::getline(in, line);  // header
+    while (std::getline(in, line)) {
+      if (!line.empty()) {
+        golden.push_back(line);
+      }
+    }
+  }
+  const std::vector<std::string> got = accelerator_cost_rows();
+  EXPECT_FALSE(golden.empty()) << "missing or empty golden file: " << kCostsGolden;
+  EXPECT_EQ(got.size(), golden.size()) << "row count differs";
+  bool same = got.size() == golden.size();
+  for (std::size_t i = 0; i < got.size() && i < golden.size(); ++i) {
+    EXPECT_EQ(got[i], golden[i]) << "row " << i;
+    same = same && got[i] == golden[i];
+  }
+  if (!same) {
+    std::printf("computed rows:\ncell,field,value\n");
+    for (const std::string& row : got) {
+      std::printf("%s\n", row.c_str());
+    }
   }
 }
 
