@@ -4,19 +4,26 @@
 
 namespace star::baseline {
 
+namespace {
+
+/// Read-pass multiplier of the spike encoding relative to bit-serial
+/// binary inputs (unary coding of b-bit values needs 2^b/b more passes;
+/// PipeLayer's hybrid coding lands far below that worst case).
+constexpr double kSpikePassFactor = 3.25;
+/// PipeLayer duplicates weight arrays across pipeline stages to sustain
+/// its intra-layer parallelism (a headline design choice of the paper),
+/// which multiplies the provisioned tile count and hence static power.
+constexpr std::int64_t kWeightReplication = 2;
+
+}  // namespace
+
 PipeLayerModel::PipeLayerModel(const core::StarConfig& cfg,
-                               core::SystemOverheads overheads, PipeLayerParams params,
-                               CmosSoftmaxConfig softmax_cfg)
+                               core::SystemOverheads overheads)
     : cfg_(cfg),
       overheads_(overheads),
-      params_(params),
       matmul_(cfg),
-      softmax_(cfg.tech, softmax_cfg) {
+      softmax_(cfg.tech, compact_cmos_softmax()) {
   cfg_.validate();
-  require(params_.spike_pass_factor >= 1.0,
-          "PipeLayerModel: spike_pass_factor must be >= 1");
-  require(params_.weight_replication >= 1,
-          "PipeLayerModel: weight_replication must be >= 1");
 }
 
 core::StageTimes PipeLayerModel::stage_times(const nn::BertConfig& bert,
@@ -24,7 +31,7 @@ core::StageTimes PipeLayerModel::stage_times(const nn::BertConfig& bert,
   bert.validate();
   require(seq_len >= 2, "PipeLayerModel::stage_times: seq_len must be >= 2");
   (void)bert;
-  const Time mm_row = matmul_.tile_latency() * params_.spike_pass_factor +
+  const Time mm_row = matmul_.tile_latency() * kSpikePassFactor +
                       overheads_.per_row_overhead;
   core::StageTimes t;
   t.proj_row = mm_row;
@@ -58,7 +65,7 @@ core::AttentionRunResult PipeLayerModel::run_attention_layer(
 
   // Spike encoding multiplies read passes, hence read energy.
   const Energy e_mm = (proj.energy * 4.0 + (score.energy + context.energy) * heads) *
-                      params_.spike_pass_factor;
+                      kSpikePassFactor;
   const Energy e_write =
       (score.write_energy + context.write_energy + p_write.write_energy) * heads;
   const Energy e_softmax = softmax_.row_energy(static_cast<int>(seq_len)) *
@@ -80,9 +87,7 @@ core::AttentionRunResult PipeLayerModel::run_attention_layer(
   res.softmax_engines = 1;
   res.pipeline_speedup = 1.0;
 
-  const std::int64_t layers = overheads_.provision_all_layers ? bert.layers : 1;
-  const std::int64_t chip_tiles =
-      res.matmul_tiles * layers * params_.weight_replication;
+  const std::int64_t chip_tiles = res.matmul_tiles * bert.layers * kWeightReplication;
   const Power p_static =
       matmul_.leakage_for_tiles(chip_tiles) +
       overheads_.static_per_tile * static_cast<double>(chip_tiles) +

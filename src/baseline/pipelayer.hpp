@@ -21,22 +21,12 @@
 
 namespace star::baseline {
 
-struct PipeLayerParams {
-  /// Read-pass multiplier of the spike encoding relative to bit-serial
-  /// binary inputs (unary coding of b-bit values needs 2^b/b more passes;
-  /// PipeLayer's hybrid coding lands far below that worst case).
-  double spike_pass_factor = 3.25;
-  /// PipeLayer duplicates weight arrays across pipeline stages to sustain
-  /// its intra-layer parallelism (a headline design choice of the paper),
-  /// which multiplies the provisioned tile count and hence static power.
-  int weight_replication = 2;
-};
-
 class PipeLayerModel {
  public:
-  PipeLayerModel(const core::StarConfig& cfg, core::SystemOverheads overheads = {},
-                 PipeLayerParams params = {},
-                 CmosSoftmaxConfig softmax_cfg = compact_cmos_softmax());
+  /// PipeLayer on the same crossbar tiles as STAR, with the compact CMOS
+  /// softmax unit; `overheads` are the shared system figures.
+  explicit PipeLayerModel(const core::StarConfig& cfg,
+                          core::SystemOverheads overheads = {});
 
   [[nodiscard]] core::AttentionRunResult run_attention_layer(
       const nn::BertConfig& bert, std::int64_t seq_len) const;
@@ -47,7 +37,6 @@ class PipeLayerModel {
  private:
   core::StarConfig cfg_;
   core::SystemOverheads overheads_;
-  PipeLayerParams params_;
   core::MatmulEngine matmul_;
   CmosSoftmaxUnit softmax_;
 };

@@ -5,9 +5,11 @@
 namespace star::baseline {
 
 ReTransformerModel::ReTransformerModel(const core::StarConfig& cfg,
-                                       core::SystemOverheads overheads,
-                                       CmosSoftmaxConfig softmax_cfg)
-    : cfg_(cfg), overheads_(overheads), matmul_(cfg), softmax_(cfg.tech, softmax_cfg) {
+                                       core::SystemOverheads overheads)
+    : cfg_(cfg),
+      overheads_(overheads),
+      matmul_(cfg),
+      softmax_(cfg.tech, compact_cmos_softmax()) {
   cfg_.validate();
 }
 
@@ -64,8 +66,8 @@ core::AttentionRunResult ReTransformerModel::run_attention_layer(
   res.softmax_engines = 1;  // one CMOS softmax unit per head pipeline
   res.pipeline_speedup = pipe.makespan / vector_pipe.makespan;
 
-  const std::int64_t layers = overheads_.provision_all_layers ? bert.layers : 1;
-  const std::int64_t chip_tiles = res.matmul_tiles * layers;
+  // The chip provisions weight tiles for every layer of the model.
+  const std::int64_t chip_tiles = res.matmul_tiles * bert.layers;
   const Power p_static =
       matmul_.leakage_for_tiles(chip_tiles) +
       overheads_.static_per_tile * static_cast<double>(chip_tiles) +

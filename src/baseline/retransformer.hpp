@@ -21,17 +21,16 @@ namespace star::baseline {
 
 class ReTransformerModel {
  public:
-  ReTransformerModel(const core::StarConfig& cfg,
-                     core::SystemOverheads overheads = {},
-                     CmosSoftmaxConfig softmax_cfg = compact_cmos_softmax());
+  /// ReTransformer on the same crossbar tiles as STAR, with the compact
+  /// CMOS softmax unit; `overheads` are the shared system figures.
+  explicit ReTransformerModel(const core::StarConfig& cfg,
+                              core::SystemOverheads overheads = {});
 
   [[nodiscard]] core::AttentionRunResult run_attention_layer(
       const nn::BertConfig& bert, std::int64_t seq_len) const;
 
   [[nodiscard]] core::StageTimes stage_times(const nn::BertConfig& bert,
                                              std::int64_t seq_len) const;
-
-  [[nodiscard]] const CmosSoftmaxUnit& softmax_unit() const { return softmax_; }
 
  private:
   core::StarConfig cfg_;

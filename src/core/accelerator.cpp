@@ -16,13 +16,6 @@ int engines_per_head(Time softmax_row_latency, Time proj_row) {
   return std::max(1, static_cast<int>(std::ceil(softmax_row_latency / proj_row)));
 }
 
-/// Tiles of one layer's attention block from its three stream costs.
-std::int64_t layer_tiles(const nn::BertConfig& bert, const ShardedMatmulCost& proj,
-                         const ShardedMatmulCost& score,
-                         const ShardedMatmulCost& context) {
-  return 4 * proj.total.tiles + bert.heads * (score.total.tiles + context.total.tiles);
-}
-
 }  // namespace
 
 StarAccelerator::StarAccelerator(const StarConfig& cfg, SystemOverheads overheads)
@@ -44,24 +37,15 @@ StageTimes StarAccelerator::stage_times(const nn::BertConfig& bert,
 StageTimes StarAccelerator::stage_times_for(const nn::BertConfig& bert,
                                             std::int64_t seq_len,
                                             Time softmax_row_latency) const {
+  // Each stage's row service carries its own shard-local accumulation share
+  // plus the inter-shard merge stream (geometry-dependent: wide-output
+  // stages stream more partial-sum flits); one shard is the calibrated
+  // monolithic figure for every stage.
   StageTimes t;
-  if (cfg_.num_shards == 1) {
-    // The monolithic engine: one calibrated per-row figure for every
-    // matmul stage (the historical model, kept bit-identical).
-    const Time mm_row = matmul_.tile_latency() + overheads_.per_row_overhead;
-    t.proj_row = mm_row;
-    t.score_row = mm_row;
-    t.context_row = mm_row;
-    t.outproj_row = mm_row;
-  } else {
-    // Sharded grids: each stage's row service carries its own shard-local
-    // accumulation share plus the inter-shard merge stream (geometry-
-    // dependent — wide-output stages stream more partial-sum flits).
-    t.proj_row = sharded_.row_service(bert.d_model, bert.d_model);
-    t.score_row = sharded_.row_service(bert.d_head(), seq_len);
-    t.context_row = sharded_.row_service(seq_len, bert.d_head());
-    t.outproj_row = sharded_.row_service(bert.d_model, bert.d_model);
-  }
+  t.proj_row = sharded_.row_service(bert.d_model, bert.d_model);
+  t.score_row = sharded_.row_service(bert.d_head(), seq_len);
+  t.context_row = sharded_.row_service(seq_len, bert.d_head());
+  t.outproj_row = sharded_.row_service(bert.d_model, bert.d_model);
   t.softmax_row = softmax_row_latency /
                   static_cast<double>(engines_per_head(softmax_row_latency, t.proj_row));
   return t;
@@ -69,29 +53,10 @@ StageTimes StarAccelerator::stage_times_for(const nn::BertConfig& bert,
 
 int StarAccelerator::engines_needed(const nn::BertConfig& bert,
                                     std::int64_t seq_len) const {
-  // Paced against the projection stage's row service (== the legacy mm_row
-  // when num_shards == 1; stage_times keeps the same pacing).
-  const Time mm_row = cfg_.num_shards == 1
-                          ? matmul_.tile_latency() + overheads_.per_row_overhead
-                          : sharded_.row_service(bert.d_model, bert.d_model);
+  // Paced against the projection stage's row service, as stage_times is.
+  const Time mm_row = sharded_.row_service(bert.d_model, bert.d_model);
   return engines_per_head(softmax_.row_latency(static_cast<int>(seq_len)), mm_row) *
          static_cast<int>(bert.heads);
-}
-
-std::int64_t StarAccelerator::tiles_per_layer(const nn::BertConfig& bert,
-                                              std::int64_t seq_len) const {
-  // Sharded grids round every slice up to whole tiles, so K > 1 instantiates
-  // at least as many tiles as the monolithic grid (K = 1 delegates exactly).
-  return layer_tiles(bert, sharded_.stream_cost(seq_len, bert.d_model, bert.d_model, false),
-                     sharded_.stream_cost(seq_len, bert.d_head(), seq_len, true),
-                     sharded_.stream_cost(seq_len, seq_len, bert.d_head(), true));
-}
-
-Area StarAccelerator::total_area(const nn::BertConfig& bert,
-                                 std::int64_t seq_len) const {
-  const std::int64_t layers = overheads_.provision_all_layers ? bert.layers : 1;
-  return matmul_.area_for_tiles(tiles_per_layer(bert, seq_len) * layers) +
-         softmax_.area() * static_cast<double>(engines_needed(bert, seq_len));
 }
 
 AttentionRunResult StarAccelerator::run_attention_layer(const nn::BertConfig& bert,
@@ -115,10 +80,8 @@ AttentionRunResult StarAccelerator::run_attention_layer(const nn::BertConfig& be
                    PipelineDiscipline::kOperandGrained);
 
   // --- energy ---
-  // Sharded stream costs: at K = 1 these delegate to the unsharded engine
-  // (bit-identical totals, zero interconnect); at K > 1 energy already
-  // includes the partial-sum / gather link traffic. The tile count reads
-  // the same three.
+  // Sharded stream costs: at K > 1 energy already includes the partial-sum
+  // / gather link traffic. The tile count reads the same three.
   const auto proj = sharded_.stream_cost(seq_len, bert.d_model, bert.d_model, false);
   const auto score = sharded_.stream_cost(seq_len, bert.d_head(), seq_len, true);
   const auto context = sharded_.stream_cost(seq_len, seq_len, bert.d_head(), true);
@@ -145,14 +108,15 @@ AttentionRunResult StarAccelerator::run_attention_layer(const nn::BertConfig& be
       proj.interconnect_energy * 4.0 +
       (score.interconnect_energy + context.interconnect_energy) * heads;
   res.softmax_block_latency = t.softmax_row * static_cast<double>(seq_len);
-  res.matmul_tiles = layer_tiles(bert, proj, score, context);
+  res.matmul_tiles =
+      4 * proj.total.tiles + bert.heads * (score.total.tiles + context.total.tiles);
   res.softmax_engines = engines_per_head(softmax_row.latency, t.proj_row) *
                         static_cast<int>(bert.heads);
   res.pipeline_speedup = operand_pipe.makespan / pipe.makespan;
 
   // --- power ---
-  const std::int64_t layers = overheads_.provision_all_layers ? bert.layers : 1;
-  const std::int64_t chip_tiles = res.matmul_tiles * layers;
+  // The chip provisions weight tiles for every layer of the model.
+  const std::int64_t chip_tiles = res.matmul_tiles * bert.layers;
   const Power p_static =
       matmul_.leakage_for_tiles(chip_tiles) +
       overheads_.static_per_tile * static_cast<double>(chip_tiles) +

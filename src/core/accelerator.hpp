@@ -28,12 +28,10 @@ struct SystemOverheads {
   /// Static power per instantiated tile (clock distribution, control,
   /// buffer retention) on top of modelled leakage.
   // calibrated: absolute Fig. 3 scale.
-  Power static_per_tile = Power::uW(875.0);
-
   /// The chip provisions weight tiles for every layer of the model (weights
   /// are resident in RRAM, the whole point of PIM), so static power scales
   /// with the full-model tile count even when one layer is being measured.
-  bool provision_all_layers = true;
+  Power static_per_tile = Power::uW(875.0);
 };
 
 /// Everything the Fig. 3 comparison needs from one run.
@@ -46,7 +44,9 @@ struct AttentionRunResult {
   Time softmax_block_latency{};   ///< softmax stage contribution
   Energy softmax_energy{};
   Energy write_energy{};
-  std::int64_t matmul_tiles = 0;  ///< tiles instantiated for one layer
+  std::int64_t matmul_tiles = 0;  ///< tiles one layer's attention block
+                                  ///< instantiates (projections + every
+                                  ///< head's score/context tiles)
   int softmax_engines = 0;
   double pipeline_speedup = 1.0;  ///< vector- vs operand-grained, same HW
   // Crossbar sharding (all zero / 1 when cfg.num_shards == 1).
@@ -77,8 +77,8 @@ class StarAccelerator {
 
   [[nodiscard]] MatmulEngine& matmul_engine() { return matmul_; }
   [[nodiscard]] const MatmulEngine& matmul_engine() const { return matmul_; }
-  /// The sharded composition layer over matmul_engine() (provisioned at
-  /// cfg.num_shards; K = 1 delegates to the unsharded path bit-exactly).
+  /// The sharded composition layer over matmul_engine(), at the config's
+  /// shard count and policy: every matmul cost the model reads comes from it.
   [[nodiscard]] const ShardedMatmulEngine& sharded_matmul() const { return sharded_; }
   /// The softmax engines' cost figures. The analytic model reads nothing
   /// else of the engine, so it builds no functional table.
@@ -86,17 +86,10 @@ class StarAccelerator {
   [[nodiscard]] const StarConfig& config() const { return cfg_; }
   [[nodiscard]] const SystemOverheads& overheads() const { return overheads_; }
 
-  /// Tiles one layer's attention block instantiates (projections + dynamic
-  /// score/context tiles for every head).
-  [[nodiscard]] std::int64_t tiles_per_layer(const nn::BertConfig& bert,
-                                             std::int64_t seq_len) const;
-
   /// Softmax engine replicas needed to keep the softmax stage off the
   /// critical path at this sequence length.
   [[nodiscard]] int engines_needed(const nn::BertConfig& bert,
                                    std::int64_t seq_len) const;
-
-  [[nodiscard]] Area total_area(const nn::BertConfig& bert, std::int64_t seq_len) const;
 
  private:
   /// stage_times() once its arguments are checked, given the softmax row

@@ -1,4 +1,7 @@
-// Top-level STAR configuration (paper §III experimental setup).
+// Top-level STAR configuration (paper §III experimental setup): what a
+// design point varies. The MatMul engine's tile geometry is the paper's and
+// fixed (core/matmul_engine.hpp); the softmax engine count is derived from
+// the pipeline (StarAccelerator::engines_needed).
 #pragma once
 
 #include "fxp/qformat.hpp"
@@ -17,27 +20,15 @@ struct StarConfig {
   /// CAM/SUB 512x18, CAM/LUT/VMM 256x18).
   fxp::QFormat softmax_format = fxp::kMrpcFormat;
 
-  /// MatMul engine geometry (paper: 128x128 crossbars, 5-bit ADC,
-  /// "by referring to [ReTransformer]").
-  int matmul_rows = 128;
-  int matmul_cols = 128;
-  int matmul_adc_bits = 5;
-  int matmul_input_bits = 8;
-  int matmul_weight_bits = 8;
-
   /// Crossbar sharding: how many parallel shards (chiplets / banks) the
   /// MatMul engine's tile grid is partitioned into, joined by an explicit
-  /// H-tree interconnect (see core/sharded_matmul.hpp). 1 = the monolithic
-  /// engine; every sharded path is bit-identical to the legacy model then.
+  /// H-tree interconnect (see core/sharded_matmul.hpp). The only source of
+  /// the shard count the cost model prices; 1 = the monolithic engine.
   /// Provisioning bound for serving: a request may use at most this many.
   int num_shards = 1;
-  /// Operand partitioning policy used when num_shards > 1.
+  /// Operand partitioning policy used when num_shards > 1: the shape of
+  /// the rk x ck shard grid (see xbar/sharded_mapper.hpp).
   xbar::ShardPolicy shard_policy = xbar::ShardPolicy::kRow;
-
-  /// Number of softmax engine replicas the accelerator instantiates so the
-  /// softmax stage keeps pace with the MatMul engine in the vector-grained
-  /// pipeline (each replica is tiny; see Table I).
-  int softmax_engines = 6;
 
   /// Maximum sequence length the counters must support.
   int max_seq_len = 1024;

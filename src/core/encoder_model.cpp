@@ -9,22 +9,17 @@
 
 namespace star::core {
 
-EncoderModel::EncoderModel(const StarConfig& cfg, SystemOverheads overheads)
-    : cfg_(cfg), overheads_(overheads), accel_(cfg, overheads) {}
+EncoderModel::EncoderModel(const StarConfig& cfg) : accel_(cfg) {}
 
 LayerStageTimes EncoderModel::layer_stage_times(const nn::BertConfig& bert,
                                                 std::int64_t seq_len) const {
   LayerStageTimes t;
   t.attention = accel_.stage_times(bert, seq_len);
-  if (cfg_.num_shards == 1) {
-    t.ffn_row = accel_.matmul_engine().tile_latency() + overheads_.per_row_overhead;
-  } else {
-    // The two FFN stripes row-pipeline against each other; the slower
-    // sharded stripe (typically the d_ff-wide output of W1) paces the stage.
-    const ShardedMatmulEngine& sharded = accel_.sharded_matmul();
-    t.ffn_row = std::max(sharded.row_service(bert.d_model, bert.d_ff),
-                         sharded.row_service(bert.d_ff, bert.d_model));
-  }
+  // The two FFN stripes row-pipeline against each other; the slower
+  // sharded stripe (typically the d_ff-wide output of W1) paces the stage.
+  const ShardedMatmulEngine& sharded = accel_.sharded_matmul();
+  t.ffn_row = std::max(sharded.row_service(bert.d_model, bert.d_ff),
+                       sharded.row_service(bert.d_ff, bert.d_model));
   return t;
 }
 
@@ -46,11 +41,12 @@ hw::ProgramCost EncoderModel::charge_residency(const nn::BertConfig& bert,
                             [&] { return matmul.weight_image_cost(w.m, w.n); })
                    .charged;
   }
-  const fxp::QFormat& fmt = workload::format_for(dataset, cfg_.softmax_format);
+  const StarConfig& cfg = accel_.config();
+  const fxp::QFormat& fmt = workload::format_for(dataset, cfg.softmax_format);
   charged +=
       residency
           .acquire(xbar::lut_image_key(fmt),
-                   [&] { return SoftmaxEngine::preload_cost_for(cfg_, fmt); })
+                   [&] { return SoftmaxEngine::preload_cost_for(cfg, fmt); })
           .charged;
   return charged;
 }
@@ -95,10 +91,10 @@ EncoderRunResult EncoderModel::compute_layer(const nn::BertConfig& bert,
   const double ffn_ops = 2.0 * nn::ffn_macs(bert, seq_len);
   const Power p_static = res.attention.power - res.attention.energy / res.attention.latency;
   res.power = res.energy / res.latency + p_static +
-              // FFN tiles (1152 for BERT-base) add their own static share.
-              overheads_.static_per_tile *
-                  static_cast<double>((ff1.total.tiles + ff2.total.tiles) *
-                                      (overheads_.provision_all_layers ? bert.layers : 1));
+              // FFN tiles (1152 for BERT-base) add their own static share,
+              // provisioned for every layer.
+              accel_.overheads().static_per_tile *
+                  static_cast<double>((ff1.total.tiles + ff2.total.tiles) * bert.layers);
 
   res.report.engine_name = "STAR (full encoder layer)";
   res.report.total_ops = counts.total_ops() + ffn_ops + vec_ops;

@@ -26,8 +26,8 @@ struct EncoderRunResult {
   Energy ffn_energy{};
   Energy vector_unit_energy{};    ///< layernorm + GELU digital work
   double attention_time_share = 0.0;
-  // Crossbar sharding (zero when cfg.num_shards == 1): attention + FFN
-  // inter-shard merge totals of the layer.
+  // Crossbar sharding (zero at one shard): attention + FFN inter-shard
+  // merge totals of the layer.
   Time interconnect_latency{};
   Energy interconnect_energy{};
   // Device residency (zero without a manager, and zero again once the
@@ -40,7 +40,10 @@ struct EncoderRunResult {
 
 class EncoderModel {
  public:
-  EncoderModel(const StarConfig& cfg, SystemOverheads overheads = {});
+  /// The layer runs on a StarAccelerator built from `cfg` with the
+  /// calibrated SystemOverheads; the model reads its config and overheads
+  /// from that accelerator.
+  explicit EncoderModel(const StarConfig& cfg);
 
   /// One full encoder layer (attention + FFN + norms) at `seq_len`.
   ///
@@ -50,8 +53,8 @@ class EncoderModel {
   /// from the manager, and any miss charges its programming bill into the
   /// result (programming_* fields + latency/energy totals). With a warm
   /// cache every acquire hits and the result is bit-identical to the
-  /// legacy no-manager call — the same delegation discipline as K = 1
-  /// sharding and N = 1 stacks.
+  /// no-manager call — the same delegation discipline as one shard and
+  /// N = 1 stacks.
   ///
   /// Every call computes the layer fresh: nothing is memoized here (the
   /// serving path's memo is BatchEncoderSim's CostCache, of attention
@@ -85,8 +88,6 @@ class EncoderModel {
   [[nodiscard]] EncoderRunResult compute_layer(const nn::BertConfig& bert,
                                                std::int64_t seq_len) const;
 
-  StarConfig cfg_;
-  SystemOverheads overheads_;
   StarAccelerator accel_;
 };
 

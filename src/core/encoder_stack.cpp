@@ -6,9 +6,7 @@
 
 namespace star::core {
 
-EncoderStackModel::EncoderStackModel(const StarConfig& cfg,
-                                     SystemOverheads overheads)
-    : layer_(cfg, overheads) {}
+EncoderStackModel::EncoderStackModel(const StarConfig& cfg) : layer_(cfg) {}
 
 EncoderStackResult EncoderStackModel::run_encoder_stack(
     const nn::BertConfig& bert, std::int64_t seq_len, std::int64_t num_layers,

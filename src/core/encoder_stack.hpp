@@ -43,10 +43,10 @@ struct EncoderStackResult {
 /// schedule (see core/pipeline.hpp for the composition and the closed
 /// form). Latency overlaps across layer boundaries; energy adds linearly;
 /// static power is unchanged because the chip already provisions weight
-/// tiles for every layer (SystemOverheads::provision_all_layers).
+/// tiles for every layer.
 class EncoderStackModel {
  public:
-  explicit EncoderStackModel(const StarConfig& cfg, SystemOverheads overheads = {});
+  explicit EncoderStackModel(const StarConfig& cfg);
 
   /// `num_layers` = 0 uses bert.layers (the model's nominal depth).
   /// `residency` (optional) charges cold weight-upload / LUT-image

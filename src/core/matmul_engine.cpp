@@ -10,13 +10,13 @@ namespace star::core {
 
 namespace {
 
-xbar::VmmConfig vmm_config_from(const StarConfig& cfg) {
+xbar::VmmConfig vmm_config() {
   xbar::VmmConfig v;
-  v.rows = cfg.matmul_rows;
-  v.cols = cfg.matmul_cols;
-  v.weight_bits = cfg.matmul_weight_bits;
-  v.input_bits = cfg.matmul_input_bits;
-  v.adc_bits = cfg.matmul_adc_bits;
+  v.rows = MatmulEngine::kTileRows;
+  v.cols = MatmulEngine::kTileCols;
+  v.weight_bits = MatmulEngine::kWeightBits;
+  v.input_bits = MatmulEngine::kInputBits;
+  v.adc_bits = MatmulEngine::kAdcBits;
   v.adc_mux_ratio = 8;
   // ADC full scale calibrated per column to the programmed weights'
   // worst-case discharge (a NeuroSim-style profiling step): the 5-bit
@@ -31,9 +31,9 @@ xbar::VmmConfig vmm_config_from(const StarConfig& cfg) {
 
 MatmulEngine::MatmulEngine(const StarConfig& cfg)
     : cfg_(cfg.validated()),
-      vmm_cfg_(vmm_config_from(cfg)),
+      vmm_cfg_(vmm_config()),
       tile_(cfg.tech, xbar::VmmCosts(cfg.tech, cfg.device, vmm_cfg_)),
-      mapper_(cfg.matmul_rows, tile_logical_cols(),
+      mapper_(kTileRows, tile_logical_cols(),
               vmm_cfg_.slices(cfg.device.bits_per_cell)) {}
 
 nn::Tensor MatmulEngine::multiply(const nn::Tensor& x, const nn::Tensor& w) const {

@@ -1,6 +1,7 @@
 // The MatMul engine: ReTransformer-style crossbar matrix-multiply unit
 // (paper §II: "The MatMul engine follows the design in ReTransformer";
-// §III: 128x128 crossbars, 5-bit ADC).
+// §III: 128x128 crossbars, 5-bit ADC). The tile geometry is fixed at the
+// paper's; a StarConfig varies only the technology and the device.
 //
 // Two faces:
 //  * functional — quantisation-aware matrix multiply routed through
@@ -42,6 +43,14 @@ struct MatmulCost {
 
 class MatmulEngine {
  public:
+  /// The paper's tile: 128 x 128 crossbars with a 5-bit ADC, 8-bit inputs
+  /// and 8-bit weights ("by referring to [ReTransformer]").
+  static constexpr int kTileRows = 128;
+  static constexpr int kTileCols = 128;
+  static constexpr int kAdcBits = 5;
+  static constexpr int kInputBits = 8;
+  static constexpr int kWeightBits = 8;
+
   explicit MatmulEngine(const StarConfig& cfg);
 
   /// Quantisation-aware functional multiply: x (B x M) * w (M x N).

@@ -4,12 +4,14 @@
 // The monolithic MatmulEngine::stream_cost maps one matmul onto one tile
 // grid and the calibrated SystemOverheads::per_row_overhead prices the
 // grid's whole accumulation network as a flat per-row figure. This layer
-// splits the matmul over K shards via xbar::ShardedMapper, prices each
-// shard with the UNCHANGED base engine, and makes the interconnect
-// explicit. Determinism: stream_cost() is const and a pure function of
-// (config, shape, K, policy) — K = 1 delegates bit-identically to the
-// monolithic engine, and the K > 1 partial-sum reduce is an exact integer
-// composition, so shard count never perturbs payloads:
+// splits the matmul over the StarConfig's K shards on one rk x ck block
+// grid (xbar::ShardedMapper), prices each shard with the UNCHANGED base
+// engine, and makes the interconnect explicit. It is the one place that
+// composes base-engine costs over shards, and the one place that knows
+// K = 1: there every call delegates to the monolithic expressions, so K = 1
+// is the unsharded model bit for bit. Determinism: every call is const and
+// a pure function of (config, shape), and the K > 1 partial-sum reduce is
+// an exact integer composition, so shard count never perturbs payloads:
 //
 //   latency = max-shard compute + merge fill + per-row flit streaming
 //             (merge fill = merge_levels H-tree traversals, paid once;
@@ -22,13 +24,10 @@
 // decomposed structurally: a shard's local accumulation tree spans ~T/K of
 // the grid's T tiles, so the calibrated figure is scaled by the ratio of
 // the two hw::HTree traversal latencies, and the inter-shard merge is
-// charged on top. K = 1 short-circuits to the legacy expressions, which
-// keeps every downstream quantity bit-identical to the unsharded model —
-// the anchoring invariant of tests/test_sharded_matmul.cpp.
+// charged on top. No call stores a per-shard record or allocates.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "core/config.hpp"
 #include "core/matmul_engine.hpp"
@@ -38,24 +37,18 @@ namespace star::core {
 
 /// Composed analytic cost of one matmul spread over K shards.
 struct ShardedMatmulCost {
-  /// The composed cost callers consume. At K = 1 this is bit-identical to
-  /// MatmulEngine::stream_cost (delegation, not recomputation). At K > 1:
-  /// latency = max_shard_compute + interconnect_latency, energy includes
-  /// interconnect_energy, tiles/tile_ops/macs/writes sum over shards.
+  /// At K = 1 this is MatmulEngine::stream_cost (delegation, not
+  /// recomputation). At K > 1: latency = slowest shard + interconnect,
+  /// energy includes interconnect_energy, tiles/tile_ops/macs/writes sum
+  /// over shards.
   MatmulCost total;
-  std::vector<MatmulCost> per_shard;  ///< base-engine cost of each slice
-  xbar::ShardPlan plan;
-
-  Time max_shard_compute{};      ///< slowest shard's standalone latency
   Time interconnect_latency{};   ///< merge fill + per-row flit streaming
   Energy interconnect_energy{};  ///< partial-sum / gather link traffic
-
-  [[nodiscard]] int num_shards() const { return plan.num_shards; }
 };
 
 /// Composition layer over a (shared, read-only) MatmulEngine. Cheap to
-/// construct — it holds no tiles, only the base engine pointer, the config
-/// and the calibrated per-row overhead it decomposes.
+/// construct — it holds no tiles, only the base engine pointer, the config,
+/// its shard grid and the calibrated per-row overhead it decomposes.
 class ShardedMatmulEngine {
  public:
   /// Inter-shard link width: one 512-bit flit carries 16 partial sums.
@@ -72,52 +65,36 @@ class ShardedMatmulEngine {
   ShardedMatmulEngine(const MatmulEngine& base, const StarConfig& cfg,
                       Time per_row_overhead);
 
-  /// Cost at the provisioned shard count (cfg.num_shards / cfg.shard_policy).
+  /// Cost of x (b x m) * W (m x n) over the configured shards.
   [[nodiscard]] ShardedMatmulCost stream_cost(std::int64_t b, std::int64_t m,
                                               std::int64_t n,
                                               bool dynamic_matrix) const;
-  /// Cost at an explicit shard count / policy (design-space sweeps).
-  [[nodiscard]] ShardedMatmulCost stream_cost(std::int64_t b, std::int64_t m,
-                                              std::int64_t n, bool dynamic_matrix,
-                                              int num_shards,
-                                              xbar::ShardPolicy policy) const;
 
-  /// Residency hook: programming an M x N weight image over K parallel
-  /// shards (independent write ports: latency = slowest slice, energy =
-  /// sum; K = 1 delegates to the base engine bit-exactly).
+  /// Residency hook: programming an m x n weight image over the shards.
+  /// Shards own independent write ports, so slices program in parallel —
+  /// latency is the slowest slice's, energy sums (the cell writes are
+  /// conserved exactly: slices partition the matrix).
   [[nodiscard]] hw::ProgramCost weight_image_cost(std::int64_t m, std::int64_t n) const;
-  [[nodiscard]] hw::ProgramCost weight_image_cost(std::int64_t m, std::int64_t n,
-                                                  int num_shards,
-                                                  xbar::ShardPolicy policy) const;
 
   /// Per-row service time of this matmul INCLUDING the system overhead —
-  /// the stage-times hook. K = 1: tile_latency + per_row_overhead, the
-  /// legacy expression, bit-identical. K > 1: tile_latency +
-  /// local_row_overhead + link_row_time.
+  /// the stage-times hook: tile_latency + per_row_overhead at K = 1, and
+  /// tile_latency + the shard-local overhead share + the per-row link
+  /// streaming time at K > 1.
   [[nodiscard]] Time row_service(std::int64_t m, std::int64_t n) const;
-  [[nodiscard]] Time row_service(std::int64_t m, std::int64_t n, int num_shards,
-                                 xbar::ShardPolicy policy) const;
-
-  /// The shard-local share of the per-row overhead: the calibrated figure
-  /// scaled by HTree(ceil(T/K)) / HTree(T) traversal latencies (T = tiles
-  /// of the monolithic grid). Equals per_row_overhead at K = 1.
-  [[nodiscard]] Time local_row_overhead(std::int64_t m, std::int64_t n,
-                                        int num_shards) const;
-  /// Per-row inter-shard streaming time: widest-hop flits at one flit per
-  /// clock (tree links run in parallel and levels pipeline). 0 at K = 1.
-  [[nodiscard]] Time link_row_time(std::int64_t m, std::int64_t n, int num_shards,
-                                   xbar::ShardPolicy policy) const;
-
-  [[nodiscard]] int num_shards() const { return cfg_.num_shards; }
-  [[nodiscard]] xbar::ShardPolicy policy() const { return cfg_.shard_policy; }
-  [[nodiscard]] const MatmulEngine& base() const { return *base_; }
-  [[nodiscard]] Time per_row_overhead() const { return per_row_overhead_; }
 
  private:
+  /// The shard-local share of the per-row overhead (K > 1): the calibrated
+  /// figure scaled by HTree(ceil(T/K)) / HTree(T) wire latencies, T the
+  /// tiles of the monolithic grid.
+  [[nodiscard]] Time local_row_overhead(std::int64_t m, std::int64_t n) const;
+  /// Per-row inter-shard streaming time (K > 1): widest-hop flits at one
+  /// flit per clock (tree links run in parallel and levels pipeline).
+  [[nodiscard]] Time link_row_time(std::int64_t m, std::int64_t n) const;
   [[nodiscard]] std::int64_t flits_for(std::int64_t width) const;
 
   const MatmulEngine* base_;
   StarConfig cfg_;
+  xbar::ShardedMapper shards_;
   Time per_row_overhead_;
 };
 

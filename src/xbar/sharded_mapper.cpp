@@ -9,19 +9,6 @@ namespace star::xbar {
 
 namespace {
 
-/// Near-equal split of `total` into `parts` chunks: the first total % parts
-/// chunks get one extra element, so sizes differ by at most 1 and sum back
-/// to `total` exactly.
-std::vector<std::int64_t> near_equal_split(std::int64_t total, int parts) {
-  const std::int64_t quo = total / parts;
-  const std::int64_t rem = total % parts;
-  std::vector<std::int64_t> sizes(static_cast<std::size_t>(parts), quo);
-  for (std::int64_t i = 0; i < rem; ++i) {
-    ++sizes[static_cast<std::size_t>(i)];
-  }
-  return sizes;
-}
-
 /// Largest divisor of k that is <= sqrt(k) — the row-block count of the
 /// kBlockCyclic grid (ck = k / rk >= rk). Prime k degenerates to 1 x k,
 /// i.e. a pure column split.
@@ -51,130 +38,27 @@ const char* to_string(ShardPolicy policy) {
 
 std::int64_t ShardPlan::max_hop_width() const {
   std::int64_t w = 0;
-  for (const std::int64_t h : hop_widths) {
-    w = std::max(w, h);
-  }
+  for_each_hop_width([&](std::int64_t h) { w = std::max(w, h); });
   return w;
 }
 
-std::int64_t ShardPlan::total_hop_width() const {
-  std::int64_t w = 0;
-  for (const std::int64_t h : hop_widths) {
-    w += h;
-  }
-  return w;
-}
-
-ShardedMapper::ShardedMapper(const Mapper& base, int num_shards, ShardPolicy policy)
-    : base_(base), num_shards_(num_shards), policy_(policy) {
+ShardedMapper::ShardedMapper(int num_shards, ShardPolicy policy) {
   require(num_shards >= 1, "ShardedMapper: num_shards must be >= 1");
+  rk_ = policy == ShardPolicy::kRow       ? num_shards
+        : policy == ShardPolicy::kColumn ? 1
+                                         : block_rows_for(num_shards);
+  ck_ = num_shards / rk_;
+  // bits_for(1) is 1, so the single shard's empty merge stays explicit.
+  merge_levels_ = num_shards == 1 ? 0 : bits_for(static_cast<std::uint64_t>(num_shards));
 }
 
+// STAR_HOT
 ShardPlan ShardedMapper::plan_for(std::int64_t m, std::int64_t n) const {
   require(m >= 1 && n >= 1, "ShardedMapper::plan_for: matrix dims must be >= 1");
-
-  ShardPlan plan;
-  plan.policy = policy_;
-  plan.num_shards = num_shards_;
-  if (num_shards_ == 1) {
-    plan.slices = {ShardSlice{m, n}};
-    return plan;
-  }
-  plan.merge_levels = bits_for(static_cast<std::uint64_t>(num_shards_));
-
-  switch (policy_) {
-    case ShardPolicy::kRow: {
-      require(num_shards_ <= m,
-              "ShardedMapper: kRow needs num_shards <= m (every shard a row band)");
-      for (const std::int64_t mk : near_equal_split(m, num_shards_)) {
-        plan.slices.push_back(ShardSlice{mk, n});
-      }
-      // Every shard holds partial sums of the FULL output row; a binary
-      // reduce tree over K shards performs K-1 width-n ADD hops.
-      plan.reduce_hops = num_shards_ - 1;
-      plan.hop_widths.assign(static_cast<std::size_t>(plan.reduce_hops), n);
-      break;
-    }
-    case ShardPolicy::kColumn: {
-      require(num_shards_ <= n,
-              "ShardedMapper: kColumn needs num_shards <= n (every shard a column band)");
-      const auto cols = near_equal_split(n, num_shards_);
-      for (const std::int64_t nk : cols) {
-        plan.slices.push_back(ShardSlice{m, nk});
-      }
-      // Disjoint output slices: every non-root shard forwards its slice
-      // root-ward once; nothing is added.
-      plan.gather_hops = num_shards_ - 1;
-      for (std::size_t k = 1; k < cols.size(); ++k) {
-        plan.hop_widths.push_back(cols[k]);
-      }
-      break;
-    }
-    case ShardPolicy::kBlockCyclic: {
-      const int rk = block_rows_for(num_shards_);
-      const int ck = num_shards_ / rk;
-      require(rk <= m && ck <= n,
-              "ShardedMapper: kBlockCyclic grid exceeds the matrix "
-              "(rk <= m and ck <= n required)");
-      const auto rows = near_equal_split(m, rk);
-      const auto cols = near_equal_split(n, ck);
-      for (const std::int64_t mi : rows) {
-        for (const std::int64_t nj : cols) {
-          plan.slices.push_back(ShardSlice{mi, nj});
-        }
-      }
-      // ADD-reduce the rk row bands inside every column group, then gather
-      // the ck disjoint group results.
-      plan.reduce_hops = (rk - 1) * ck;
-      plan.gather_hops = ck - 1;
-      for (const std::int64_t nj : cols) {
-        for (int h = 0; h < rk - 1; ++h) {
-          plan.hop_widths.push_back(nj);
-        }
-      }
-      for (std::size_t j = 1; j < cols.size(); ++j) {
-        plan.hop_widths.push_back(cols[j]);
-      }
-      break;
-    }
-  }
-  return plan;
-}
-
-std::vector<MappingCost> ShardedMapper::map_static(std::int64_t b, std::int64_t m,
-                                                   std::int64_t n) const {
-  const ShardPlan plan = plan_for(m, n);
-  std::vector<MappingCost> out;
-  out.reserve(plan.slices.size());
-  for (const ShardSlice& s : plan.slices) {
-    out.push_back(base_.map_static(b, s.m, s.n));
-  }
-  return out;
-}
-
-std::vector<MappingCost> ShardedMapper::map_dynamic(std::int64_t b, std::int64_t m,
-                                                    std::int64_t n) const {
-  const ShardPlan plan = plan_for(m, n);
-  std::vector<MappingCost> out;
-  out.reserve(plan.slices.size());
-  for (const ShardSlice& s : plan.slices) {
-    out.push_back(base_.map_dynamic(b, s.m, s.n));
-  }
-  return out;
-}
-
-hw::ProgramCost ShardedMapper::weight_program_cost(std::int64_t m, std::int64_t n,
-                                                   const RramDevice& device) const {
-  if (num_shards_ == 1) {
-    // Delegate, don't recompute: the K = 1 bill is the monolithic one.
-    return base_.weight_program_cost(m, n, device);
-  }
-  const ShardPlan plan = plan_for(m, n);
-  hw::ProgramCost pc;
-  for (const ShardSlice& s : plan.slices) {
-    pc = pc.parallel_with(base_.weight_program_cost(s.m, s.n, device));
-  }
-  return pc;
+  require(rk_ <= m && ck_ <= n,
+          "ShardedMapper: the shard grid exceeds the matrix "
+          "(rk <= m and ck <= n required: every shard a non-empty slice)");
+  return ShardPlan{m, n, rk_, ck_, merge_levels_};
 }
 
 }  // namespace star::xbar

@@ -2,24 +2,22 @@
 // crossbar shards (chiplets / banks).
 //
 // The monolithic Mapper answers "how does an M x N matrix land on ONE tile
-// grid". The ShardedMapper splits the operand into K slices — by rows of
-// the inner dimension (partial sums need an ADD-reduce), by output columns
-// (disjoint slices need only a gather), or block-cyclically over both —
-// maps every slice through the unchanged base Mapper, and describes the
-// inter-shard merge the composition layer must price: how many link hops a
-// result row takes, how wide each hop is, and the log-depth of the
-// reduction tree. This is the same partition-then-reduce structure cuBERT
-// uses across GPU streams, applied to crossbar tile grids.
+// grid". The ShardedMapper splits the operand over K shards on one rk x ck
+// block grid (rk * ck = K): rk row blocks of the inner dimension, whose
+// partial sums need an ADD-reduce, by ck column blocks of the output, which
+// need only a gather. The three policies are three grid shapes: kRow is
+// K x 1, kColumn is 1 x K and kBlockCyclic the near-square factorisation.
+// The plan describes the merge the composition layer
+// (core::ShardedMatmulEngine) prices: the width of every link hop and the
+// log-depth of the reduction tree. This is the same partition-then-reduce
+// structure cuBERT uses across GPU streams, applied to crossbar tile grids.
 //
-// K = 1 degenerates to the monolithic mapping: one slice, zero hops, zero
-// merge levels — the composition layer uses that to stay bit-identical to
-// the unsharded path.
+// A plan is a value: it holds the grid and the operand shape and visits its
+// slices and hop widths without storing them, so building one allocates
+// nothing. K = 1 is the 1 x 1 grid: one slice, no hops, zero merge levels.
 #pragma once
 
 #include <cstdint>
-#include <vector>
-
-#include "xbar/mapper.hpp"
 
 namespace star::xbar {
 
@@ -36,72 +34,68 @@ enum class ShardPolicy {
 
 [[nodiscard]] const char* to_string(ShardPolicy policy);
 
-/// One shard's operand slice: it multiplies a B x m slice of the input by
-/// an m x n slice of the matrix on its own tile grid.
-struct ShardSlice {
+/// Chunk `i` of `total` split near-equally into `parts`: the first
+/// total % parts chunks get one extra element, so sizes differ by at most 1
+/// and sum back to `total` exactly.
+[[nodiscard]] constexpr std::int64_t chunk(std::int64_t total, int parts, int i) {
+  return total / parts + (i < total % parts ? 1 : 0);
+}
+
+/// The partition of one m x n matmul on an rk x ck shard grid plus the
+/// merge shape the interconnect model prices.
+struct ShardPlan {
   std::int64_t m = 0;
   std::int64_t n = 0;
-};
-
-/// The partition of one M x N matmul over K shards plus the merge shape
-/// the interconnect model prices.
-struct ShardPlan {
-  ShardPolicy policy = ShardPolicy::kRow;
-  int num_shards = 1;
-  std::vector<ShardSlice> slices;  ///< one per shard; dims sum back to M/N
-
+  int rk = 1;  ///< row blocks (partial sums of the same outputs)
+  int ck = 1;  ///< column blocks (disjoint outputs)
   /// Depth of the inter-shard merge tree: ceil(log2 K), 0 when K == 1.
   int merge_levels = 0;
-  /// Link hops that ADD partial sums (row bands of the same outputs).
-  int reduce_hops = 0;
-  /// Link hops that only concatenate disjoint output slices.
-  int gather_hops = 0;
-  /// Output elements carried by each hop, reduce hops first then gather
-  /// hops (size reduce_hops + gather_hops; empty when K == 1).
-  std::vector<std::int64_t> hop_widths;
+
+  /// Calls f(m_i, n_j) for every shard's slice, row-major over (row block,
+  /// column block). The slice dims sum back to m and n.
+  template <class F>
+  void for_each_slice(F&& f) const {
+    for (int i = 0; i < rk; ++i) {
+      const std::int64_t mi = chunk(m, rk, i);
+      for (int j = 0; j < ck; ++j) {
+        f(mi, chunk(n, ck, j));
+      }
+    }
+  }
+
+  /// Calls f(width) for every link hop, in output elements: the rk - 1
+  /// ADD-reduce hops of each column group, then the gathers of column
+  /// groups 1..ck-1 to the root. No hop when K == 1.
+  template <class F>
+  void for_each_hop_width(F&& f) const {
+    for (int j = 0; j < ck; ++j) {
+      for (int h = 0; h < rk - 1; ++h) {
+        f(chunk(n, ck, j));
+      }
+    }
+    for (int j = 1; j < ck; ++j) {
+      f(chunk(n, ck, j));
+    }
+  }
 
   /// Widest single hop (sets the per-row link streaming time; parallel
   /// tree links pipeline, so only the widest hop paces a row). 0 if K == 1.
   [[nodiscard]] std::int64_t max_hop_width() const;
-  /// Sum of all hop widths (sets the per-row link energy).
-  [[nodiscard]] std::int64_t total_hop_width() const;
 };
 
 class ShardedMapper {
  public:
-  /// Partition over `num_shards` shards under `policy`; every slice is
-  /// mapped through `base` (the per-shard tile geometry is the monolithic
-  /// one — shards are replicas of the same tile design).
-  ShardedMapper(const Mapper& base, int num_shards, ShardPolicy policy);
+  /// The rk x ck grid of `num_shards` shards under `policy`.
+  ShardedMapper(int num_shards, ShardPolicy policy);
 
-  /// The partition of an m x n matmul. Throws InvalidArgument when the
-  /// matrix cannot feed every shard a non-empty slice (K > m under kRow,
-  /// K > n under kColumn, rk > m or ck > n under kBlockCyclic).
+  /// The partition of an m x n matmul. Throws InvalidArgument unless every
+  /// shard gets a non-empty slice: rk <= m and ck <= n.
   [[nodiscard]] ShardPlan plan_for(std::int64_t m, std::int64_t n) const;
 
-  /// Per-shard mapping costs of a B x m input against a static / dynamic
-  /// m x n matrix: element k is base().map_*(b, slice_k.m, slice_k.n).
-  [[nodiscard]] std::vector<MappingCost> map_static(std::int64_t b, std::int64_t m,
-                                                    std::int64_t n) const;
-  [[nodiscard]] std::vector<MappingCost> map_dynamic(std::int64_t b, std::int64_t m,
-                                                     std::int64_t n) const;
-
-  /// Residency hook: programming an M x N weight image spread over the K
-  /// shards. Shards own independent write ports, so slices program in
-  /// parallel — latency is the slowest slice's, energy sums (the cell
-  /// writes are conserved exactly: slices partition the matrix). K = 1
-  /// equals base().weight_program_cost bit-for-bit.
-  [[nodiscard]] hw::ProgramCost weight_program_cost(std::int64_t m, std::int64_t n,
-                                                    const RramDevice& device) const;
-
-  [[nodiscard]] const Mapper& base() const { return base_; }
-  [[nodiscard]] int num_shards() const { return num_shards_; }
-  [[nodiscard]] ShardPolicy policy() const { return policy_; }
-
  private:
-  Mapper base_;
-  int num_shards_;
-  ShardPolicy policy_;
+  int rk_;
+  int ck_;
+  int merge_levels_;
 };
 
 }  // namespace star::xbar

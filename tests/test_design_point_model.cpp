@@ -1,7 +1,7 @@
 // Tests for the uncached design-point cost model: cost-only matmul tiles
 // against a full XbarTile, the crossbar array's mean conductance and its
-// bulk programming order, all-or-nothing CAM/LUT fills, and the config
-// checks a cost-only tile must keep.
+// bulk programming order, all-or-nothing CAM/LUT fills, the config checks a
+// cost-only tile must keep, and a design point that allocates nothing.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -10,11 +10,14 @@
 #include <utility>
 #include <vector>
 
+#include "baseline/gpu_model.hpp"
 #include "baseline/pipelayer.hpp"
 #include "baseline/retransformer.hpp"
 #include "core/accelerator.hpp"
+#include "core/encoder_model.hpp"
 #include "core/matmul_engine.hpp"
 #include "hw/tech.hpp"
+#include "util/alloc_counter.hpp"
 #include "util/rng.hpp"
 #include "util/status.hpp"
 #include "xbar/array.hpp"
@@ -33,11 +36,11 @@ const hw::TechNode kTech = hw::TechNode::n32();
 /// The tile MatmulEngine models, built as a full functional tile.
 xbar::XbarTile full_tile(const core::StarConfig& cfg) {
   xbar::VmmConfig v;
-  v.rows = cfg.matmul_rows;
-  v.cols = cfg.matmul_cols;
-  v.weight_bits = cfg.matmul_weight_bits;
-  v.input_bits = cfg.matmul_input_bits;
-  v.adc_bits = cfg.matmul_adc_bits;
+  v.rows = core::MatmulEngine::kTileRows;
+  v.cols = core::MatmulEngine::kTileCols;
+  v.weight_bits = core::MatmulEngine::kWeightBits;
+  v.input_bits = core::MatmulEngine::kInputBits;
+  v.adc_bits = core::MatmulEngine::kAdcBits;
   v.adc_mux_ratio = 8;
   return xbar::XbarTile(cfg.tech, cfg.device, v);
 }
@@ -52,7 +55,7 @@ TEST(CostOnlyTile, FiguresEqualAFullTileBitForBit) {
     const xbar::XbarTile tile = full_tile(cfg);
     const std::string dev = "bits_per_cell=" + std::to_string(device.bits_per_cell) +
                             " sigma=" + std::to_string(device.program_sigma_log);
-    for (int a = 0; a <= cfg.matmul_rows; ++a) {
+    for (int a = 0; a <= core::MatmulEngine::kTileRows; ++a) {
       ASSERT_EQ(eng.tile_energy(a).as_J(), tile.op_energy(a).as_J()) << dev << " a=" << a;
     }
     EXPECT_EQ(eng.tile_latency().as_s(), tile.op_latency().as_s()) << dev;
@@ -71,17 +74,8 @@ TEST(CostOnlyTile, NeverProgrammedArrayMeanIsGOff) {
 TEST(CostOnlyTile, KeepsEveryCheckOfTheFullTile) {
   std::vector<std::pair<const char*, core::StarConfig>> bad;
   core::StarConfig cfg;
-  cfg.matmul_cols = 3;  // narrower than one ADC mux group; zero logical columns
-  bad.emplace_back("matmul_cols=3", cfg);
-  cfg = core::StarConfig{};
-  cfg.matmul_cols = 130;  // not a multiple of the 4 weight slices
-  bad.emplace_back("matmul_cols=130", cfg);
-  cfg = core::StarConfig{};
   cfg.device.bits_per_cell = 3;  // 3 slices do not divide 128 columns
   bad.emplace_back("bits_per_cell=3", cfg);
-  cfg = core::StarConfig{};
-  cfg.matmul_adc_bits = 0;
-  bad.emplace_back("matmul_adc_bits=0", cfg);
   cfg = core::StarConfig{};
   cfg.num_shards = 0;  // no tile rule covers it: the whole StarConfig is checked
   bad.emplace_back("num_shards=0", cfg);
@@ -296,6 +290,69 @@ TEST(AllOrNothingFill, FillIndexesLikeRowByRowStores) {
     }
     EXPECT_TRUE(view_of(filled) == view_of(stored)) << name;
     EXPECT_EQ(filled.unique_codes(), codes != &duplicates) << name;
+  }
+}
+
+// ---------- an uncached design point allocates nothing ----------
+
+template <class F>
+std::uint64_t allocations_of(F&& f) {
+  const util::AllocCounter counter;
+  f();
+  return counter.allocations();
+}
+
+TEST(DesignPointAllocations, UncachedEvaluationAllocatesNothing) {
+  if (!util::alloc_audit_enabled()) {
+    GTEST_SKIP() << "allocation audit not compiled in (Debug or -DSTAR_AUDIT=ON)";
+  }
+  // A design-sweep point builds a fresh StarAccelerator and the three
+  // baselines and evaluates each once. At every shard count and policy none
+  // of it may touch the heap: the shard plan visits its slices and hops
+  // without storing them. The encoder layer's one allowance is its report
+  // name, longer than the small-string buffer.
+  const nn::BertConfig bert = nn::BertConfig::base();
+  for (const int k : {1, 2, 4, 8}) {
+    for (const xbar::ShardPolicy policy :
+         {xbar::ShardPolicy::kRow, xbar::ShardPolicy::kColumn,
+          xbar::ShardPolicy::kBlockCyclic}) {
+      core::StarConfig cfg;
+      cfg.num_shards = k;
+      cfg.shard_policy = policy;
+      for (const std::int64_t len : {64, 384}) {
+        std::optional<core::StarAccelerator> acc;
+        EXPECT_EQ(allocations_of([&] { acc.emplace(cfg); }), 0u)
+            << "StarAccelerator K=" << k << ' ' << xbar::to_string(policy);
+        EXPECT_EQ(allocations_of([&] { (void)acc->run_attention_layer(bert, len); }), 0u)
+            << "run_attention_layer K=" << k << ' ' << xbar::to_string(policy)
+            << " L=" << len;
+        EXPECT_EQ(allocations_of([&] { (void)acc->stage_times(bert, len); }), 0u)
+            << "stage_times K=" << k << ' ' << xbar::to_string(policy) << " L=" << len;
+        EXPECT_EQ(allocations_of([&] { (void)acc->engines_needed(bert, len); }), 0u)
+            << "engines_needed K=" << k << ' ' << xbar::to_string(policy)
+            << " L=" << len;
+        EXPECT_EQ(allocations_of([&] {
+                    (void)baseline::PipeLayerModel(cfg).run_attention_layer(bert, len);
+                  }),
+                  0u)
+            << "PipeLayer L=" << len;
+        EXPECT_EQ(allocations_of([&] {
+                    (void)baseline::ReTransformerModel(cfg).run_attention_layer(bert,
+                                                                                len);
+                  }),
+                  0u)
+            << "ReTransformer L=" << len;
+        EXPECT_EQ(allocations_of([&] {
+                    (void)baseline::GpuModel().run_attention_layer(bert, len);
+                  }),
+                  0u)
+            << "GPU L=" << len;
+        const core::EncoderModel encoder(cfg);
+        EXPECT_LE(allocations_of([&] { (void)encoder.run_encoder_layer(bert, len); }), 1u)
+            << "run_encoder_layer K=" << k << ' ' << xbar::to_string(policy)
+            << " L=" << len;
+      }
+    }
   }
 }
 

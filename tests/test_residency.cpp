@@ -210,34 +210,38 @@ TEST(WeightProgramCost, MatchesTheDynamicMatrixWriteRule) {
 }
 
 TEST(WeightProgramCost, ShardedWritesParallelizeAndConserveEnergy) {
-  core::StarConfig cfg;
-  cfg.num_shards = 4;
-  const core::MatmulEngine base(cfg);
-  const core::ShardedMatmulEngine sharded(base, cfg, Time::ns(800.0));
+  const core::StarConfig mono_cfg;
+  const core::MatmulEngine base(mono_cfg);
+  const auto sharded = [&](int num_shards, xbar::ShardPolicy policy) {
+    core::StarConfig cfg = mono_cfg;
+    cfg.num_shards = num_shards;
+    cfg.shard_policy = policy;
+    return core::ShardedMatmulEngine(base, cfg, Time::ns(800.0));
+  };
   // m = 256 so a kRow split (slices of 64 rows) genuinely undercuts the
   // 128-row tile depth that paces the monolithic write.
-  const hw::ProgramCost mono = sharded.weight_image_cost(256, 3072, 1,
-                                                         xbar::ShardPolicy::kRow);
+  const hw::ProgramCost mono =
+      sharded(1, xbar::ShardPolicy::kRow).weight_image_cost(256, 3072);
   for (const auto policy : {xbar::ShardPolicy::kRow, xbar::ShardPolicy::kColumn,
                             xbar::ShardPolicy::kBlockCyclic}) {
-    const hw::ProgramCost k4 = sharded.weight_image_cost(256, 3072, 4, policy);
+    const hw::ProgramCost k4 = sharded(4, policy).weight_image_cost(256, 3072);
     // Slices partition the matrix exactly: total cell writes conserved.
     EXPECT_DOUBLE_EQ(k4.energy.as_pJ(), mono.energy.as_pJ())
         << xbar::to_string(policy);
     // Parallel write ports: never slower than the monolithic port.
     EXPECT_LE(k4.latency.as_ns(), mono.latency.as_ns()) << xbar::to_string(policy);
   }
-  // K = 1 delegates to the monolithic Mapper bit-exactly.
-  const hw::ProgramCost k1_explicit =
-      sharded.weight_image_cost(256, 3072, 1, xbar::ShardPolicy::kColumn);
-  EXPECT_EQ(k1_explicit.energy.as_pJ(), mono.energy.as_pJ());
-  EXPECT_EQ(k1_explicit.latency.as_ns(), mono.latency.as_ns());
-  EXPECT_EQ(k1_explicit.energy.as_pJ(),
+  // K = 1 delegates to the monolithic Mapper bit-exactly, under any policy.
+  const hw::ProgramCost k1_column =
+      sharded(1, xbar::ShardPolicy::kColumn).weight_image_cost(256, 3072);
+  EXPECT_EQ(k1_column.energy.as_pJ(), mono.energy.as_pJ());
+  EXPECT_EQ(k1_column.latency.as_ns(), mono.latency.as_ns());
+  EXPECT_EQ(k1_column.energy.as_pJ(),
             base.weight_image_cost(256, 3072).energy.as_pJ());
-  // The provisioned default (K = 4, kRow) genuinely parallelises rows.
-  const hw::ProgramCost k4_default = sharded.weight_image_cost(256, 3072);
-  EXPECT_EQ(sharded.num_shards(), 4);
-  EXPECT_LT(k4_default.latency.as_ns(), mono.latency.as_ns());
+  // Four row-policy shards genuinely parallelise rows.
+  const hw::ProgramCost k4_row =
+      sharded(4, xbar::ShardPolicy::kRow).weight_image_cost(256, 3072);
+  EXPECT_LT(k4_row.latency.as_ns(), mono.latency.as_ns());
 }
 
 // ---------- BatchEncoderSim: per-sim manager, warm bit-identity ----------

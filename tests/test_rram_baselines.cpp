@@ -103,41 +103,6 @@ TEST(PipeLayer, PaysWritesOnCriticalPath) {
   EXPECT_GT(p.write_energy.as_J(), r.write_energy.as_J());
 }
 
-TEST(PipeLayer, SpikeEncodingSlowsRows) {
-  const auto cfg = nine_bit_cfg();
-  PipeLayerParams slow;
-  slow.spike_pass_factor = 6.0;
-  PipeLayerParams fast;
-  fast.spike_pass_factor = 1.0;
-  const PipeLayerModel a(cfg, {}, slow);
-  const PipeLayerModel b(cfg, {}, fast);
-  EXPECT_GT(a.stage_times(kBert, 128).score_row.as_ns(),
-            b.stage_times(kBert, 128).score_row.as_ns());
-  EXPECT_GT(a.run_attention_layer(kBert, 128).latency.as_us(),
-            b.run_attention_layer(kBert, 128).latency.as_us());
-}
-
-TEST(PipeLayer, WeightReplicationRaisesPower) {
-  const auto cfg = nine_bit_cfg();
-  PipeLayerParams one;
-  one.weight_replication = 1;
-  PipeLayerParams four;
-  four.weight_replication = 4;
-  const PipeLayerModel a(cfg, {}, one);
-  const PipeLayerModel b(cfg, {}, four);
-  EXPECT_GT(b.run_attention_layer(kBert, 128).power.as_W(),
-            a.run_attention_layer(kBert, 128).power.as_W());
-}
-
-TEST(PipeLayer, ParamValidation) {
-  PipeLayerParams bad;
-  bad.spike_pass_factor = 0.5;
-  EXPECT_THROW(PipeLayerModel(nine_bit_cfg(), {}, bad), InvalidArgument);
-  PipeLayerParams bad2;
-  bad2.weight_replication = 0;
-  EXPECT_THROW(PipeLayerModel(nine_bit_cfg(), {}, bad2), InvalidArgument);
-}
-
 TEST(AllAccelerators, SameOpsAccounting) {
   const auto cfg = nine_bit_cfg();
   const core::StarAccelerator star_acc(cfg);

@@ -1,6 +1,7 @@
-// Sharded crossbar tiles: the xbar::ShardedMapper partition policies, the
-// core::ShardedMatmulEngine interconnect composition, and num_shards
-// flowing through the accelerator / encoder / serving layers.
+// Sharded crossbar tiles: the xbar::ShardedMapper block grid, the
+// core::ShardedMatmulEngine interconnect composition, num_shards flowing
+// through the accelerator / encoder / serving layers, and the golden file
+// of every crossbar accelerator cost figure.
 //
 // Anchoring invariant: K = 1 is the unsharded engine BY CONSTRUCTION —
 // every K = 1 quantity must be bit-identical (exact doubles) to the
@@ -13,6 +14,7 @@
 #include <fstream>
 #include <future>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baseline/pipelayer.hpp"
@@ -50,130 +52,124 @@ core::StarConfig cfg_with_shards(int num_shards,
 struct EngineUnderTest {
   explicit EngineUnderTest(const core::StarConfig& cfg)
       : base(cfg), sharded(base, cfg, core::SystemOverheads{}.per_row_overhead) {}
+  EngineUnderTest(int num_shards, ShardPolicy policy)
+      : EngineUnderTest(cfg_with_shards(num_shards, policy)) {}
   core::MatmulEngine base;
   ShardedMatmulEngine sharded;
 };
 
-// ---------- ShardedMapper: partition shapes ----------
+// ---------- ShardedMapper: the block grid ----------
+
+/// The slices and hop widths a plan visits, in visiting order.
+struct PlanLists {
+  std::vector<std::pair<std::int64_t, std::int64_t>> slices;
+  std::vector<std::int64_t> hops;
+};
+
+PlanLists lists_of(const xbar::ShardPlan& plan) {
+  PlanLists out;
+  plan.for_each_slice(
+      [&](std::int64_t m, std::int64_t n) { out.slices.emplace_back(m, n); });
+  plan.for_each_hop_width([&](std::int64_t w) { out.hops.push_back(w); });
+  return out;
+}
+
+xbar::ShardPlan plan(int num_shards, ShardPolicy policy, std::int64_t m,
+                     std::int64_t n) {
+  return xbar::ShardedMapper(num_shards, policy).plan_for(m, n);
+}
 
 TEST(ShardedMapper, RowPolicySlicesPartitionM) {
-  const xbar::Mapper base(128, 32, 4);
-  const xbar::ShardedMapper mapper(base, 4, ShardPolicy::kRow);
-  const auto plan = mapper.plan_for(100, 40);
-  ASSERT_EQ(plan.slices.size(), 4u);
+  const auto p = lists_of(plan(4, ShardPolicy::kRow, 100, 40));
+  ASSERT_EQ(p.slices.size(), 4u);
   std::int64_t sum = 0;
-  for (const auto& s : plan.slices) {
-    EXPECT_EQ(s.n, 40);
-    EXPECT_GE(s.m, 25);
-    EXPECT_LE(s.m, 26);  // near-equal: sizes differ by at most 1
-    sum += s.m;
+  for (const auto& [m, n] : p.slices) {
+    EXPECT_EQ(n, 40);
+    EXPECT_GE(m, 25);
+    EXPECT_LE(m, 26);  // near-equal: sizes differ by at most 1
+    sum += m;
   }
   EXPECT_EQ(sum, 100);
 }
 
 TEST(ShardedMapper, ColumnPolicySlicesPartitionN) {
-  const xbar::Mapper base(128, 32, 4);
-  const xbar::ShardedMapper mapper(base, 3, ShardPolicy::kColumn);
-  const auto plan = mapper.plan_for(64, 40);
-  ASSERT_EQ(plan.slices.size(), 3u);
+  const auto p = lists_of(plan(3, ShardPolicy::kColumn, 64, 40));
+  ASSERT_EQ(p.slices.size(), 3u);
   std::int64_t sum = 0;
-  for (const auto& s : plan.slices) {
-    EXPECT_EQ(s.m, 64);
-    sum += s.n;
+  for (const auto& [m, n] : p.slices) {
+    EXPECT_EQ(m, 64);
+    sum += n;
   }
   EXPECT_EQ(sum, 40);
-  EXPECT_EQ(plan.slices[0].n, 14);  // the remainder lands on the first slices
-  EXPECT_EQ(plan.slices[2].n, 13);
+  EXPECT_EQ(p.slices[0].second, 14);  // the remainder lands on the first slices
+  EXPECT_EQ(p.slices[2].second, 13);
 }
 
 TEST(ShardedMapper, BlockCyclicFactorsNearSquare) {
-  const xbar::Mapper base(128, 32, 4);
-  // K = 4 -> 2 x 2 blocks; K = 6 -> 2 x 3; prime K = 3 -> 1 x 3 (column).
-  const auto p4 = xbar::ShardedMapper(base, 4, ShardPolicy::kBlockCyclic)
-                      .plan_for(100, 40);
-  ASSERT_EQ(p4.slices.size(), 4u);
-  EXPECT_EQ(p4.slices[0].m, 50);
-  EXPECT_EQ(p4.slices[0].n, 20);
-  const auto p6 = xbar::ShardedMapper(base, 6, ShardPolicy::kBlockCyclic)
-                      .plan_for(100, 40);
-  ASSERT_EQ(p6.slices.size(), 6u);
-  EXPECT_EQ(p6.slices[0].m, 50);   // 2 row blocks
-  EXPECT_EQ(p6.slices[0].n, 14);   // 3 column blocks
-  const auto p3 = xbar::ShardedMapper(base, 3, ShardPolicy::kBlockCyclic)
-                      .plan_for(100, 40);
-  EXPECT_EQ(p3.slices[0].m, 100);  // degenerates to a pure column split
+  // K = 4 -> 2 x 2 blocks; K = 6 -> 2 x 3; K = 8 -> 2 x 4; prime K = 3 ->
+  // 1 x 3 (column).
+  const auto p4 = plan(4, ShardPolicy::kBlockCyclic, 100, 40);
+  EXPECT_EQ(p4.rk, 2);
+  EXPECT_EQ(p4.ck, 2);
+  const auto s4 = lists_of(p4).slices;
+  ASSERT_EQ(s4.size(), 4u);
+  EXPECT_EQ(s4[0], std::make_pair(std::int64_t{50}, std::int64_t{20}));
+  const auto s6 = lists_of(plan(6, ShardPolicy::kBlockCyclic, 100, 40)).slices;
+  ASSERT_EQ(s6.size(), 6u);
+  EXPECT_EQ(s6[0].first, 50);   // 2 row blocks
+  EXPECT_EQ(s6[0].second, 14);  // 3 column blocks
+  // Row-major over (row block, column block).
+  EXPECT_EQ(s6[3], std::make_pair(std::int64_t{50}, std::int64_t{14}));
+  EXPECT_EQ(s6[5], std::make_pair(std::int64_t{50}, std::int64_t{13}));
+  const auto p8 = plan(8, ShardPolicy::kBlockCyclic, 100, 40);
+  EXPECT_EQ(p8.rk, 2);
+  EXPECT_EQ(p8.ck, 4);
+  const auto p3 = plan(3, ShardPolicy::kBlockCyclic, 100, 40);
+  EXPECT_EQ(p3.rk, 1);  // degenerates to a pure column split
+  EXPECT_EQ(lists_of(p3).slices[0].first, 100);
 }
 
 TEST(ShardedMapper, SingleShardPlanIsMonolithic) {
-  const xbar::Mapper base(128, 32, 4);
   for (const auto policy : kPolicies) {
-    const auto plan = xbar::ShardedMapper(base, 1, policy).plan_for(300, 70);
-    ASSERT_EQ(plan.slices.size(), 1u);
-    EXPECT_EQ(plan.slices[0].m, 300);
-    EXPECT_EQ(plan.slices[0].n, 70);
-    EXPECT_EQ(plan.merge_levels, 0);
-    EXPECT_EQ(plan.reduce_hops, 0);
-    EXPECT_EQ(plan.gather_hops, 0);
-    EXPECT_TRUE(plan.hop_widths.empty());
-    EXPECT_EQ(plan.max_hop_width(), 0);
+    const auto p = plan(1, policy, 300, 70);
+    const auto l = lists_of(p);
+    ASSERT_EQ(l.slices.size(), 1u);
+    EXPECT_EQ(l.slices[0], std::make_pair(std::int64_t{300}, std::int64_t{70}));
+    EXPECT_EQ(p.merge_levels, 0);
+    EXPECT_TRUE(l.hops.empty());
+    EXPECT_EQ(p.max_hop_width(), 0);
   }
 }
 
 TEST(ShardedMapper, HopShapesPerPolicy) {
-  const xbar::Mapper base(128, 32, 4);
   // Row: K-1 full-width ADD hops.
-  const auto row = xbar::ShardedMapper(base, 4, ShardPolicy::kRow).plan_for(100, 40);
-  EXPECT_EQ(row.reduce_hops, 3);
-  EXPECT_EQ(row.gather_hops, 0);
+  const auto row = plan(4, ShardPolicy::kRow, 100, 40);
+  EXPECT_EQ(lists_of(row).hops, (std::vector<std::int64_t>{40, 40, 40}));
   EXPECT_EQ(row.merge_levels, 2);
-  ASSERT_EQ(row.hop_widths.size(), 3u);
   EXPECT_EQ(row.max_hop_width(), 40);
-  EXPECT_EQ(row.total_hop_width(), 120);
-  // Column: K-1 slice-width gather hops, no adds.
-  const auto col =
-      xbar::ShardedMapper(base, 4, ShardPolicy::kColumn).plan_for(100, 40);
-  EXPECT_EQ(col.reduce_hops, 0);
-  EXPECT_EQ(col.gather_hops, 3);
-  EXPECT_EQ(col.max_hop_width(), 10);
-  EXPECT_EQ(col.total_hop_width(), 30);
-  // Block 2 x 2: one ADD hop per column group plus one gather hop.
-  const auto blk =
-      xbar::ShardedMapper(base, 4, ShardPolicy::kBlockCyclic).plan_for(100, 40);
-  EXPECT_EQ(blk.reduce_hops, 2);
-  EXPECT_EQ(blk.gather_hops, 1);
-  EXPECT_EQ(blk.max_hop_width(), 20);
-  EXPECT_EQ(blk.total_hop_width(), 60);
+  // Column: K-1 slice-width gather hops (slices 1..K-1), no adds.
+  const auto col = plan(4, ShardPolicy::kColumn, 100, 42);
+  EXPECT_EQ(lists_of(col).hops, (std::vector<std::int64_t>{11, 10, 10}));
+  EXPECT_EQ(col.max_hop_width(), 11);
+  // Block 2 x 4: one ADD hop per column group, then the gathers of column
+  // groups 1..3.
+  const auto blk = plan(8, ShardPolicy::kBlockCyclic, 100, 42);
+  EXPECT_EQ(lists_of(blk).hops,
+            (std::vector<std::int64_t>{11, 11, 10, 10, 11, 10, 10}));
+  EXPECT_EQ(blk.max_hop_width(), 11);
   // Merge depth is logarithmic in K.
-  EXPECT_EQ(xbar::ShardedMapper(base, 2, ShardPolicy::kRow).plan_for(64, 8)
-                .merge_levels, 1);
-  EXPECT_EQ(xbar::ShardedMapper(base, 8, ShardPolicy::kRow).plan_for(64, 8)
-                .merge_levels, 3);
-}
-
-TEST(ShardedMapper, ShardCostsMatchBaseMapperOnSlices) {
-  const xbar::Mapper base(128, 32, 4);
-  const xbar::ShardedMapper mapper(base, 3, ShardPolicy::kRow);
-  const auto plan = mapper.plan_for(300, 70);
-  const auto costs = mapper.map_static(16, 300, 70);
-  ASSERT_EQ(costs.size(), plan.slices.size());
-  for (std::size_t k = 0; k < costs.size(); ++k) {
-    const auto expect = base.map_static(16, plan.slices[k].m, plan.slices[k].n);
-    EXPECT_EQ(costs[k].grid.row_tiles, expect.grid.row_tiles);
-    EXPECT_EQ(costs[k].grid.col_tiles, expect.grid.col_tiles);
-    EXPECT_EQ(costs[k].vmm_invocations, expect.vmm_invocations);
-    EXPECT_DOUBLE_EQ(costs[k].mac_ops, expect.mac_ops);
-  }
+  EXPECT_EQ(plan(2, ShardPolicy::kRow, 64, 8).merge_levels, 1);
+  EXPECT_EQ(plan(8, ShardPolicy::kRow, 64, 8).merge_levels, 3);
 }
 
 TEST(ShardedMapper, DynamicCellWritesConservedExactly) {
   const xbar::Mapper base(128, 32, 4);
   for (const auto policy : kPolicies) {
     for (const int k : {2, 3, 4, 8}) {
-      const auto costs = xbar::ShardedMapper(base, k, policy).map_dynamic(8, 96, 48);
       std::int64_t writes = 0;
-      for (const auto& c : costs) {
-        writes += c.cell_writes;
-      }
+      plan(k, policy, 96, 48).for_each_slice([&](std::int64_t m, std::int64_t n) {
+        writes += base.map_dynamic(8, m, n).cell_writes;
+      });
       EXPECT_EQ(writes, base.map_dynamic(8, 96, 48).cell_writes)
           << to_string(policy) << " K=" << k;
     }
@@ -186,12 +182,11 @@ TEST(ShardedMapper, MacsConservedAcrossPoliciesAndShardCounts) {
   for (const auto policy : kPolicies) {
     for (const int k : {1, 2, 3, 4, 8}) {
       for (const auto& g : geoms) {
-        const auto costs =
-            xbar::ShardedMapper(base, k, policy).map_static(16, g[0], g[1]);
         double macs = 0.0;
-        for (const auto& c : costs) {
-          macs += c.mac_ops;
-        }
+        plan(k, policy, g[0], g[1]).for_each_slice(
+            [&](std::int64_t m, std::int64_t n) {
+              macs += base.map_static(16, m, n).mac_ops;
+            });
         // Integer-valued doubles: the sum is exact, not just close.
         EXPECT_DOUBLE_EQ(macs, 16.0 * static_cast<double>(g[0]) *
                                    static_cast<double>(g[1]))
@@ -202,106 +197,109 @@ TEST(ShardedMapper, MacsConservedAcrossPoliciesAndShardCounts) {
 }
 
 TEST(ShardedMapper, RejectsInfeasiblePartitions) {
-  const xbar::Mapper base(128, 32, 4);
-  EXPECT_THROW(xbar::ShardedMapper(base, 0, ShardPolicy::kRow), InvalidArgument);
-  EXPECT_THROW(xbar::ShardedMapper(base, -2, ShardPolicy::kRow), InvalidArgument);
-  // Every shard must receive a non-empty slice.
-  EXPECT_THROW(xbar::ShardedMapper(base, 4, ShardPolicy::kRow).plan_for(3, 64),
-               InvalidArgument);
-  EXPECT_THROW(xbar::ShardedMapper(base, 4, ShardPolicy::kColumn).plan_for(64, 3),
-               InvalidArgument);
-  EXPECT_THROW(
-      xbar::ShardedMapper(base, 4, ShardPolicy::kBlockCyclic).plan_for(1, 64),
-      InvalidArgument);
-  EXPECT_THROW(xbar::ShardedMapper(base, 2, ShardPolicy::kRow).plan_for(0, 4),
-               InvalidArgument);
+  EXPECT_THROW(xbar::ShardedMapper(0, ShardPolicy::kRow), InvalidArgument);
+  EXPECT_THROW(xbar::ShardedMapper(-2, ShardPolicy::kRow), InvalidArgument);
+  // Every shard must receive a non-empty slice: rk <= m and ck <= n.
+  EXPECT_THROW((void)plan(4, ShardPolicy::kRow, 3, 64), InvalidArgument);
+  EXPECT_THROW((void)plan(4, ShardPolicy::kColumn, 64, 3), InvalidArgument);
+  EXPECT_THROW((void)plan(4, ShardPolicy::kBlockCyclic, 1, 64), InvalidArgument);
+  EXPECT_THROW((void)plan(8, ShardPolicy::kBlockCyclic, 64, 3), InvalidArgument);
+  EXPECT_THROW((void)plan(2, ShardPolicy::kRow, 0, 4), InvalidArgument);
+  EXPECT_NO_THROW((void)plan(4, ShardPolicy::kRow, 4, 1));
 }
 
 // ---------- ShardedMatmulEngine: K = 1 exact identity ----------
 
 TEST(ShardedMatmul, SingleShardStreamCostBitIdenticalToBase) {
-  const EngineUnderTest eng(cfg_with_shards(1));
   const std::int64_t geoms[][3] = {
       {128, 768, 768}, {128, 64, 128}, {128, 128, 64}, {16, 768, 3072}, {1, 1, 1}};
-  for (const auto& g : geoms) {
-    for (const bool dynamic : {false, true}) {
-      const auto ref = eng.base.stream_cost(g[0], g[1], g[2], dynamic);
-      const auto got = eng.sharded.stream_cost(g[0], g[1], g[2], dynamic);
-      // Exact double equality on every field — delegation, not recomputation.
-      EXPECT_EQ(got.total.latency.as_s(), ref.latency.as_s());
-      EXPECT_EQ(got.total.row_service.as_s(), ref.row_service.as_s());
-      EXPECT_EQ(got.total.energy.as_J(), ref.energy.as_J());
-      EXPECT_EQ(got.total.write_energy.as_J(), ref.write_energy.as_J());
-      EXPECT_EQ(got.total.write_latency.as_s(), ref.write_latency.as_s());
-      EXPECT_EQ(got.total.tile_ops, ref.tile_ops);
-      EXPECT_EQ(got.total.tiles, ref.tiles);
-      EXPECT_EQ(got.total.macs, ref.macs);
-      EXPECT_EQ(got.num_shards(), 1);
-      EXPECT_EQ(got.per_shard.size(), 1u);
-      EXPECT_EQ(got.interconnect_latency.as_s(), 0.0);
-      EXPECT_EQ(got.interconnect_energy.as_J(), 0.0);
-      EXPECT_EQ(got.max_shard_compute.as_s(), ref.latency.as_s());
+  for (const auto policy : kPolicies) {
+    const EngineUnderTest eng(1, policy);
+    for (const auto& g : geoms) {
+      for (const bool dynamic : {false, true}) {
+        const auto ref = eng.base.stream_cost(g[0], g[1], g[2], dynamic);
+        const auto got = eng.sharded.stream_cost(g[0], g[1], g[2], dynamic);
+        // Exact double equality on every field — delegation, not recomputation.
+        EXPECT_EQ(got.total.latency.as_s(), ref.latency.as_s());
+        EXPECT_EQ(got.total.row_service.as_s(), ref.row_service.as_s());
+        EXPECT_EQ(got.total.energy.as_J(), ref.energy.as_J());
+        EXPECT_EQ(got.total.write_energy.as_J(), ref.write_energy.as_J());
+        EXPECT_EQ(got.total.write_latency.as_s(), ref.write_latency.as_s());
+        EXPECT_EQ(got.total.tile_ops, ref.tile_ops);
+        EXPECT_EQ(got.total.tiles, ref.tiles);
+        EXPECT_EQ(got.total.macs, ref.macs);
+        EXPECT_EQ(got.interconnect_latency.as_s(), 0.0);
+        EXPECT_EQ(got.interconnect_energy.as_J(), 0.0);
+      }
     }
   }
 }
 
 TEST(ShardedMatmul, SingleShardRowServiceIsLegacyExpression) {
-  const EngineUnderTest eng(cfg_with_shards(1));
-  const Time legacy =
-      eng.base.tile_latency() + core::SystemOverheads{}.per_row_overhead;
-  EXPECT_EQ(eng.sharded.row_service(768, 768).as_s(), legacy.as_s());
-  EXPECT_EQ(eng.sharded.row_service(64, 128).as_s(), legacy.as_s());
-  // Explicit-K overload agrees for every policy.
   for (const auto policy : kPolicies) {
-    EXPECT_EQ(eng.sharded.row_service(768, 3072, 1, policy).as_s(), legacy.as_s());
+    const EngineUnderTest eng(1, policy);
+    const Time mono =
+        eng.base.tile_latency() + core::SystemOverheads{}.per_row_overhead;
+    EXPECT_EQ(eng.sharded.row_service(768, 768).as_s(), mono.as_s());
+    EXPECT_EQ(eng.sharded.row_service(64, 128).as_s(), mono.as_s());
+    EXPECT_EQ(eng.sharded.row_service(768, 3072).as_s(), mono.as_s());
+    const auto w = eng.sharded.weight_image_cost(256, 3072);
+    EXPECT_EQ(w.latency.as_s(), eng.base.weight_image_cost(256, 3072).latency.as_s());
+    EXPECT_EQ(w.energy.as_J(), eng.base.weight_image_cost(256, 3072).energy.as_J());
   }
-  EXPECT_EQ(eng.sharded.local_row_overhead(768, 768, 1).as_s(),
-            core::SystemOverheads{}.per_row_overhead.as_s());
-  EXPECT_EQ(eng.sharded.link_row_time(768, 768, 1, ShardPolicy::kRow).as_s(), 0.0);
 }
 
 // ---------- ShardedMatmulEngine: composition invariants ----------
 
+/// The per-row link streaming time: how much the interconnect latency grows
+/// with one more input row (the merge fill is paid once).
+double link_row_ns(const ShardedMatmulEngine& eng, std::int64_t m, std::int64_t n) {
+  return (eng.stream_cost(2, m, n, false).interconnect_latency -
+          eng.stream_cost(1, m, n, false).interconnect_latency)
+      .as_ns();
+}
+
 TEST(ShardedMatmul, LatencyComposesMaxShardComputePlusInterconnect) {
-  const EngineUnderTest eng(cfg_with_shards(4));
   for (const auto policy : kPolicies) {
-    const auto c = eng.sharded.stream_cost(128, 768, 768, false, 4, policy);
-    ASSERT_EQ(c.per_shard.size(), 4u);
+    const EngineUnderTest eng(4, policy);
+    const auto c = eng.sharded.stream_cost(128, 768, 768, false);
     Time max_compute{};
-    for (const auto& s : c.per_shard) {
-      max_compute = std::max(max_compute, s.latency);
-    }
-    EXPECT_EQ(c.max_shard_compute.as_s(), max_compute.as_s());
-    EXPECT_EQ(c.total.latency.as_s(),
-              (c.max_shard_compute + c.interconnect_latency).as_s());
+    int shards = 0;
+    plan(4, policy, 768, 768).for_each_slice([&](std::int64_t m, std::int64_t n) {
+      max_compute = std::max(max_compute, eng.base.stream_cost(128, m, n, false).latency);
+      ++shards;
+    });
+    EXPECT_EQ(shards, 4);
+    EXPECT_EQ(c.total.latency.as_s(), (max_compute + c.interconnect_latency).as_s());
   }
 }
 
 TEST(ShardedMatmul, InterconnectPositiveIffSharded) {
-  const EngineUnderTest eng(cfg_with_shards(1));
   for (const auto policy : kPolicies) {
     for (const int k : {2, 4, 8}) {
-      const auto c = eng.sharded.stream_cost(64, 768, 768, false, k, policy);
+      const EngineUnderTest eng(k, policy);
+      const auto c = eng.sharded.stream_cost(64, 768, 768, false);
       EXPECT_GT(c.interconnect_latency.as_ns(), 0.0)
           << to_string(policy) << " K=" << k;
       EXPECT_GT(c.interconnect_energy.as_pJ(), 0.0)
           << to_string(policy) << " K=" << k;
     }
-    const auto mono = eng.sharded.stream_cost(64, 768, 768, false, 1, policy);
+    const auto mono = EngineUnderTest(1, policy).sharded.stream_cost(64, 768, 768, false);
     EXPECT_EQ(mono.interconnect_latency.as_s(), 0.0);
     EXPECT_EQ(mono.interconnect_energy.as_J(), 0.0);
   }
 }
 
 TEST(ShardedMatmul, CostConservationAcrossPolicyAndShardSweep) {
-  const EngineUnderTest eng(cfg_with_shards(1));
+  const EngineUnderTest mono_eng(1, ShardPolicy::kRow);
   const std::int64_t geoms[][3] = {
       {16, 64, 64}, {128, 768, 768}, {16, 768, 3072}, {128, 64, 128}};
   for (const auto& g : geoms) {
-    const auto mono = eng.sharded.stream_cost(g[0], g[1], g[2], false);
+    const auto mono = mono_eng.sharded.stream_cost(g[0], g[1], g[2], false);
     for (const auto policy : kPolicies) {
       for (const int k : {2, 4, 8}) {
-        const auto c = eng.sharded.stream_cost(g[0], g[1], g[2], false, k, policy);
+        const auto c =
+            EngineUnderTest(k, policy).sharded.stream_cost(g[0], g[1], g[2], false);
         // Work is conserved exactly; silicon and energy never shrink:
         // slices round up to whole tiles and the merge traffic is extra.
         EXPECT_DOUBLE_EQ(c.total.macs, mono.total.macs)
@@ -315,11 +313,11 @@ TEST(ShardedMatmul, CostConservationAcrossPolicyAndShardSweep) {
 }
 
 TEST(ShardedMatmul, DynamicWritesConservedAndProgrammedInParallel) {
-  const EngineUnderTest eng(cfg_with_shards(1));
-  const auto mono = eng.sharded.stream_cost(128, 64, 128, true);
+  const auto mono =
+      EngineUnderTest(1, ShardPolicy::kRow).sharded.stream_cost(128, 64, 128, true);
   for (const auto policy : kPolicies) {
     for (const int k : {2, 4}) {
-      const auto c = eng.sharded.stream_cost(128, 64, 128, true, k, policy);
+      const auto c = EngineUnderTest(k, policy).sharded.stream_cost(128, 64, 128, true);
       // Same cells programmed (slices tile the matrix); tiny FP slack for
       // the per-shard product-then-sum order.
       EXPECT_NEAR(c.total.write_energy.as_J(), mono.total.write_energy.as_J(),
@@ -335,13 +333,12 @@ TEST(ShardedMatmul, DynamicWritesConservedAndProgrammedInParallel) {
 }
 
 TEST(ShardedMatmul, RowOverheadMonotoneWithDiminishingReturns) {
-  const EngineUnderTest eng(cfg_with_shards(1));
   for (const auto policy : kPolicies) {
     std::vector<double> overhead_ns;
     for (const int k : {2, 4, 8, 16}) {
+      const EngineUnderTest eng(k, policy);
       overhead_ns.push_back(
-          (eng.sharded.local_row_overhead(768, 768, k) +
-           eng.sharded.link_row_time(768, 768, k, policy)).as_ns());
+          (eng.sharded.row_service(768, 768) - eng.base.tile_latency()).as_ns());
     }
     for (std::size_t i = 1; i < overhead_ns.size(); ++i) {
       EXPECT_LT(overhead_ns[i], overhead_ns[i - 1])
@@ -357,36 +354,41 @@ TEST(ShardedMatmul, RowOverheadMonotoneWithDiminishingReturns) {
 }
 
 TEST(ShardedMatmul, WideOutputsStreamMoreLinkFlits) {
-  const EngineUnderTest eng(cfg_with_shards(1));
+  const EngineUnderTest row(4, ShardPolicy::kRow);
   // Row policy merges full-width partial sums: the d_ff-wide FFN output
   // streams more flits per row than the d_model-wide projection.
-  const Time narrow = eng.sharded.link_row_time(768, 768, 4, ShardPolicy::kRow);
-  const Time wide = eng.sharded.link_row_time(768, 3072, 4, ShardPolicy::kRow);
-  EXPECT_GT(wide.as_ns(), narrow.as_ns());
+  const double narrow = link_row_ns(row.sharded, 768, 768);
+  const double wide = link_row_ns(row.sharded, 768, 3072);
+  EXPECT_GT(wide, narrow);
   // Column policy moves only slice-width results: cheaper than row policy
   // on the same geometry.
-  const Time col = eng.sharded.link_row_time(768, 3072, 4, ShardPolicy::kColumn);
-  EXPECT_LT(col.as_ns(), wide.as_ns());
+  const EngineUnderTest col(4, ShardPolicy::kColumn);
+  EXPECT_LT(link_row_ns(col.sharded, 768, 3072), wide);
 }
 
 TEST(ShardedMatmul, SingleTileGridGainsNothingLocally) {
-  const EngineUnderTest eng(cfg_with_shards(1));
+  const EngineUnderTest eng(4, ShardPolicy::kRow);
   // A 1-tile matmul has no accumulation network to shrink: the local share
-  // stays the full calibrated overhead (no free lunch).
+  // stays the full calibrated overhead (no free lunch); the 16-wide partial
+  // sums stream in one flit per row.
   const auto grid = eng.base.mapper().grid_for(16, 16);
   ASSERT_EQ(grid.total(), 1);
-  EXPECT_EQ(eng.sharded.local_row_overhead(16, 16, 4).as_s(),
-            core::SystemOverheads{}.per_row_overhead.as_s());
+  const Time expect = eng.base.tile_latency() +
+                      core::SystemOverheads{}.per_row_overhead +
+                      core::StarConfig{}.tech.clock_period() * 1.0;
+  EXPECT_EQ(eng.sharded.row_service(16, 16).as_s(), expect.as_s());
 }
 
 TEST(ShardedMatmul, RejectsBadArguments) {
-  const EngineUnderTest eng(cfg_with_shards(1));
+  const EngineUnderTest eng(1, ShardPolicy::kRow);
   EXPECT_THROW((void)eng.sharded.stream_cost(0, 8, 8, false), InvalidArgument);
-  EXPECT_THROW((void)eng.sharded.stream_cost(8, 8, 8, false, 0, ShardPolicy::kRow),
+  EXPECT_THROW(ShardedMatmulEngine(eng.base, cfg_with_shards(0), Time::ns(800.0)),
                InvalidArgument);
   // Row policy cannot feed 8 shards from 4 rows.
-  EXPECT_THROW((void)eng.sharded.stream_cost(8, 4, 64, false, 8, ShardPolicy::kRow),
-               InvalidArgument);
+  const EngineUnderTest eight(8, ShardPolicy::kRow);
+  EXPECT_THROW((void)eight.sharded.stream_cost(8, 4, 64, false), InvalidArgument);
+  EXPECT_THROW((void)eight.sharded.row_service(4, 64), InvalidArgument);
+  EXPECT_THROW((void)eight.sharded.weight_image_cost(4, 64), InvalidArgument);
   EXPECT_THROW(core::StarConfig bad = cfg_with_shards(0); bad.validate(),
                InvalidArgument);
   EXPECT_THROW(core::StarConfig bad = cfg_with_shards(257); bad.validate(),

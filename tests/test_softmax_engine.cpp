@@ -196,12 +196,11 @@ TEST(SoftmaxEngine, PreloadEnergyGrowsWithOperandWidth) {
 
 TEST(SoftmaxEngine, PreloadEnergyIndependentOfRuntimeKnobs) {
   // The preload prices the programmed tables only — fault injection and
-  // replica count are runtime concerns and must not leak into it (a cache
-  // keyed by QFormat alone relies on this).
+  // the counter range are runtime concerns and must not leak into it (a
+  // cache keyed by QFormat alone relies on this).
   StarConfig base = config_for(fxp::kCnewsFormat);
   StarConfig faulty = base;
   faulty.cam_miss_prob = 0.2;
-  faulty.softmax_engines = 12;
   faulty.max_seq_len = 256;
   EXPECT_EQ(SoftmaxEngine(base).preload_energy().as_J(),
             SoftmaxEngine(faulty).preload_energy().as_J());
@@ -493,7 +492,6 @@ TEST(SoftmaxCosts, ConfigChecksStillThrowFromStarAccelerator) {
   with("13-bit format", [](StarConfig& c) { c.softmax_format = fxp::make_unsigned(9, 4); });
   with("max_seq_len 1", [](StarConfig& c) { c.max_seq_len = 1; });
   with("cam_miss_prob 1", [](StarConfig& c) { c.cam_miss_prob = 1.0; });
-  with("no softmax engine", [](StarConfig& c) { c.softmax_engines = 0; });
   with("g_off above g_on", [](StarConfig& c) { c.device.g_off_us = 2.0 * c.device.g_on_us; });
   for (const auto& [what, cfg] : bad) {
     EXPECT_THROW(SoftmaxCosts{cfg}, InvalidArgument) << what;
