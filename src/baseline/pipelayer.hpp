@@ -9,6 +9,9 @@
 //   2. spike-based input encoding: activations stream as unary spike
 //      trains, multiplying the number of read passes per input vector;
 //   3. softmax is a CMOS unit at operand granularity (as in ReTransformer).
+// The spike pass factor and the weight replication are fixed constants of
+// the model (src/baseline/pipelayer.cpp); the config varies only what STAR
+// varies too.
 #pragma once
 
 #include "baseline/cmos_softmax.hpp"

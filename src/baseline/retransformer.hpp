@@ -6,7 +6,8 @@
 // critical path. The two structural differences to STAR:
 //   1. softmax runs on a CMOS arithmetic unit, and
 //   2. the pipeline is operand-grained: the softmax block consumes the
-//      whole score matrix before the context matmul can start.
+//      whole score matrix before the context matmul can start. Its makespan
+//      is the favourable bound of core/pipeline.hpp, not a causal schedule.
 #pragma once
 
 #include "baseline/cmos_softmax.hpp"

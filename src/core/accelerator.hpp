@@ -1,6 +1,11 @@
 // STAR accelerator top-level model: MatMul engine + replicated softmax
 // engines + the vector-grained global pipeline, evaluated on the BERT-base
 // attention workload (paper §III / Fig. 3).
+//
+// Every matmul cost and stage row time comes from one ShardedMatmulEngine
+// at the config's shard count and policy; the model has no shard-count
+// branch of its own. An uncached evaluation allocates nothing
+// (DesignPointAllocations.UncachedEvaluationAllocatesNothing).
 #pragma once
 
 #include <memory>
@@ -49,7 +54,7 @@ struct AttentionRunResult {
                                   ///< head's score/context tiles)
   int softmax_engines = 0;
   double pipeline_speedup = 1.0;  ///< vector- vs operand-grained, same HW
-  // Crossbar sharding (all zero / 1 when cfg.num_shards == 1).
+  // Crossbar sharding (one shard: num_shards 1, zero interconnect).
   int num_shards = 1;
   Time interconnect_latency{};    ///< inter-shard merge time, whole layer
   Energy interconnect_energy{};   ///< partial-sum / gather link traffic

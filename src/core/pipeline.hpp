@@ -56,6 +56,13 @@ struct PipelineReport {
 /// kOperandGrained: matmul stages stay row-pipelined (prior accelerators
 /// pipeline their crossbar stages), but the softmax block is a barrier:
 ///   T = vector(proj, score, context, outproj) + rows * softmax_row.
+/// That T is a bound favourable to the operand-grained accelerators
+/// (PipeLayer, ReTransformer), not a causal schedule: it lets context row 0
+/// start before the softmax block ends. A causal barrier would refill the
+/// context/outproj pipeline after the block, (rows - 1) x the matmul row
+/// time longer at equal stage times (8 rows: about 26.5 us instead of
+/// 18.34 us). STAR's speedup over ReTransformer is measured against this
+/// bound.
 PipelineReport run_pipeline(const StageTimes& t, std::size_t rows,
                             PipelineDiscipline discipline);
 

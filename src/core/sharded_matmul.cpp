@@ -22,6 +22,11 @@ hw::HTree inter_shard_tree(const hw::TechNode& tech, int num_shards,
                    shard_extent * ShardedMatmulEngine::kTilePitchUm);
 }
 
+/// Flits one hop of `width` partial-sum words occupies on a link.
+std::int64_t flits_for(std::int64_t width) {
+  return ceil_div(width * ShardedMatmulEngine::kAccBits, ShardedMatmulEngine::kBusBits);
+}
+
 }  // namespace
 
 ShardedMatmulEngine::ShardedMatmulEngine(const MatmulEngine& base,
@@ -31,10 +36,6 @@ ShardedMatmulEngine::ShardedMatmulEngine(const MatmulEngine& base,
       cfg_(cfg.validated()),
       shards_(cfg.num_shards, cfg.shard_policy),
       per_row_overhead_(per_row_overhead) {}
-
-std::int64_t ShardedMatmulEngine::flits_for(std::int64_t width) const {
-  return ceil_div(width * kAccBits, kBusBits);
-}
 
 Time ShardedMatmulEngine::local_row_overhead(std::int64_t m, std::int64_t n) const {
   // The calibrated monolithic overhead prices the accumulation network of a

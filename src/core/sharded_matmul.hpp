@@ -23,7 +23,7 @@
 // For the pipeline's stage times the monolithic per-row overhead is
 // decomposed structurally: a shard's local accumulation tree spans ~T/K of
 // the grid's T tiles, so the calibrated figure is scaled by the ratio of
-// the two hw::HTree traversal latencies, and the inter-shard merge is
+// the two hw::HTree wire-flight latencies, and the inter-shard merge is
 // charged on top. No call stores a per-shard record or allocates.
 #pragma once
 
@@ -90,7 +90,6 @@ class ShardedMatmulEngine {
   /// Per-row inter-shard streaming time (K > 1): widest-hop flits at one
   /// flit per clock (tree links run in parallel and levels pipeline).
   [[nodiscard]] Time link_row_time(std::int64_t m, std::int64_t n) const;
-  [[nodiscard]] std::int64_t flits_for(std::int64_t width) const;
 
   const MatmulEngine* base_;
   StarConfig cfg_;
