@@ -22,6 +22,14 @@ int block_rows_for(int k) {
   return best;
 }
 
+/// Row blocks rk of the grid K shards form under `policy` (ck = K / rk).
+int grid_rows(int num_shards, ShardPolicy policy) {
+  require(num_shards >= 1, "ShardedMapper: num_shards must be >= 1");
+  return policy == ShardPolicy::kRow      ? num_shards
+         : policy == ShardPolicy::kColumn ? 1
+                                          : block_rows_for(num_shards);
+}
+
 }  // namespace
 
 const char* to_string(ShardPolicy policy) {
@@ -42,15 +50,12 @@ std::int64_t ShardPlan::max_hop_width() const {
   return w;
 }
 
-ShardedMapper::ShardedMapper(int num_shards, ShardPolicy policy) {
-  require(num_shards >= 1, "ShardedMapper: num_shards must be >= 1");
-  rk_ = policy == ShardPolicy::kRow       ? num_shards
-        : policy == ShardPolicy::kColumn ? 1
-                                         : block_rows_for(num_shards);
-  ck_ = num_shards / rk_;
-  // bits_for(1) is 1, so the single shard's empty merge stays explicit.
-  merge_levels_ = num_shards == 1 ? 0 : bits_for(static_cast<std::uint64_t>(num_shards));
-}
+ShardedMapper::ShardedMapper(int num_shards, ShardPolicy policy)
+    : rk_(grid_rows(num_shards, policy)),
+      ck_(num_shards / rk_),
+      // bits_for(1) is 1, so the single shard's empty merge stays explicit.
+      merge_levels_(num_shards == 1 ? 0
+                                    : bits_for(static_cast<std::uint64_t>(num_shards))) {}
 
 // STAR_HOT
 ShardPlan ShardedMapper::plan_for(std::int64_t m, std::int64_t n) const {
